@@ -5,7 +5,8 @@ verification suites, emit deterministic reports.
 
 Commands: abelian-check, e-a, central-carrier, normalize, quasipoints, zeta,
 orbit, observable, germ, verify-all. Exit codes: 0 ok, 1 property failure,
-2 parse error, 3 validation error, 4 unknown command, 5 I/O error.
+2 config parse error, 3 validation error (including a bad or missing flag),
+4 unknown command, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -287,8 +288,17 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad or missing flag as a ValidationError (exit 3) instead of
+    argparse's own exit 2, which the exit codes reserve for config parse errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"stonework {command}")
+    parser = _Parser(prog=f"stonework {command}")
     parser.add_argument("--config", default=None, help="JSON algebra config file")
     parser.add_argument("--eps", type=float, default=1e-9, help="tolerance knob")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
@@ -342,10 +352,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 4
     parser = _build_parser(command)
-    args = parser.parse_args(argv[1:])
     try:
+        args = parser.parse_args(argv[1:])
         tol = Tolerance(args.eps)
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"stonework: {exc}", file=sys.stderr)
         return 3
     try:

@@ -21,16 +21,16 @@ from .errors import (
 )
 from .matrix_algebra import (
     FiberedOperator,
-    fibered_join,
-    fibered_meet,
     identity,
     require_projection,
     zero_operator,
 )
-from .numerics import DEFAULT_TOL, Tolerance, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, max_abs, stacked_join, stacked_meet
 
 #: Matching distance below which two numeric lattice nodes are the same node.
 DEDUP_EPS = 1e-9
+#: Complex entries per temporary in the closure's vectorized dedup.
+_DEDUP_CHUNK = 1 << 20
 
 
 class FiniteLattice:
@@ -179,13 +179,35 @@ class Filter:
         return f"Filter({sorted(self.members)})"
 
 
+def _near(cands: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """For each of one or more candidates, whether some node lies within
+    DEDUP_EPS of it in max-abs distance, compared in chunks of bounded size."""
+    c, k, size = len(cands), len(nodes), cands[0].size
+    flat_c = cands.reshape(c, size)
+    flat_n = nodes.reshape(k, size)
+    out = np.zeros(c, dtype=bool)
+    step = max(1, _DEDUP_CHUNK // max(1, k * size))
+    for s in range(0, c, step):
+        dist = np.abs(flat_c[s : s + step, None] - flat_n[None]).max(axis=2, initial=0.0)
+        out[s : s + step] = (dist <= DEDUP_EPS).any(axis=1)
+    return out
+
+
 def meet_closure(
     generators: list[FiberedOperator],
     cap: int = 4096,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FiniteLattice:
     """Smallest family containing the generators, zero and one, closed under
-    meet and join, deduplicated at DEDUP_EPS. Raises ClosureExplosion past ``cap``."""
+    meet and join. Raises ClosureExplosion past ``cap``.
+
+    Nodes are numbered in discovery order: zero, one, the generators, then for
+    each node i and each earlier node j in ascending order, meet(i, j) followed
+    by join(i, j). A candidate within DEDUP_EPS (max-abs) of a node already
+    present is that node and is dropped, so the lowest-index match wins. Each
+    node gets its meets and joins with all earlier nodes from one batched
+    eigensolve each.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     space = generators[0].space
@@ -196,32 +218,38 @@ def meet_closure(
             raise StoneworkError("generators have mixed shapes")
 
     elems: list[FiberedOperator] = []
+    stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
 
-    def add(op: FiberedOperator) -> int:
-        for i, e in enumerate(elems):
-            if max_abs(e.values - op.values) <= DEDUP_EPS:
-                return i
+    def add(op: FiberedOperator) -> bool:
+        """Append op unless a node within DEDUP_EPS is already present."""
+        nonlocal stack
+        if _near(op.values[None], stack[: len(elems)])[0]:
+            return False
+        if len(elems) == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[len(elems)] = op.values
         elems.append(op)
         if len(elems) > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
-        return len(elems) - 1
+        return True
 
-    zero_i = add(zero_operator(space, n))
-    one_i = add(identity(space, n))
-    for g in generators:
-        add(g)
+    for op in (zero_operator(space, n), identity(space, n), *generators):
+        add(op)
 
-    i = 0
+    # Nodes 0 and 1 are zero and one (when n > 0); meets and joins with the
+    # bounds add nothing new, so node i pairs with nodes 2..i-1.
+    i = 3
     while i < len(elems):
-        a = elems[i]
-        for j in range(i + 1):
-            if i == j:
-                continue
-            if zero_i in (i, j) or one_i in (i, j):
-                continue  # meets/joins with the bounds add nothing new
-            b = elems[j]
-            add(fibered_meet(a, b, tol))
-            add(fibered_join(a, b, tol))
+        p, q = stack[i], stack[2:i]
+        cands = np.stack([stacked_meet(p, q, tol), stacked_join(p, q, tol)], axis=1)
+        cands = cands.reshape(-1, *p.shape)
+        # one vectorized pass drops the candidates that match a known node; the
+        # few left go through add in order, which matches them against the
+        # nodes this pass has already appended
+        for c in np.flatnonzero(~_near(cands, stack[: len(elems)])):
+            op = FiberedOperator(space, cands[c])
+            if add(op):
+                require_projection(op, tol, "closure node")
         i += 1
     return FiniteLattice(elems, tol)
 

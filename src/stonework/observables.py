@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSelfAdjoint
+from .errors import DimensionMismatch, NotSelfAdjoint
 from .matrix_algebra import FiberedOperator
 from .numerics import DEFAULT_TOL, Tolerance, cluster_eigenvalues, hermitize, max_abs
 from .spectrum import Quasipoint, quasipoint
@@ -92,7 +92,7 @@ def observable_value_from_family(
     family: SpectralFamily, b: Quasipoint, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     if b.space != family.space or b.n != family.n:
-        raise NotSelfAdjoint("quasipoint does not match the operator's shape")
+        raise DimensionMismatch("quasipoint does not match the operator's shape")
     k = b.omega.omega
     for lam, cum in family.steps(k):
         if max_abs(cum @ b.line - b.line) <= tol.eps:

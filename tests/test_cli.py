@@ -200,6 +200,22 @@ def test_bad_eps_exit_3(tmp_path, capsys):
     assert main(["normalize", "--config", path, "--vector", "a", "--eps", "0.5"]) == 3
 
 
+def test_missing_required_flag_exit_3(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, err = run_cli(["abelian-check", "--config", path], capsys)
+    assert code == 3 and out == ""
+    assert "--op" in err
+
+
+def test_bad_format_choice_exit_3(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, err = run_cli(
+        ["abelian-check", "--config", path, "--op", "P", "--format", "xml"], capsys
+    )
+    assert code == 3 and out == ""
+    assert "--format" in err
+
+
 def test_empty_report_is_valid_json(capsys):
     from stonework.report import Report, render_json
 

@@ -7,8 +7,8 @@ from stonework import center as ct
 
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
-from stonework.errors import Ambiguous, ClosureExplosion, NotMember
-from stonework.numerics import max_abs
+from stonework.errors import Ambiguous, ClosureExplosion, NotMember, NotProjection
+from stonework.numerics import DEFAULT_TOL, max_abs
 
 
 def diag_projection(space, *subsets):
@@ -26,6 +26,40 @@ def boolean_lattice(atoms):
     space = ct.StoneSpace(atoms)
     gens = [ma.central_operator(ct.char_fn(space, [k]), 1) for k in space]
     return lt.meet_closure(gens, cap=2 ** atoms + 2)
+
+
+def reference_closure(generators, tol=DEFAULT_TOL):
+    """Oracle: the closure as a plain per-pair scan. Node i is paired with
+    every earlier node j in ascending order, one fibered meet and then one
+    fibered join per pair, and each candidate is compared with every node in
+    turn, so the first node within DEDUP_EPS wins."""
+    space, n = generators[0].space, generators[0].n
+    elems = []
+
+    def add(op):
+        for i, e in enumerate(elems):
+            if max_abs(e.values - op.values) <= lt.DEDUP_EPS:
+                return i
+        elems.append(op)
+        return len(elems) - 1
+
+    bounds = {add(ma.zero_operator(space, n)), add(ma.identity(space, n))}
+    for g in generators:
+        add(g)
+    i = 0
+    while i < len(elems):
+        for j in range(i):
+            if i in bounds or j in bounds:
+                continue
+            add(ma.fibered_meet(elems[i], elems[j], tol))
+            add(ma.fibered_join(elems[i], elems[j], tol))
+        i += 1
+    return elems
+
+
+def projector(*vecs):
+    q, _ = np.linalg.qr(np.array(vecs, dtype=complex).T)
+    return q @ np.conj(q.T)
 
 
 def brute_force_quasipoints(lattice):
@@ -84,6 +118,65 @@ def test_meet_closure_two_lines():
     q = line_op(space, [1, 1])
     lat = lt.meet_closure([p, q])
     assert len(lat) == 4  # zero, the two lines, identity
+
+
+def closure_families(rng):
+    """Generator families for the closure oracle, by name."""
+    space4 = ct.StoneSpace(4)
+    boolean = [ma.central_operator(ct.char_fn(space4, [k]), 2) for k in space4]
+    boolean.append(ma.central_operator(ct.char_fn(space4, [0, 2]), 2))
+    two_lines = [line_op(ct.StoneSpace(1), [1, 0]), line_op(ct.StoneSpace(1), [1, 1])]
+    # one random line projection at fiber k, zero elsewhere, for each k
+    lines = []
+    for k in space4:
+        fibers = np.zeros((4, 2, 2), dtype=complex)
+        fibers[k] = rng.projection(2, 1)
+        lines.append(ma.FiberedOperator(space4, fibers))
+    # spanning vectors of each generator at fibers 0 and 1; in this family one
+    # pass finds the same new node twice, and another finds a new meet and a
+    # new join, so both the in-pass dedup and the candidate order matter
+    spans = [
+        ([[1, 1j, 0]], [[0, 1, 0], [1j, 1, 0]]),
+        ([[-1, 1j, 0], [1j, 1j, 1j]], [[1j, 0, 0], [-1, 1j, -1]]),
+        ([[-1, -1, 1], [0, 0, 1j]], [[0, 1j, 1j]]),
+        ([[1j, 1j, 1j]], [[0, -1, 0]]),
+    ]
+    space2 = ct.StoneSpace(2)
+    noncommuting = [
+        ma.FiberedOperator(space2, np.stack([projector(*f) for f in g])) for g in spans
+    ]
+    return {
+        "boolean": boolean,
+        "two_lines": two_lines,
+        "line_per_fiber": lines,
+        "noncommuting_n3": noncommuting,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    # central projections give the Boolean algebra on four fibers; the lines
+    # give the same plus the identity, which is not a sum of lines
+    [("boolean", 2 ** 4), ("two_lines", 4), ("line_per_fiber", 2 ** 4 + 1),
+     ("noncommuting_n3", 24)],
+)
+def test_meet_closure_matches_per_pair_scan(rng, name, size):
+    gens = closure_families(rng)[name]
+    lat = lt.meet_closure(gens, cap=256)
+    ref = reference_closure(gens)
+    assert len(lat) == len(ref) == size
+    for e, r in zip(lat.elements, ref):
+        assert np.array_equal(e.values, r.values)
+    assert np.array_equal(lat.leq, lt.FiniteLattice(ref).leq)
+
+
+def test_meet_closure_rejects_non_projection_node(monkeypatch):
+    # a join that is not idempotent must stop the closure when it is appended
+    space = ct.StoneSpace(1)
+    real_join = lt.stacked_join
+    monkeypatch.setattr(lt, "stacked_join", lambda p, q, tol: 0.5 * real_join(p, q, tol))
+    with pytest.raises(NotProjection, match="closure node"):
+        lt.meet_closure([diag_projection(space, [0], []), line_op(space, [1, 1])])
 
 
 def test_meet_closure_cap():
@@ -208,3 +301,24 @@ def test_filter_min_member():
     b = lt.enumerate_quasipoints(lat)[1]
     low = b.min_member()
     assert all(lat.leq[low, i] for i in b.members)
+
+
+def test_extrema_tables_past_256_nodes(rng):
+    # the 2^8 sums of one line per fiber plus the identity: 257 nodes, which
+    # takes FiniteLattice onto its large-table path. Node s (< 256) is the
+    # sum over the fibers in bitmask s; the identity gets a ninth bit of its
+    # own, so meets and joins are bitmask intersections and unions.
+    m = 8
+    space = ct.StoneSpace(m)
+    lines = np.stack([rng.projection(2, 1) for _ in range(m)])
+    nodes = []
+    for s in range(2 ** m):
+        picked = np.array([s >> k & 1 for k in range(m)], dtype=complex)
+        nodes.append(ma.FiberedOperator(space, lines * picked[:, None, None]))
+    nodes.append(ma.identity(space, 2))
+    masks = np.arange(2 ** m + 1)
+    masks[-1] = 2 ** (m + 1) - 1
+    lat = lt.FiniteLattice(nodes)
+    assert len(lat) == 257
+    assert np.array_equal(masks[lat.meet_table], masks[:, None] & masks[None, :])
+    assert np.array_equal(masks[lat.join_table], masks[:, None] | masks[None, :])

@@ -9,7 +9,7 @@ from stonework import center as ct
 from stonework import matrix_algebra as ma
 from stonework import observables as ob
 from stonework import spectrum as sp
-from stonework.errors import NotSelfAdjoint
+from stonework.errors import DimensionMismatch, NotSelfAdjoint
 from stonework.numerics import max_abs
 
 
@@ -64,6 +64,15 @@ def test_observable_values_two_level():
     assert ob.observable_value(a, sp.quasipoint(space, 0, [1, 0])) == 1.0
     assert ob.observable_value(a, sp.quasipoint(space, 0, [0, 1])) == 2.0
     assert ob.observable_value(a, sp.quasipoint(space, 0, [inv, inv])) == 2.0
+
+
+def test_observable_value_rejects_mismatched_quasipoint():
+    family = ob.spectral_family(op_from_fibers(np.diag([1.0, 2.0])))
+    other_space = sp.quasipoint(ct.StoneSpace(2), 0, [1, 0])
+    other_n = sp.quasipoint(ct.StoneSpace(1), 0, [1, 0, 0])
+    for b in (other_space, other_n):
+        with pytest.raises(DimensionMismatch):
+            ob.observable_value_from_family(family, b)
 
 
 def test_observable_central_evaluation():
