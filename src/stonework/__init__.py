@@ -57,7 +57,7 @@ from .matrix_algebra import (
     is_abelian_projection,
     transport,
 )
-from .numerics import Tolerance, hermitian_eig, is_projection, proj_join, proj_meet
+from .numerics import Tolerance, hermitian_eig, is_projection
 from .observables import (
     SpectralFamily,
     eigenline_quasipoints,
@@ -83,5 +83,79 @@ from .spectrum import (
     zeta,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # center
+    "CenterElement",
+    "CenterQuasipoint",
+    "StoneSpace",
+    "center_membership",
+    "center_quasipoints",
+    "char_fn",
+    "gelfand_eval",
+    # errors
+    "StoneworkError",
+    # hilbert_module
+    "ModuleElement",
+    "Submodule",
+    "abelian_projection",
+    "annihilator",
+    "basis_vector",
+    "decompose",
+    "inner",
+    "ket_bra",
+    "module_norm",
+    "module_projection",
+    "normalize",
+    "support",
+    "support_witness",
+    # lattice
+    "FiniteLattice",
+    "Filter",
+    "enumerate_quasipoints",
+    "extend_trunk",
+    "isolated_points",
+    "meet_closure",
+    "stone_base_set",
+    "trunk",
+    # matrix_algebra
+    "FiberedOperator",
+    "abelian_generator",
+    "adjoint",
+    "central_carrier",
+    "central_operator",
+    "diagonal_sum_projection",
+    "equivalence_partial_isometry",
+    "fibered_join",
+    "fibered_meet",
+    "identity",
+    "is_abelian_projection",
+    "transport",
+    # numerics
+    "Tolerance",
+    "hermitian_eig",
+    "is_projection",
+    # observables
+    "SpectralFamily",
+    "eigenline_quasipoints",
+    "observable_image",
+    "observable_value",
+    "spectral_family",
+    # rng
+    "SplitMix64",
+    # spectrum
+    "GermVector",
+    "Quasipoint",
+    "common_central_reduction",
+    "extend_filter_to_quasipoint",
+    "germ_eval",
+    "germ_inverse",
+    "germ_submodule",
+    "maximality_witness",
+    "orbit_witness",
+    "partial_isometry_act",
+    "qp_contains",
+    "quasipoint",
+    "unitary_act",
+    "zeta",
+]
 __version__ = "0.1.0"

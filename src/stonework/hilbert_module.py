@@ -230,11 +230,6 @@ def normalize(a: ModuleElement, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
     return ModuleElement(a.space, out)
 
 
-def is_normalized(a: ModuleElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether (a|a) is a projection within eps."""
-    return inner(a, a).projection_defect() <= tol.eps
-
-
 def ket_bra(r: ModuleElement, s: ModuleElement):
     """The operator b -> r (s|b); fiberwise the outer product of r against s."""
     r._check(s)

@@ -25,12 +25,12 @@ from .matrix_algebra import (
     require_projection,
     zero_operator,
 )
-from .numerics import DEFAULT_TOL, Tolerance, max_abs, stacked_join, stacked_meet
+from .numerics import DEFAULT_TOL, Tolerance, stacked_join, stacked_meet
 
 #: Matching distance below which two numeric lattice nodes are the same node.
 DEDUP_EPS = 1e-9
-#: Complex entries per temporary in the closure's vectorized dedup.
-_DEDUP_CHUNK = 1 << 20
+#: Array entries per temporary in every blocked loop of this module.
+_CHUNK = 1 << 20
 
 
 class FiniteLattice:
@@ -44,61 +44,28 @@ class FiniteLattice:
     # -- construction ---------------------------------------------------
 
     def _build_tables(self):
-        k = len(self.elements)
         stack = np.stack([e.values for e in self.elements])  # (k, m, n, n)
-        prod = np.einsum("imab,jmbc->ijmac", stack, stack)
-        diff = prod - stack[:, None]
-        self.leq = np.max(np.abs(diff), axis=(2, 3, 4)) <= self.tol.eps
-        self.zero_index = self._locate_constant(0.0)
-        self.one_index = self._locate_constant(1.0)
-        self.meet_table = self._extrema_table(self.leq)
-        self.join_table = self._extrema_table(self.leq.T)
-
-    def _locate_constant(self, diag: float):
-        n = self.elements[0].n
-        eye = np.eye(n, dtype=np.complex128) * diag
-        for i, e in enumerate(self.elements):
-            if max_abs(e.values - eye) <= DEDUP_EPS:
-                return i
-        raise StoneworkError("lattice is missing its zero or unit element")
-
-    def _extrema_table(self, leq: np.ndarray) -> np.ndarray:
-        """meet_table when fed the order, join_table when fed its transpose.
-
-        For each pair (i, j): the common lower bounds are cands[c] = leq[c,i]
-        & leq[c,j]; the table entry is the unique bound dominating all others.
-        """
-        k = leq.shape[0]
-        if k > 256:
-            return self._extrema_table_big(leq)
-        cands = leq[:, :, None] & leq[:, None, :]  # (c, i, j)
-        # bad[c, i, j]: some candidate d is not below c
-        not_leq = (~leq).astype(np.uint32)
-        counts = np.tensordot(not_leq, cands.astype(np.uint32).reshape(k, -1), axes=([0], [0]))
-        bad = counts.reshape(k, k, k) > 0
-        is_max = cands & ~bad
-        hits = is_max.sum(axis=0)
-        if not np.all(hits == 1):
-            raise StoneworkError(
-                "order tables are inconsistent; the element family is not closed"
-            )
-        return np.argmax(is_max, axis=0).astype(np.intp)
-
-    def _extrema_table_big(self, leq: np.ndarray) -> np.ndarray:
-        k = leq.shape[0]
-        table = np.empty((k, k), dtype=np.intp)
-        for i in range(k):
-            common = leq[:, [i]] & leq  # (c, j)
-            for j in range(i, k):
-                cands = np.nonzero(common[:, j])[0]
-                sub = leq[np.ix_(cands, cands)]
-                best = np.nonzero(sub.all(axis=0))[0]
-                if best.size != 1:
-                    raise StoneworkError(
-                        "order tables are inconsistent; the element family is not closed"
-                    )
-                table[i, j] = table[j, i] = cands[best[0]]
-        return table
+        k = len(stack)
+        self._stack = stack
+        # leq[i, j]: e_i e_j = e_i, i.e. i <= j; built a block of rows at a time
+        self.leq = np.empty((k, k), dtype=bool)
+        step = max(1, _CHUNK // max(1, stack.size))
+        for s in range(0, k, step):
+            blk = stack[s : s + step]
+            diff = np.einsum("imab,jmbc->ijmac", blk, stack) - blk[:, None]
+            self.leq[s : s + step] = np.max(np.abs(diff), axis=(2, 3, 4)) <= self.tol.eps
+        eye = np.broadcast_to(np.eye(self.n, dtype=np.complex128), stack[0].shape)
+        zero, one = _near(np.stack([np.zeros_like(eye), eye]), stack)
+        if min(zero, one) < 0:
+            raise StoneworkError("lattice is missing its zero or unit element")
+        self.zero_index, self.one_index = int(zero), int(one)
+        self.meet_table = _extrema_table(self.leq)
+        self.join_table = _extrema_table(self.leq.T)
+        # atoms: nonzero nodes with nothing but zero and themselves below them
+        below = self.leq & ~np.eye(k, dtype=bool)
+        below[self.zero_index] = False
+        atoms = np.flatnonzero(~below.any(axis=0))
+        self._atoms = [int(i) for i in atoms if i != self.zero_index]
 
     # -- queries ----------------------------------------------------------
 
@@ -113,25 +80,16 @@ class FiniteLattice:
     def n(self):
         return self.elements[0].n
 
-    def index_of(self, op: FiberedOperator, eps: float = DEDUP_EPS):
-        for i, e in enumerate(self.elements):
-            if max_abs(e.values - op.values) <= eps:
-                return i
+    def index_of(self, op: FiberedOperator) -> int:
+        if op.values.shape == self._stack.shape[1:]:
+            i = _near(op.values[None], self._stack)[0]
+            if i >= 0:
+                return int(i)
         raise NotMember("operator is not a node of this lattice")
 
     def atoms(self) -> list[int]:
-        out = []
-        for i in range(len(self.elements)):
-            if i == self.zero_index:
-                continue
-            below = [
-                j
-                for j in range(len(self.elements))
-                if j not in (i, self.zero_index) and self.leq[j, i]
-            ]
-            if not below:
-                out.append(i)
-        return out
+        """Nonzero nodes with no node other than zero strictly below them."""
+        return list(self._atoms)
 
     def up_set(self, i: int) -> frozenset:
         return frozenset(int(j) for j in np.nonzero(self.leq[i])[0])
@@ -179,17 +137,50 @@ class Filter:
         return f"Filter({sorted(self.members)})"
 
 
+def _extrema_table(leq: np.ndarray) -> np.ndarray:
+    """meet_table when fed the order, join_table when fed its transpose.
+
+    The common lower bounds of i and j are exactly the nodes below their meet,
+    so entry (i, j) is the node whose down-set (column of ``leq``) equals the
+    intersection of the down-sets of i and j. The down-sets are packed into
+    bit rows and sorted once; each block of rows is intersected with every row
+    and looked up with one binary search. An intersection that is no node's
+    down-set, or two nodes with one down-set, mean the family is not a lattice.
+    """
+    k = len(leq)
+    down = np.packbits(np.ascontiguousarray(leq.T), axis=1)  # row c: the nodes below c
+    void = f"V{down.shape[1]}"  # a packed row as one sortable key
+    order = np.argsort(down.view(void).ravel(), kind="stable")
+    keys = down[order].view(void).ravel()
+    shared = (keys[1:] == keys[:-1]).any()
+    table = np.empty((k, k), dtype=np.intp)
+    step = max(1, _CHUNK // down.size)
+    for s in range(0, k, step):
+        inter = (down[s : s + step, None] & down[None]).view(void)[..., 0]
+        pos = np.minimum(np.searchsorted(keys, inter), k - 1)
+        if shared or not (keys[pos] == inter).all():
+            raise StoneworkError(
+                "order tables are inconsistent; the element family is not closed"
+            )
+        table[s : s + step] = order[pos]
+    return table
+
+
 def _near(cands: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """For each of one or more candidates, whether some node lies within
-    DEDUP_EPS of it in max-abs distance, compared in chunks of bounded size."""
+    """For each of one or more candidates, the index of the first node within
+    DEDUP_EPS of it in max-abs distance, or -1 when there is none; compared in
+    chunks of bounded size."""
     c, k, size = len(cands), len(nodes), cands[0].size
+    out = np.full(c, -1, dtype=np.intp)
+    if k == 0:
+        return out
     flat_c = cands.reshape(c, size)
     flat_n = nodes.reshape(k, size)
-    out = np.zeros(c, dtype=bool)
-    step = max(1, _DEDUP_CHUNK // max(1, k * size))
+    step = max(1, _CHUNK // (k * max(1, size)))
     for s in range(0, c, step):
         dist = np.abs(flat_c[s : s + step, None] - flat_n[None]).max(axis=2, initial=0.0)
-        out[s : s + step] = (dist <= DEDUP_EPS).any(axis=1)
+        hit = dist <= DEDUP_EPS
+        out[s : s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     return out
 
 
@@ -223,7 +214,7 @@ def meet_closure(
     def add(op: FiberedOperator) -> bool:
         """Append op unless a node within DEDUP_EPS is already present."""
         nonlocal stack
-        if _near(op.values[None], stack[: len(elems)])[0]:
+        if _near(op.values[None], stack[: len(elems)])[0] >= 0:
             return False
         if len(elems) == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
@@ -246,7 +237,7 @@ def meet_closure(
         # one vectorized pass drops the candidates that match a known node; the
         # few left go through add in order, which matches them against the
         # nodes this pass has already appended
-        for c in np.flatnonzero(~_near(cands, stack[: len(elems)])):
+        for c in np.flatnonzero(_near(cands, stack[: len(elems)]) < 0):
             op = FiberedOperator(space, cands[c])
             if add(op):
                 require_projection(op, tol, "closure node")

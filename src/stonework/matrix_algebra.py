@@ -20,7 +20,7 @@ from .errors import (
     NotProjection,
     NotSubordinate,
 )
-from .hilbert_module import ModuleElement, _unitize, inner
+from .hilbert_module import ModuleElement, _unitize
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -225,10 +225,6 @@ def diagonal_sum_projection(coeffs: list[CenterElement]) -> FiberedOperator:
     return FiberedOperator(space, fibers)
 
 
-def is_partial_isometry(theta: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return (adjoint(theta) @ theta).is_projection(tol)
-
-
 def leq_projection(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Range inclusion for projections: p <= q iff pq = p within eps."""
     return max_abs((p @ q).values - p.values) <= tol.eps
@@ -272,7 +268,3 @@ def equivalence_partial_isometry(
     gen_f = abelian_generator(f, tol)
     return ket_bra(gen_f, gen_e)
 
-
-def carrier_of_generator(a: ModuleElement) -> CenterElement:
-    """The self inner product of a normalized generator, as the carrier it determines."""
-    return inner(a, a)

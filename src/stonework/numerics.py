@@ -96,32 +96,6 @@ def null_projector(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return hermitize(sel @ np.conj(np.swapaxes(v, -1, -2)))
 
 
-def proj_meet(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto im(p) ∩ im(q).
-
-    im(p) ∩ im(q) = ker(1-p) ∩ ker(1-q), so one eigendecomposition of the PSD
-    matrix (1-p)+(1-q) suffices.
-    """
-    p = np.asarray(p, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    require_projection(p, tol, "left argument")
-    require_projection(q, tol, "right argument")
-    if p.shape != q.shape:
-        raise NotProjection(f"shape mismatch {p.shape} vs {q.shape}")
-    eye = np.eye(p.shape[-1], dtype=np.complex128)
-    return null_projector((eye - p) + (eye - q), tol)
-
-
-def proj_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto im(p) + im(q), via the complement of the meet of complements."""
-    p = np.asarray(p, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    require_projection(p, tol, "left argument")
-    require_projection(q, tol, "right argument")
-    eye = np.eye(p.shape[-1], dtype=np.complex128)
-    return eye - null_projector(p + q, tol)
-
-
 def stacked_meet(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fiberwise meet of two stacks of projections, one batched eigh call."""
     eye = np.eye(p.shape[-1], dtype=np.complex128)

@@ -7,7 +7,13 @@ from stonework import center as ct
 
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
-from stonework.errors import Ambiguous, ClosureExplosion, NotMember, NotProjection
+from stonework.errors import (
+    Ambiguous,
+    ClosureExplosion,
+    NotMember,
+    NotProjection,
+    StoneworkError,
+)
 from stonework.numerics import DEFAULT_TOL, max_abs
 
 
@@ -55,6 +61,36 @@ def reference_closure(generators, tol=DEFAULT_TOL):
             add(ma.fibered_join(elems[i], elems[j], tol))
         i += 1
     return elems
+
+
+def reference_extrema_table(leq):
+    """Oracle: the meet table of an order (the join table of its transpose) as
+    the unique maximum of the common lower bounds, for all pairs at once.
+    cands[c, i, j] says c <= i and c <= j; candidate c is the maximum when
+    no candidate d fails d <= c, which one uint32 tensordot counts."""
+    k = leq.shape[0]
+    cands = leq[:, :, None] & leq[:, None, :]
+    not_leq = (~leq).astype(np.uint32)
+    counts = np.tensordot(not_leq, cands.astype(np.uint32).reshape(k, -1), axes=([0], [0]))
+    is_max = cands & ~(counts.reshape(k, k, k) > 0)
+    assert np.all(is_max.sum(axis=0) == 1)
+    return np.argmax(is_max, axis=0)
+
+
+def reference_atoms(lat):
+    """Oracle: the nonzero nodes with nothing but zero and themselves below."""
+    k = len(lat)
+    return [
+        i
+        for i in range(k)
+        if i != lat.zero_index
+        and not any(lat.leq[j, i] for j in range(k) if j not in (i, lat.zero_index))
+    ]
+
+
+def diag_node(space, *diag):
+    """One diagonal matrix, the same at every point of the space."""
+    return ma.FiberedOperator(space, np.stack([np.diag(diag).astype(complex) for _ in space]))
 
 
 def projector(*vecs):
@@ -168,6 +204,51 @@ def test_meet_closure_matches_per_pair_scan(rng, name, size):
     for e, r in zip(lat.elements, ref):
         assert np.array_equal(e.values, r.values)
     assert np.array_equal(lat.leq, lt.FiniteLattice(ref).leq)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["boolean", "two_lines", "line_per_fiber", "noncommuting_n3"]
+    + [pytest.param(a, id=f"boolean_{2 ** a}_nodes") for a in range(1, 7)],
+)
+def test_extrema_tables_match_reference(rng, name):
+    # the closure-oracle families, then the Boolean lattices with 2..64 nodes
+    if isinstance(name, int):
+        lat = boolean_lattice(name)
+    else:
+        lat = lt.meet_closure(closure_families(rng)[name], cap=256)
+    assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
+    assert np.array_equal(lat.join_table, reference_extrema_table(lat.leq.T))
+    assert lat.atoms() == reference_atoms(lat)
+
+
+def test_tables_reject_non_lattice_family():
+    # e1 and e2 have the two incomparable upper bounds e1+e2+e3 and e1+e2+e4
+    # and no least one, so this family is not a lattice
+    space = ct.StoneSpace(1)
+    diags = [(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1)]
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt.FiniteLattice([diag_node(space, *d) for d in diags])
+
+
+def test_tables_reject_repeated_node():
+    space = ct.StoneSpace(1)
+    p = line_op(space, [1, 1])
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt.FiniteLattice([ma.zero_operator(space, 2), ma.identity(space, 2), p, p])
+
+
+def test_node_lookup():
+    space = ct.StoneSpace(2)
+    p = line_op(space, [1, 0])
+    lat = lt.meet_closure([p])
+    assert (lat.zero_index, lat.one_index, lat.index_of(p)) == (0, 1, 2)
+    with pytest.raises(NotMember):
+        lat.index_of(line_op(space, [0, 1]))
+    with pytest.raises(NotMember):
+        lat.index_of(ma.identity(ct.StoneSpace(1), 2))
+    with pytest.raises(StoneworkError, match="missing its zero or unit element"):
+        lt.FiniteLattice([p, ma.identity(space, 2)])
 
 
 def test_meet_closure_rejects_non_projection_node(monkeypatch):
@@ -304,8 +385,8 @@ def test_filter_min_member():
 
 
 def test_extrema_tables_past_256_nodes(rng):
-    # the 2^8 sums of one line per fiber plus the identity: 257 nodes, which
-    # takes FiniteLattice onto its large-table path. Node s (< 256) is the
+    # the 2^8 sums of one line per fiber plus the identity: 257 nodes, so a
+    # packed down-set ends in a partly filled byte. Node s (< 256) is the
     # sum over the fibers in bitmask s; the identity gets a ninth bit of its
     # own, so meets and joins are bitmask intersections and unions.
     m = 8

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from stonework import center as ct
+from stonework import matrix_algebra as ma
 from stonework.errors import NotHermitian, NotProjection
 from stonework.numerics import (
     Tolerance,
     hermitian_eig,
     is_projection,
     max_abs,
-    proj_join,
-    proj_meet,
     projection_rank,
+    stacked_join,
+    stacked_meet,
 )
 
 
@@ -80,32 +82,35 @@ def test_is_projection_examples():
 def test_meet_idempotent_and_orthogonal_lines():
     p = line_projector([1, 0])
     q = line_projector([0, 1])
-    assert max_abs(proj_meet(p, p) - p) <= 1e-12
-    assert max_abs(proj_meet(p, q)) <= 1e-12
+    assert max_abs(stacked_meet(p, p) - p) <= 1e-12
+    assert max_abs(stacked_meet(p, q)) <= 1e-12
 
 
 def test_meet_of_distinct_lines_is_zero():
     p = line_projector([1, 1])
     q = line_projector([1, 0])
     assert joint_fixed_space_dim(p, q) == 0  # oracle agrees
-    assert max_abs(proj_meet(p, q)) <= 1e-9
+    assert max_abs(stacked_meet(p, q)) <= 1e-9
 
 
 def test_meet_rejects_non_projection():
+    # the stacked kernel does not check its operands; the fibered meet does
+    space = ct.StoneSpace(1)
+    half = ma.FiberedOperator(space, [[[0.5, 0.0], [0.0, 1.0]]])
     with pytest.raises(NotProjection):
-        proj_meet(np.array([[0.5, 0.0], [0.0, 1.0]], dtype=complex), np.eye(2, dtype=complex))
+        ma.fibered_meet(half, ma.identity(space, 2))
 
 
 def test_join_examples(rng):
     q = line_projector([0, 1])
-    assert max_abs(proj_join(np.zeros((2, 2), dtype=complex), q) - q) <= 1e-12
+    assert max_abs(stacked_join(np.zeros((2, 2), dtype=complex), q) - q) <= 1e-12
     p = line_projector([1, 0])
-    assert max_abs(proj_join(p, q) - np.eye(2)) <= 1e-9
+    assert max_abs(stacked_join(p, q) - np.eye(2)) <= 1e-9
     # two random rank-1 projections in C^3 join to rank 2
     for _ in range(20):
         a = rng.projection(3, 1)
         b = rng.projection(3, 1)
-        j = proj_join(a, b)
+        j = stacked_join(a, b)
         assert projection_rank(j, Tolerance(1e-8)) == 2
 
 
@@ -115,7 +120,7 @@ def test_meet_is_greatest_lower_bound(rng, tol):
         n = rng.integer(2, 6)
         p = rng.projection(n, rng.integer(1, n))
         q = rng.projection(n, rng.integer(1, n))
-        r = proj_meet(p, q, tol)
+        r = stacked_meet(p, q, tol)
         assert is_projection(r, Tolerance(1e-7))
         assert max_abs(r @ p - r) <= 1e-8
         assert max_abs(r @ q - r) <= 1e-8
@@ -136,8 +141,8 @@ def test_meet_join_unitary_compatibility(rng, tol):
         q = rng.projection(n, rng.integer(0, n))
         u = rng.unitary(n)
         conj = lambda x: u @ x @ np.conj(u.T)
-        assert max_abs(conj(proj_meet(p, q, tol)) - proj_meet(conj(p), conj(q), tol)) <= 1e-8
-        assert max_abs(conj(proj_join(p, q, tol)) - proj_join(conj(p), conj(q), tol)) <= 1e-8
+        assert max_abs(conj(stacked_meet(p, q, tol)) - stacked_meet(conj(p), conj(q), tol)) <= 1e-8
+        assert max_abs(conj(stacked_join(p, q, tol)) - stacked_join(conj(p), conj(q), tol)) <= 1e-8
 
 
 def test_de_morgan(rng, tol):
@@ -146,6 +151,6 @@ def test_de_morgan(rng, tol):
         p = rng.projection(n, rng.integer(0, n))
         q = rng.projection(n, rng.integer(0, n))
         eye = np.eye(n, dtype=complex)
-        lhs = proj_join(p, q, tol)
-        rhs = eye - proj_meet(eye - p, eye - q, tol)
+        lhs = stacked_join(p, q, tol)
+        rhs = eye - stacked_meet(eye - p, eye - q, tol)
         assert max_abs(lhs - rhs) <= 1e-6
