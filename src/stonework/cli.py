@@ -23,13 +23,7 @@ from . import lattice as lt
 from . import matrix_algebra as ma
 from . import observables as ob
 from . import spectrum as sp
-from .config import (
-    AlgebraConfig,
-    encode_center,
-    encode_operator,
-    encode_vector,
-    load_config,
-)
+from .config import AlgebraConfig, encode, load_config
 from .errors import (
     ParseError,
     StoneworkError,
@@ -116,10 +110,10 @@ def _cmd_e_a(cfg, args, tol, seed):
     carrier = ma.central_carrier(e, tol) if e.norm_max() > 0 else gram
     results = {
         "vector": args.vector,
-        "normalized": encode_vector(a_hat),
-        "projection": encode_operator(e),
-        "gram": encode_center(gram),
-        "carrier": encode_center(carrier),
+        "normalized": encode(a_hat.values),
+        "projection": encode(e.values),
+        "gram": encode(gram.values),
+        "carrier": encode(carrier.values),
     }
     props = [
         {"name": "is_projection", "passed": e.is_projection(tol)},
@@ -133,7 +127,7 @@ def _cmd_central_carrier(cfg, args, tol, seed):
     op = _named_element(cfg, args.op)
     carrier = ma.central_carrier(op, tol)
     dominated = (ma.central_operator(carrier, cfg.n) @ op).allclose(op, 1e3 * tol.eps)
-    results = {"op": args.op, "carrier": encode_center(carrier)}
+    results = {"op": args.op, "carrier": encode(carrier.values)}
     props = [{"name": "carrier_dominates", "passed": dominated}]
     return results, props, dominated
 
@@ -144,8 +138,8 @@ def _cmd_normalize(cfg, args, tol, seed):
     gram = hm.inner(a_hat, a_hat)
     results = {
         "vector": args.vector,
-        "normalized": encode_vector(a_hat),
-        "gram": encode_center(gram),
+        "normalized": encode(a_hat.values),
+        "gram": encode(gram.values),
         "support": sorted(hm.support(a, tol)),
     }
     props = [{"name": "gram_is_boolean", "passed": gram.is_projection()}]
@@ -167,7 +161,7 @@ def _cmd_quasipoints(cfg, args, tol, seed):
     results = {
         "generators": names,
         "size": len(lat),
-        "elements": [encode_operator(e) for e in lat.elements],
+        "elements": [encode(e.values) for e in lat.elements],
         "leq": [[bool(x) for x in row] for row in lat.leq],
         "atoms": [int(a) for a in lat.atoms()],
         "quasipoints": [
@@ -210,7 +204,7 @@ def _cmd_orbit(cfg, args, tol, seed):
         "from": sp.quasipoint_to_dict(b),
         "to": sp.quasipoint_to_dict(b2),
         "same_class": True,
-        "unitary": encode_operator(u),
+        "unitary": encode(u.values),
     }
     props = [
         {"name": "unitary_witness", "passed": bool(u.is_unitary(tol))},
@@ -234,9 +228,13 @@ def _cmd_observable(cfg, args, tol, seed):
         row["value"] = value
         rows.append(row)
     image = sorted({row["value"] for row in rows})
-    spectrum = [float(x) for x in ob.spectrum_values(op, tol)]
-    contained = all(min(abs(v - s) for s in spectrum) <= 1e-8 for v in image)
-    results = {"op": args.op, "rows": rows, "image": image, "spectrum": spectrum}
+    spectrum = ob.spectrum_values(op, tol)
+    # the spectrum value nearest to an image value is a neighbour in sorted order
+    hi = np.minimum(np.searchsorted(spectrum, image), spectrum.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    gap = np.minimum(abs(image - spectrum[lo]), abs(image - spectrum[hi]))
+    contained = bool(np.all(gap <= 1e-8))
+    results = {"op": args.op, "rows": rows, "image": image, "spectrum": spectrum.tolist()}
     props = [{"name": "image_in_spectrum", "passed": contained, "tolerance": 1e-8}]
     return results, props, contained
 
@@ -253,7 +251,7 @@ def _cmd_germ(cfg, args, tol, seed):
     results = {
         "vector": args.vector,
         "beta": int(args.beta),
-        "germ": [[float(z.real), float(z.imag)] for z in germ.value],
+        "germ": encode(germ.value),
     }
     props = [{"name": "basis_germs_standard", "passed": spans}]
     return results, props, spans

@@ -9,11 +9,12 @@ dimension.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .center import CenterElement, StoneSpace
+from .center import StoneSpace
 from .errors import ParseError, ValidationError
 from .hilbert_module import ModuleElement
 from .matrix_algebra import FiberedOperator
@@ -32,41 +33,39 @@ class AlgebraConfig:
         return StoneSpace(self.m)
 
 
-def _decode_complex(pair, where: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
-    ):
-        raise ValidationError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+def _decode(data, shape: tuple, where: str) -> np.ndarray:
+    """Nested [re, im] pairs of the given shape -> complex array. Nesting and
+    types are checked level by level first, so that an error names the entry;
+    the numbers are then converted in one call and must be finite."""
+    level = [data]
+    for depth, size in enumerate(shape + (2,)):
+        for i, node in enumerate(level):
+            if not isinstance(node, (list, tuple)) or len(node) != size:
+                what = f"a list of {size}" if depth < len(shape) else "a [re, im] pair"
+                raise ValidationError(f"{_entry(where, i, shape[:depth])}: expected {what}, "
+                                      f"got {node!r:.60}")
+        level = [x for node in level for x in node]
+    bad = next((i for i, x in enumerate(level) if not isinstance(x, (int, float))), None)
+    if bad is None:
+        try:
+            parts = np.array(level, dtype=np.float64)
+        except OverflowError:  # integers from 2**1024 - 2**970 up round to inf
+            parts = np.array([x if abs(x) < 2**1024 - 2**970 else math.inf for x in level])
+        bad = next(iter(np.flatnonzero(~np.isfinite(parts))), None)
+    if bad is not None:
+        pair = level[bad - bad % 2 : bad - bad % 2 + 2]
+        raise ValidationError(
+            f"{_entry(where, bad // 2, shape)}: expected finite [re, im] numbers, got {pair!r}"
+        )
+    out = np.empty(shape, dtype=np.complex128)
+    # set apart: re + 1j * im would turn a -0.0 imaginary part into 0.0
+    out.real = parts[0::2].reshape(shape)
+    out.imag = parts[1::2].reshape(shape)
+    return out
 
 
-def _decode_vector_fibers(data, n: int, m: int, where: str) -> ModuleElement:
-    if not isinstance(data, list) or len(data) != m:
-        raise ValidationError(f"{where}: expected {m} fibers")
-    rows = np.zeros((m, n), dtype=np.complex128)
-    for k, fiber in enumerate(data):
-        if not isinstance(fiber, list) or len(fiber) != n:
-            raise ValidationError(f"{where}: fiber {k} must have {n} components")
-        for j, pair in enumerate(fiber):
-            rows[k, j] = _decode_complex(pair, f"{where}[{k}][{j}]")
-    return ModuleElement(StoneSpace(m), rows)
-
-
-def _decode_matrix_fibers(data, n: int, m: int, where: str) -> FiberedOperator:
-    if not isinstance(data, list) or len(data) != m:
-        raise ValidationError(f"{where}: expected {m} fibers")
-    fibers = np.zeros((m, n, n), dtype=np.complex128)
-    for k, mat in enumerate(data):
-        if not isinstance(mat, list) or len(mat) != n:
-            raise ValidationError(f"{where}: fiber {k} must be a {n}x{n} matrix")
-        for i, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != n:
-                raise ValidationError(f"{where}: fiber {k} must be a {n}x{n} matrix")
-            for j, pair in enumerate(row):
-                fibers[k, i, j] = _decode_complex(pair, f"{where}[{k}][{i}][{j}]")
-    return FiberedOperator(StoneSpace(m), fibers)
+def _entry(where: str, flat: int, shape: tuple) -> str:
+    return where + "".join(f"[{int(i)}]" for i in np.unravel_index(flat, shape))
 
 
 def parse_config(data: dict) -> AlgebraConfig:
@@ -80,10 +79,12 @@ def parse_config(data: dict) -> AlgebraConfig:
     if not isinstance(seed, int):
         raise ValidationError("config field 'seed' must be an integer")
     cfg = AlgebraConfig(n=n, m=m, seed=seed)
+    space = cfg.space
     for name, payload in (data.get("elements") or {}).items():
-        cfg.elements[name] = _decode_matrix_fibers(payload, n, m, f"elements[{name}]")
+        values = _decode(payload, (m, n, n), f"elements[{name}]")
+        cfg.elements[name] = FiberedOperator(space, values)
     for name, payload in (data.get("vectors") or {}).items():
-        cfg.vectors[name] = _decode_vector_fibers(payload, n, m, f"vectors[{name}]")
+        cfg.vectors[name] = ModuleElement(space, _decode(payload, (m, n), f"vectors[{name}]"))
     return cfg
 
 
@@ -103,19 +104,7 @@ def load_config(path: str) -> AlgebraConfig:
 # -- encoding back to the wire format ------------------------------------------
 
 
-def encode_complex(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def encode_vector(a: ModuleElement) -> list:
-    return [[encode_complex(z) for z in row] for row in a.values]
-
-
-def encode_center(c: CenterElement) -> list:
-    return [encode_complex(z) for z in c.values]
-
-
-def encode_operator(op: FiberedOperator) -> list:
-    return [
-        [[encode_complex(z) for z in row] for row in fiber] for fiber in op.values
-    ]
+def encode(values) -> list:
+    """Complex array -> the same nesting with [re, im] pairs at the leaves."""
+    z = np.asarray(values)
+    return np.stack([z.real, z.imag], axis=-1).tolist()

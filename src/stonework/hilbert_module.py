@@ -16,7 +16,7 @@ import numpy as np
 
 from .center import CenterElement, StoneSpace, char_fn, cmul
 from .errors import DimensionMismatch, NotNormalized, ZeroModule
-from .numerics import DEFAULT_TOL, Tolerance, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, max_abs, projector_onto_columns, range_basis
 
 
 class ModuleElement:
@@ -124,9 +124,9 @@ def support(a: ModuleElement, tol: Tolerance = DEFAULT_TOL) -> frozenset:
 # -- exact unit normalization -------------------------------------------------
 
 
-def _norm2(row: np.ndarray) -> float:
-    # must mirror inner()'s real-part formula exactly, one row at a time
-    return float(np.sum(row.real * row.real + row.imag * row.imag))
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    # must mirror inner()'s real-part formula exactly, reducing the last axis
+    return np.add.reduce(rows.real * rows.real + rows.imag * rows.imag, axis=-1)
 
 
 def _set_part(row: np.ndarray, i: int, imag: bool, x: float):
@@ -162,37 +162,15 @@ def _resolve_part(w: np.ndarray, i: int, imag: bool):
     return None
 
 
-def _unitize(row: np.ndarray) -> np.ndarray:
-    """Scale a nonzero fiber to unit length so its computed norm^2 is exactly 1.0.
+def _search_parts(w: np.ndarray) -> np.ndarray:
+    """Close the unit gap of one row the divisor ladder left off by
+    recomputing one sizeable part, then by a two-part joint search."""
+    def size(part):
+        i, imag = part
+        return abs(w[i].imag if imag else w[i].real)
 
-    Plain division leaves the float sum one ulp off about half the time, so
-    after a short divisor ladder one sizeable real/imag part is recomputed to
-    close the exact remaining gap; a two-part joint search covers the rest.
-    The direction moves by at most ~1e-12.
-    """
-    r = _norm2(row)
-    if r == 1.0:
-        return row
-    s = math.sqrt(r)
-    best, best_err = None, math.inf
-    for _ in range(8):
-        w = row / s
-        rw = _norm2(w)
-        if rw == 1.0:
-            return w
-        if abs(rw - 1.0) < best_err:
-            best, best_err = w, abs(rw - 1.0)
-        s = np.nextafter(s, math.inf if rw > 1.0 else -math.inf)
-    w = best
-    parts = sorted(
-        (
-            (i, imag)
-            for i in range(len(w))
-            for imag in (False, True)
-            if abs(w[i].imag if imag else w[i].real) >= _RESOLVE_FLOOR
-        ),
-        key=lambda t: abs(w[t[0]].imag if t[1] else w[t[0]].real),
-    )
+    parts = [(i, imag) for i in range(len(w)) for imag in (False, True)]
+    parts = sorted((t for t in parts if size(t) >= _RESOLVE_FLOOR), key=size)
     for (i, imag) in parts:
         hit = _resolve_part(w, i, imag)
         if hit is not None:
@@ -214,6 +192,48 @@ def _unitize(row: np.ndarray) -> np.ndarray:
     return w
 
 
+def _unitize(rows: np.ndarray) -> np.ndarray:
+    """Scale nonzero rows (the last axis) to unit length so that each computed
+    norm^2 is exactly 1.0; rows already there are left untouched.
+
+    Plain division leaves the float sum one ulp off about half the time, so
+    the other rows run a short divisor ladder together; on each row it leaves
+    off, one sizeable real/imag part is recomputed to close the exact gap, and
+    a two-part joint search covers the rest. The direction moves by ~1e-12.
+    """
+    flat = rows.reshape(-1, rows.shape[-1])
+    r = _norm2(flat)
+    todo = (r != 1.0).nonzero()[0]
+    if todo.size == 0:
+        return rows
+    out = flat.copy()
+    left, s = flat[todo], np.sqrt(r[todo])
+    best, best_err, last = left, np.full(todo.size, math.inf), np.zeros(todo.size)
+    for i in range(8):
+        w = left / s[:, None]
+        gap = _norm2(w) - 1.0
+        err = np.abs(gap)
+        better = err < best_err
+        best, best_err = np.where(better[:, None], w, best), np.where(better, err, best_err)
+        hit = gap == 0.0
+        step = np.copysign(math.inf, gap)
+        # a row whose step turns back cycles between two divisors it has
+        # already tried, so the rest of the ladder cannot change its outcome;
+        # rows still open after the last step go to the part search as well
+        done = hit | (step == -last) | (i == 7)
+        if done.any():
+            out[todo[hit]] = w[hit]
+            for k, b in zip(todo[done & ~hit], best[done & ~hit]):
+                out[k] = _search_parts(b)
+            keep = ~done
+            arrays = (todo, left, s, step, best, best_err)
+            todo, left, s, step, best, best_err = (x[keep] for x in arrays)
+            if todo.size == 0:
+                break
+        s, last = np.nextafter(s, step), step
+    return out.reshape(rows.shape)
+
+
 def normalize(a: ModuleElement, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
     """Fiberwise unit rescaling on the support, zero elsewhere.
 
@@ -222,11 +242,9 @@ def normalize(a: ModuleElement, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
     same submodule as the input and its self inner product is the exact
     characteristic function of the support.
     """
-    supp = support(a, tol)
+    supp = sorted(support(a, tol))
     out = np.zeros_like(a.values)
-    for k in supp:
-        row = a.values[k]
-        out[k] = row if _norm2(row) == 1.0 else _unitize(row)
+    out[supp] = _unitize(a.values[supp])
     return ModuleElement(a.space, out)
 
 
@@ -260,8 +278,7 @@ def decompose(b: ModuleElement, a: ModuleElement, tol: Tolerance = DEFAULT_TOL):
     supp = sorted(support(a, tol))
     coeff = np.zeros(a.space.points, dtype=np.complex128)
     proj_coeff = inner(a_hat, b).values
-    for k in supp:
-        coeff[k] = proj_coeff[k] / math.sqrt(gram[k])
+    coeff[supp] = proj_coeff[supp] / np.sqrt(gram[supp])
     alpha = CenterElement(a.space, coeff)
     rest = b - a_hat * CenterElement(a.space, proj_coeff)
     return alpha, rest
@@ -326,25 +343,15 @@ def annihilator(m: Submodule, tol: Tolerance = DEFAULT_TOL) -> CenterElement:
 def module_projection(m: Submodule, tol: Tolerance = DEFAULT_TOL):
     """The projection onto the submodule, built fiberwise from the generators."""
     from .matrix_algebra import FiberedOperator
-    from .numerics import projector_onto_columns
 
-    space = m.space
-    fibers = np.zeros((space.points, m.n, m.n), dtype=np.complex128)
     stacked = np.stack([g.values for g in m.generators], axis=2)  # (m, n, r)
-    for k in space:
-        fibers[k] = projector_onto_columns(stacked[k], tol)
-    return FiberedOperator(space, fibers)
+    return FiberedOperator(m.space, projector_onto_columns(stacked, tol))
 
 
 def submodule_from_projection(p, tol: Tolerance = DEFAULT_TOL) -> Submodule:
     """Generators of the image of a fibered projection: per fiber, an
     orthonormal basis of the range padded with zero columns."""
-    from .numerics import range_basis
-
-    space = p.space
-    n = p.n
-    gens = np.zeros((n, space.points, n), dtype=np.complex128)
-    for k in space:
-        basis = range_basis(p.values[k], tol)
-        gens[: basis.shape[1], k, :] = basis.T
-    return Submodule(tuple(ModuleElement(space, gens[j]) for j in range(n)))
+    basis = range_basis(p.values, tol)  # (m, n, largest rank)
+    gens = np.zeros((p.n, p.space.points, p.n), dtype=np.complex128)
+    gens[: basis.shape[2]] = np.transpose(basis, (2, 0, 1))
+    return Submodule(tuple(ModuleElement(p.space, g) for g in gens))

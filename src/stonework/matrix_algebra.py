@@ -25,6 +25,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     hermitize,
+    is_projection,
     max_abs,
     stacked_join,
     stacked_meet,
@@ -93,10 +94,7 @@ class FiberedOperator:
         return ModuleElement(self.space, np.einsum("mij,mj->mi", self.values, a.values))
 
     def is_projection(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        v = self.values
-        herm = max_abs(v - np.conj(np.swapaxes(v, 1, 2)))
-        idem = max_abs(v @ v - v)
-        return herm <= tol.eps and idem <= tol.eps
+        return is_projection(self.values, tol)
 
     def is_unitary(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         eye = np.eye(self.n, dtype=np.complex128)
@@ -155,17 +153,18 @@ def fibered_join(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAUL
     return FiberedOperator(p.space, stacked_join(p.values, q.values, tol))
 
 
+def nonzero_fibers(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Boolean mask of the fibers with an entry of modulus above eps."""
+    return np.max(np.abs(p.values), axis=(1, 2)) > tol.eps
+
+
 def central_carrier(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> CenterElement:
     """Smallest central projection dominating p: flags the fibers where p lives.
 
     Exact {0,1} values by construction.
     """
     require_projection(p, tol)
-    flags = np.array(
-        [1.0 if max_abs(p.values[k]) > tol.eps else 0.0 for k in p.space],
-        dtype=np.complex128,
-    )
-    return CenterElement(p.space, flags)
+    return CenterElement(p.space, nonzero_fibers(p, tol).astype(np.complex128))
 
 
 def fiber_ranks(p: FiberedOperator) -> list[int]:
@@ -181,11 +180,15 @@ def is_abelian_projection(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> b
 
 
 def phase_fix(v: np.ndarray, eps: float = DEFAULT_TOL.eps) -> np.ndarray:
-    """Rotate a vector so its first component of modulus > eps is real positive."""
-    for x in v:
-        if abs(x) > eps:
-            return v * (np.conj(x) / abs(x))
-    return v
+    """Rotate a vector, or each row of a stack, so that its first component of
+    modulus > eps is real positive. ``np.hypot`` rounds moduli like the scalar
+    ``abs``; numpy's vectorized complex ``abs`` can differ in the last bit."""
+    mod = np.hypot(v.real, v.imag)
+    first = np.argmax(mod > eps, axis=-1)[..., None]
+    x = np.take_along_axis(v, first, axis=-1)
+    r = np.take_along_axis(mod, first, axis=-1)
+    found = r > eps
+    return np.where(found, v * (np.conj(x) / np.where(found, r, 1.0)), v)
 
 
 def abelian_generator(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
@@ -197,13 +200,10 @@ def abelian_generator(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> Modul
     """
     if not is_abelian_projection(p, tol):
         raise NotAbelian("operator is not an abelian projection")
+    live = nonzero_fibers(p, tol)
     out = np.zeros((p.space.points, p.n), dtype=np.complex128)
-    for k in p.space:
-        fib = p.values[k]
-        if max_abs(fib) <= tol.eps:
-            continue
-        w, vecs = np.linalg.eigh(hermitize(fib))
-        out[k] = _unitize(phase_fix(vecs[:, -1], tol.eps))
+    _, vecs = np.linalg.eigh(hermitize(p.values[live]))
+    out[live] = _unitize(phase_fix(vecs[..., -1], tol.eps))
     return ModuleElement(p.space, out)
 
 

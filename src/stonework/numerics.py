@@ -77,11 +77,6 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return max_abs(p @ p - p) <= tol.eps
 
 
-def require_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix"):
-    if not is_projection(p, tol):
-        raise NotProjection(f"{what} is not a projection at eps={tol.eps}")
-
-
 def null_projector(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the null space of a Hermitian PSD matrix.
 
@@ -109,41 +104,57 @@ def stacked_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
 
 def projection_rank(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a projection, counted from its eigenvalues."""
-    require_projection(p, tol)
+    if not is_projection(p, tol):
+        raise NotProjection(f"matrix is not a projection at eps={tol.eps}")
     w = np.linalg.eigvalsh(hermitize(np.asarray(p, dtype=np.complex128)))
     return int(np.count_nonzero(w > 0.5))
 
 
-def range_basis(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the column space of ``a``."""
+def _left_singular(a: np.ndarray, tol: Tolerance):
+    """Left singular vectors and numerical rank (threshold ``eps * max(1,
+    largest singular value)``) of a matrix or of each matrix of a stack."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0 or max_abs(a) == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > tol.eps * max(1.0, float(s[0]))
-    return u[:, keep]
+    top = np.maximum(1.0, s[..., :1])
+    return u, (s > tol.eps * top).sum(axis=-1)
+
+
+def range_basis(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the column space of ``a``; on a stack, as
+    many columns as the largest rank, zero past each matrix's own rank."""
+    u, rank = _left_singular(a, tol)
+    width = int(rank.max(initial=0))
+    return np.where(np.arange(width) < rank[..., None, None], u[..., :width], 0.0)
 
 
 def projector_onto_columns(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``a``."""
-    b = range_basis(a, tol)
-    if b.shape[1] == 0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
-    return hermitize(b @ np.conj(b.T))
+    """Orthogonal projector onto the column space of ``a``, or of each matrix
+    of a stack: one product per distinct rank, over the leading columns."""
+    u, rank = _left_singular(a, tol)
+    out = np.zeros(u.shape[:-1] + u.shape[-2:-1], dtype=np.complex128)
+    for r in set(rank.ravel().tolist()) - {0}:
+        b = u[rank == r][..., :r]
+        out[rank == r] = hermitize(b @ np.conj(np.swapaxes(b, -1, -2)))
+    return out
 
 
 def cluster_eigenvalues(w: np.ndarray, scale: float):
-    """Group ascending eigenvalues whose gaps stay below CLUSTER_RTOL * max(1, scale).
-
-    Returns a list of (value, end_index) pairs where value is the cluster mean
-    and end_index is one past the last member, so cumulative projectors can be
-    sliced directly out of the eigenvector matrix.
+    """Group ascending eigenvalues (the last axis of one spectrum or a stack)
+    whose gaps stay below CLUSTER_RTOL * max(1, scale). Returns ``(last,
+    means)``: ``last`` flags the final member of each cluster, whose cumulative
+    projector the eigenvectors up to it span; ``means`` holds the cluster mean there.
     """
     gap = CLUSTER_RTOL * max(1.0, scale)
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            clusters.append((float(np.mean(w[start:i])), i))
-            start = i
-    return clusters
+    rows = w.reshape(-1, w.shape[-1])
+    last = np.ones(rows.shape, dtype=bool)
+    last[:, :-1] = rows[:, 1:] - rows[:, :-1] > gap
+    first = np.ones_like(last)
+    first[:, 1:] = last[:, :-1]
+    idx = np.arange(rows.shape[1])
+    length = idx + 1 - np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+    means = np.zeros(rows.shape)
+    for size in set(length[last].tolist()):
+        k, end = np.nonzero(last & (length == size))
+        members = rows[k[:, None], end[:, None] + np.arange(1 - size, 1)]
+        means[k, end] = np.add.reduce(members, axis=1) / size  # np.mean, bit for bit
+    return last.reshape(w.shape), means.reshape(w.shape)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotSelfAdjoint
+from .hilbert_module import _unitize
 from .matrix_algebra import FiberedOperator
 from .numerics import DEFAULT_TOL, Tolerance, cluster_eigenvalues, hermitize, max_abs
 from .spectrum import Quasipoint, quasipoint
@@ -63,21 +64,20 @@ def spectral_family(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> Spectra
     The top cumulative projection is the identity fiber exactly.
     """
     require_self_adjoint(a, tol)
-    scale = a.norm_max()
-    eye = np.eye(a.n, dtype=np.complex128)
-    values, cumulative = [], []
-    for k in a.space:
-        w, vecs = np.linalg.eigh(hermitize(a.values[k]))
-        clusters = cluster_eigenvalues(w, scale)
-        vals = np.array([c[0] for c in clusters])
-        cums = np.empty((len(clusters), a.n, a.n), dtype=np.complex128)
-        for idx, (_, end) in enumerate(clusters):
-            block = vecs[:, :end]
-            cums[idx] = hermitize(block @ np.conj(block.T))
-        cums[-1] = eye
-        values.append(vals)
-        cumulative.append(cums)
-    return SpectralFamily(a, values, cumulative)
+    w, vecs = np.linalg.eigh(hermitize(a.values))
+    last, means = cluster_eigenvalues(w, a.norm_max())
+    # the steps of all fibers, fiber after fiber, in one stack; slot[k, e] is
+    # the row of the step that ends at eigenvalue e of fiber k
+    slot = np.cumsum(last.ravel()).reshape(last.shape) - 1
+    steps = np.empty((slot[-1, -1] + 1, a.n, a.n), dtype=np.complex128)
+    steps[slot[:, -1]] = np.eye(a.n)
+    for e in range(1, a.n):
+        ends = last[:, e - 1]
+        block = vecs[ends][..., :e]
+        steps[slot[ends, e - 1]] = hermitize(block @ np.conj(np.swapaxes(block, -1, -2)))
+    stops = np.cumsum(last.sum(axis=1)).tolist()
+    spans, values = list(zip([0, *stops], stops)), means[last]
+    return SpectralFamily(a, [values[i:j] for i, j in spans], [steps[i:j] for i, j in spans])
 
 
 def observable_value(
@@ -111,12 +111,9 @@ def observable_image(
 def eigenline_quasipoints(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> list[Quasipoint]:
     """One quasipoint per fiber eigenvector; exhausts the observable image."""
     require_self_adjoint(a, tol)
-    out = []
-    for k in a.space:
-        _, vecs = np.linalg.eigh(hermitize(a.values[k]))
-        for j in range(a.n):
-            out.append(quasipoint(a.space, k, vecs[:, j]))
-    return out
+    _, vecs = np.linalg.eigh(hermitize(a.values))
+    lines = _unitize(np.swapaxes(vecs, 1, 2))  # lines[k, j]: eigenvector j of fiber k
+    return [quasipoint(a.space, k, line) for k in a.space for line in lines[k]]
 
 
 def spectrum_values(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .center import CenterElement, CenterQuasipoint, StoneSpace
+from .config import encode
 from .errors import (
     AlreadyMember,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from .matrix_algebra import (
     FiberedOperator,
     adjoint,
     is_abelian_projection,
+    nonzero_fibers,
     phase_fix,
 )
 from .numerics import DEFAULT_TOL, Tolerance, hermitize, max_abs, range_basis
@@ -283,9 +285,10 @@ def extend_filter_to_quasipoint(
     if not f.members:
         raise EmptyFilter("cannot extend an empty filter")
     low = lattice.elements[f.min_member()]
-    if max_abs(low.values) <= tol.eps:
+    live = nonzero_fibers(low, tol)
+    if not live.any():
         raise EmptyFilter("the filter contains the zero projection")
-    omega = next(k for k in lattice.space if max_abs(low.values[k]) > tol.eps)
+    omega = int(np.argmax(live))
     w, vecs = np.linalg.eigh(hermitize(low.values[omega]))
     x = phase_fix(vecs[:, -1], tol.eps)
     return quasipoint(lattice.space, omega, x)
@@ -305,13 +308,7 @@ def common_central_reduction(
         raise NotAbelian("both operators must be abelian projections")
     if not (qp_contains(b, ea, tol) and qp_contains(b, eb, tol)):
         raise NotMember("both operators must belong to the quasipoint")
-    flags = np.array(
-        [
-            1.0 if max_abs(ea.values[k] - eb.values[k]) <= tol.eps else 0.0
-            for k in ea.space
-        ],
-        dtype=np.complex128,
-    )
+    flags = (~nonzero_fibers(ea - eb, tol)).astype(np.complex128)
     if flags[b.omega.omega] != 1.0:
         raise NotMember(
             "membership holds only marginally at the base point; fibers differ beyond eps"
@@ -328,7 +325,7 @@ def quasipoint_to_dict(b: Quasipoint) -> dict:
     """Report serialization: {omega, line} with [re, im] pairs."""
     return {
         "omega": int(b.omega.omega),
-        "line": [[float(z.real), float(z.imag)] for z in b.line],
+        "line": encode(b.line),
     }
 
 

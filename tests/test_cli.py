@@ -158,6 +158,32 @@ def test_observable_command_named_diagonal(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["value"] == 2.0
 
 
+def test_observable_one_value_spectrum(tmp_path, capsys):
+    path = write_config(tmp_path, {"n": 1, "m": 1, "elements": {"A": [[[[2.5, 0]]]]}})
+    code, out, _ = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["image"] == [2.5] and results["spectrum"] == [2.5]
+
+
+def test_observable_image_check_uses_both_neighbours(tmp_path, capsys, monkeypatch):
+    """The image check compares each image value with the spectrum values on
+    either side of it; shifting the spectrum away by more than 1e-8 fails it."""
+    from stonework import observables as ob
+
+    diag = {"n": 2, "m": 1, "elements": {"A": [[[[1, 0], [0, 0]], [[0, 0], [3, 0]]]]}}
+    path = write_config(tmp_path, diag)
+    argv = ["observable", "--config", path, "--op", "A"]
+    # 1 and 3 sit just above their nearest spectrum values, which lie below them
+    below = np.array([1 - 1e-9, 3 - 1e-9, 7.0])
+    monkeypatch.setattr(ob, "spectrum_values", lambda a, tol: below)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    monkeypatch.setattr(ob, "spectrum_values", lambda a, tol: np.array([1 + 1e-7, 3 + 1e-7]))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1 and json.loads(out)["properties"][0]["passed"] is False
+
+
 def test_germ_command(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG)
     code, out, _ = run_cli(
@@ -193,6 +219,32 @@ def test_validation_error_exit_3(tmp_path, capsys):
     assert main(["normalize", "--config", str(path), "--vector", "v"]) == 3
     good = write_config(tmp_path, BASE_CONFIG, "good.json")
     assert main(["normalize", "--config", good, "--vector", "missing"]) == 3
+
+
+@pytest.mark.parametrize(
+    "number", ["1e400", "NaN", "1" + "0" * 399], ids=["overflow", "nan", "huge-int"]
+)
+def test_non_finite_config_number_exit_3(tmp_path, capsys, number):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 1, "m": 1, "elements": {"A": [[[[%s, 0]]]]}}' % number)
+    code, out, err = run_cli(["central-carrier", "--config", str(path), "--op", "A"], capsys)
+    assert code == 3 and out == ""
+    assert "elements[A][0][0][0]" in err
+
+
+def test_config_errors_name_the_entry():
+    with pytest.raises(ValidationError, match=r"vectors\[v\]\[1\]: expected a list of 2"):
+        parse_config({"n": 2, "m": 2, "vectors": {"v": [[[1, 0], [0, 0]], [[1, 0]]]}})
+    with pytest.raises(ValidationError, match=r"A\]\[0\]\[1\]\[0\]: expected a \[re, im\] pair"):
+        parse_config({"n": 2, "m": 1, "elements": {"A": [[[[1, 0], [0, 0]], [[0], [1, 0]]]]}})
+    with pytest.raises(ValidationError, match=r"A\]\[0\]\[0\]\[1\]: expected finite"):
+        parse_config({"n": 2, "m": 1, "elements": {"A": [[[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]]}})
+
+
+def test_config_keeps_signed_zeros():
+    cfg = parse_config({"n": 1, "m": 2, "vectors": {"v": [[[-0.0, -0.0]], [[1, -0.0]]]}})
+    values = cfg.vectors["v"].values
+    assert np.all(np.signbit(values.imag)) and np.signbit(values.real[0, 0])
 
 
 def test_bad_eps_exit_3(tmp_path, capsys):

@@ -1,0 +1,316 @@
+"""Batched fiber operations against their former one-fiber-at-a-time loops.
+
+Each ``reference_*`` function below is the per-fiber loop the batched code
+replaced. The batched code must reproduce it bit for bit (``np.array_equal``)
+on zero fibers, repeated eigenvalues, rank-deficient generators, single rows
+and several fiber dimensions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from stonework import hilbert_module as hm
+from stonework import lattice as lt
+from stonework import matrix_algebra as ma
+from stonework import observables as ob
+from stonework import spectrum as sp
+from stonework.center import StoneSpace
+from stonework.numerics import (
+    CLUSTER_RTOL,
+    hermitize,
+    max_abs,
+    projector_onto_columns,
+    range_basis,
+)
+
+DIMS = (1, 2, 3, 5, 9)
+
+
+# -- the per-fiber references ------------------------------------------------
+
+
+def reference_norm2(row):
+    return float(np.sum(row.real * row.real + row.imag * row.imag))
+
+
+def reference_unitize(row):
+    r = reference_norm2(row)
+    if r == 1.0:
+        return row
+    s = math.sqrt(r)
+    best, best_err = None, math.inf
+    for _ in range(8):
+        w = row / s
+        rw = reference_norm2(w)
+        if rw == 1.0:
+            return w
+        if abs(rw - 1.0) < best_err:
+            best, best_err = w, abs(rw - 1.0)
+        s = np.nextafter(s, math.inf if rw > 1.0 else -math.inf)
+    return hm._search_parts(best)
+
+
+def reference_phase_fix(v, eps):
+    for x in v:
+        if abs(x) > eps:
+            return v * (np.conj(x) / abs(x))
+    return v
+
+
+def reference_normalize(a, tol):
+    out = np.zeros_like(a.values)
+    for k in hm.support(a, tol):
+        row = a.values[k]
+        out[k] = row if reference_norm2(row) == 1.0 else reference_unitize(row)
+    return out
+
+
+def reference_decompose_coeff(b, a, tol):
+    gram = hm.inner(a, a).values.real
+    proj_coeff = hm.inner(hm.normalize(a, tol), b).values
+    coeff = np.zeros(a.space.points, dtype=np.complex128)
+    for k in sorted(hm.support(a, tol)):
+        coeff[k] = proj_coeff[k] / math.sqrt(gram[k])
+    return coeff
+
+
+def reference_central_carrier(p, tol):
+    return np.array(
+        [1.0 if max_abs(p.values[k]) > tol.eps else 0.0 for k in p.space],
+        dtype=np.complex128,
+    )
+
+
+def reference_abelian_generator(p, tol):
+    out = np.zeros((p.space.points, p.n), dtype=np.complex128)
+    for k in p.space:
+        fib = p.values[k]
+        if max_abs(fib) <= tol.eps:
+            continue
+        _, vecs = np.linalg.eigh(hermitize(fib))
+        out[k] = reference_unitize(reference_phase_fix(vecs[:, -1], tol.eps))
+    return out
+
+
+def reference_clusters(w, scale):
+    gap = CLUSTER_RTOL * max(1.0, scale)
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            clusters.append((float(np.mean(w[start:i])), i))
+            start = i
+    return clusters
+
+
+def reference_spectral_family(a):
+    scale = a.norm_max()
+    eye = np.eye(a.n, dtype=np.complex128)
+    values, cumulative = [], []
+    for k in a.space:
+        w, vecs = np.linalg.eigh(hermitize(a.values[k]))
+        clusters = reference_clusters(w, scale)
+        vals = np.array([c[0] for c in clusters])
+        cums = np.empty((len(clusters), a.n, a.n), dtype=np.complex128)
+        for idx, (_, end) in enumerate(clusters):
+            block = vecs[:, :end]
+            cums[idx] = hermitize(block @ np.conj(block.T))
+        cums[-1] = eye
+        values.append(vals)
+        cumulative.append(cums)
+    return values, cumulative
+
+
+def reference_eigenlines(a):
+    """The lines Quasipoint construction made from each raw eigenvector."""
+    lines = []
+    for k in a.space:
+        _, vecs = np.linalg.eigh(hermitize(a.values[k]))
+        for j in range(a.n):
+            vec = np.array(vecs[:, j], dtype=np.complex128).reshape(-1)
+            nrm = float(np.linalg.norm(vec))
+            if abs(nrm - 1.0) > 1e-12:
+                vec = vec / nrm
+            lines.append(reference_unitize(vec))
+    return np.array(lines)
+
+
+def reference_range_basis(a, tol):
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0 or max_abs(a) == 0.0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    keep = s > tol.eps * max(1.0, float(s[0]))
+    return u[:, keep]
+
+
+def reference_projector_onto_columns(a, tol):
+    b = reference_range_basis(a, tol)
+    if b.shape[1] == 0:
+        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
+    return hermitize(b @ np.conj(b.T))
+
+
+def reference_module_projection(m, tol):
+    fibers = np.zeros((m.space.points, m.n, m.n), dtype=np.complex128)
+    stacked = np.stack([g.values for g in m.generators], axis=2)
+    for k in m.space:
+        fibers[k] = reference_projector_onto_columns(stacked[k], tol)
+    return fibers
+
+
+def reference_submodule_generators(p, tol):
+    gens = np.zeros((p.n, p.space.points, p.n), dtype=np.complex128)
+    for k in p.space:
+        basis = reference_range_basis(p.values[k], tol)
+        gens[: basis.shape[1], k, :] = basis.T
+    return gens
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def cnormal(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def rows_with_zeros(gen, m, n):
+    """Random rows at mixed scales; about a quarter of them zero, one exactly unit."""
+    v = cnormal(gen, (m, n)) * 10.0 ** gen.integers(-3, 4, size=(m, 1))
+    v[gen.random(m) < 0.25] = 0.0
+    v[0] = 0.0
+    v[0, 0] = 1.0
+    return v
+
+
+def line_projections(gen, m, n):
+    """An abelian projection: a random line per fiber, zero on some fibers."""
+    u = rows_with_zeros(gen, m, n)
+    live = np.any(u != 0, axis=1)
+    u[live] /= np.linalg.norm(u[live], axis=1, keepdims=True)
+    return ma.FiberedOperator(StoneSpace(m), np.einsum("mi,mj->mij", u, np.conj(u)))
+
+
+def hermitian_families(gen, m, n):
+    """Generic, degenerate (repeated eigenvalues, zero fibers) and projection operators."""
+    b = cnormal(gen, (m, n, n))
+    generic = 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
+    q, _ = np.linalg.qr(cnormal(gen, (m, n, n)))
+    diag = gen.integers(-1, 2, size=(m, n)).astype(float)
+    diag[gen.random(m) < 0.3] = 0.0
+    degenerate = np.einsum("mij,mj,mkj->mik", q, diag, np.conj(q))
+    rank = gen.integers(0, n + 1, size=m)
+    proj = np.einsum("mij,mj,mkj->mik", q, (np.arange(n) < rank[:, None]).astype(float), np.conj(q))
+    space = StoneSpace(m)
+    return [ma.FiberedOperator(space, x) for x in (generic, degenerate, proj, np.zeros((m, n, n)))]
+
+
+# -- the checks ------------------------------------------------------------------
+
+
+def test_unitize_matches_per_row_reference(tol):
+    gen = np.random.default_rng(1)
+    for n in DIMS:
+        rows = rows_with_zeros(gen, 600, n)
+        rows = rows[np.any(rows != 0, axis=1)]
+        want = np.array([reference_unitize(r.copy()) for r in rows])
+        assert np.array_equal(hm._unitize(rows), want)
+        # a single 1-D row takes the same path
+        assert np.array_equal(hm._unitize(rows[-1]), want[-1])
+
+
+def test_phase_fix_matches_scalar_abs(tol):
+    # numpy's vectorized complex abs rounds |z| of this entry differently from
+    # the scalar abs on some CPUs, so a phase_fix built on np.abs fails here
+    z = complex(-0.02925182246327349, 0.6953031944582878)
+    gen = np.random.default_rng(2)
+    v = cnormal(gen, (400, 4))
+    v[:, 0] = z
+    v[1, :2] = 1e-12  # first component at or below eps: skipped
+    v[2] = 1e-12  # no component above eps: untouched
+    want = np.array([reference_phase_fix(r, tol.eps) for r in v])
+    assert np.array_equal(ma.phase_fix(v, tol.eps), want)
+    assert np.array_equal(ma.phase_fix(v[0], tol.eps), want[0])
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_normalize_and_decompose_match_reference(n, tol):
+    gen = np.random.default_rng(10 + n)
+    space = StoneSpace(300)
+    a = hm.ModuleElement(space, rows_with_zeros(gen, 300, n))
+    b = hm.ModuleElement(space, cnormal(gen, (300, n)))
+    assert np.array_equal(hm.normalize(a, tol).values, reference_normalize(a, tol))
+    alpha, _ = hm.decompose(b, a, tol)
+    assert np.array_equal(alpha.values, reference_decompose_coeff(b, a, tol))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_carrier_and_generator_match_reference(n, tol):
+    gen = np.random.default_rng(20 + n)
+    p = line_projections(gen, 300, n)
+    assert np.array_equal(ma.central_carrier(p, tol).values, reference_central_carrier(p, tol))
+    assert np.array_equal(ma.abelian_generator(p, tol).values, reference_abelian_generator(p, tol))
+    zero = ma.zero_operator(StoneSpace(3), n)
+    assert np.array_equal(ma.abelian_generator(zero, tol).values, np.zeros((3, n)))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_spectral_family_and_eigenlines_match_reference(n, tol):
+    gen = np.random.default_rng(30 + n)
+    for a in hermitian_families(gen, 60, n):
+        family = ob.spectral_family(a, tol)
+        values, cumulative = reference_spectral_family(a)
+        assert len(family.values) == len(family.cumulative) == a.space.points
+        for k in a.space:
+            assert np.array_equal(family.values[k], values[k])
+            assert np.array_equal(family.cumulative[k], cumulative[k])
+        lines = np.array([b.line for b in ob.eigenline_quasipoints(a, tol)])
+        assert np.array_equal(lines, reference_eigenlines(a))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_module_projection_and_submodule_match_reference(n, tol):
+    gen = np.random.default_rng(40 + n)
+    space = StoneSpace(200)
+    g1 = rows_with_zeros(gen, 200, n)
+    g2 = cnormal(gen, (200, n))
+    g2[gen.random(200) < 0.3] = 0.0
+    # the third generator repeats the first (times a scalar): rank-deficient
+    gens = [hm.ModuleElement(space, x) for x in (g1, g2, 2.0 * g1, np.zeros((200, n)))]
+    m = hm.Submodule(tuple(gens))
+    p = hm.module_projection(m, tol)
+    assert np.array_equal(p.values, reference_module_projection(m, tol))
+    sub = hm.submodule_from_projection(p, tol)
+    want = reference_submodule_generators(p, tol)
+    assert np.array_equal(np.array([g.values for g in sub.generators]), want)
+
+
+def test_range_helpers_single_matrix(tol):
+    gen = np.random.default_rng(50)
+    for n, r in ((1, 1), (3, 2), (5, 0), (5, 5)):
+        a = cnormal(gen, (n, r))
+        assert np.array_equal(range_basis(a, tol), reference_range_basis(a, tol))
+        assert np.array_equal(
+            projector_onto_columns(a, tol), reference_projector_onto_columns(a, tol)
+        )
+    zero = np.zeros((3, 3))
+    assert range_basis(zero, tol).shape == (3, 0)
+    assert np.array_equal(projector_onto_columns(zero, tol), np.zeros((3, 3)))
+
+
+def test_extend_filter_and_reduction_scans(tol):
+    """The first-nonzero-fiber scan and the fiberwise equality flags."""
+    space = StoneSpace(3)
+    fibers = np.zeros((3, 2, 2), dtype=np.complex128)
+    fibers[1] = fibers[2] = np.diag([1.0, 0.0])
+    p = ma.FiberedOperator(space, fibers)
+    lat = lt.meet_closure([p])
+    b = sp.extend_filter_to_quasipoint(lat, lt.Filter(lat, lat.up_set(lat.index_of(p))), tol)
+    assert b.omega.omega == 1
+    assert np.array_equal(b.line, [1.0, 0.0])
+    other = fibers.copy()
+    other[2] = np.diag([0.0, 1.0])
+    r = sp.common_central_reduction(p, ma.FiberedOperator(space, other), b, tol)
+    assert np.array_equal(r.values, [1.0, 1.0, 0.0])
