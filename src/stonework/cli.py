@@ -220,14 +220,9 @@ def _cmd_observable(cfg, args, tol, seed):
         sample = [_parse_point(cfg, spec) for spec in args.points]
     else:
         sample = ob.eigenline_quasipoints(op, tol)
-    family = ob.spectral_family(op, tol)
-    rows = []
-    for b in sample:
-        value = ob.observable_value_from_family(family, b, tol)
-        row = sp.quasipoint_to_dict(b)
-        row["value"] = value
-        rows.append(row)
-    image = sorted({row["value"] for row in rows})
+    values = ob.observable_values(ob.spectral_family(op, tol), sample, tol).tolist()
+    rows = [{**sp.quasipoint_to_dict(b), "value": v} for b, v in zip(sample, values)]
+    image = sorted(set(values))
     spectrum = ob.spectrum_values(op, tol)
     # the spectrum value nearest to an image value is a neighbour in sorted order
     hi = np.minimum(np.searchsorted(spectrum, image), spectrum.size - 1)
@@ -241,6 +236,8 @@ def _cmd_observable(cfg, args, tol, seed):
 
 def _cmd_germ(cfg, args, tol, seed):
     a = _named_vector(cfg, args.vector)
+    if not (0 <= args.beta < cfg.m):
+        raise ValidationError(f"beta {args.beta} outside the space of {cfg.m} points")
     beta = ct.CenterQuasipoint(cfg.space, args.beta)
     germ = sp.germ_eval(a, beta)
     basis = [

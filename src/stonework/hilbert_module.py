@@ -46,9 +46,6 @@ class ModuleElement:
     def component(self, k: int) -> CenterElement:
         return CenterElement(self.space, self.values[:, k])
 
-    def fiber(self, omega: int) -> np.ndarray:
-        return self.values[omega].copy()
-
     def _check(self, other: "ModuleElement"):
         if self.space != other.space or self.n != other.n:
             raise DimensionMismatch("module elements have different shapes")
@@ -129,10 +126,6 @@ def _norm2(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows.real * rows.real + rows.imag * rows.imag, axis=-1)
 
 
-def _set_part(row: np.ndarray, i: int, imag: bool, x: float):
-    row[i] = complex(row[i].real, x) if imag else complex(x, row[i].imag)
-
-
 #: Parts below this magnitude are never adjusted: closing the unit gap through
 #: a near-zero part would move it by ~sqrt(ulp), a 1e-8 direction change that
 #: linear residual checks (membership at 1e-9) would see. Larger parts move by
@@ -140,66 +133,75 @@ def _set_part(row: np.ndarray, i: int, imag: bool, x: float):
 _RESOLVE_FLOOR = 1e-4
 
 
-def _resolve_part(w: np.ndarray, i: int, imag: bool):
-    """Try to close the exact unit gap by recomputing one real/imag part."""
-    old = w[i].imag if imag else w[i].real
-    cand = w.copy()
-    _set_part(cand, i, imag, 0.0)
-    needed = 1.0 - _norm2(cand)
-    if needed < 0.0:
-        return None
-    target = math.copysign(math.sqrt(needed), old if old != 0.0 else 1.0)
-    lo = hi = target
-    ladder = [target]
-    for _ in range(6):
-        lo = np.nextafter(lo, -math.inf)
-        hi = np.nextafter(hi, math.inf)
-        ladder.extend((lo, hi))
-    for c in ladder:
-        _set_part(cand, i, imag, c)
-        if _norm2(cand) == 1.0:
-            return cand
-    return None
+def _try_part(rows: np.ndarray, parts: np.ndarray):
+    """Recompute one real/imag part per row (``parts[k]`` indexes row k seen
+    as floats: re, im of entry 0, then of entry 1, ...) so that norm^2 is
+    exactly 1.0. Tries the root of the gap with the part's sign, then the
+    pairs one to six ulps below and above it. Returns the hit mask and the
+    rows at their first hit."""
+    k = np.arange(len(rows))
+    cands = rows[:, None].repeat(13, axis=1)
+    flat = cands.view(np.float64)
+    old = flat[k, 0, parts]
+    flat[k, :, parts] = 0.0
+    needed = 1.0 - _norm2(cands[:, 0])
+    root = np.copysign(np.sqrt(np.maximum(needed, 0.0)), old)
+    # one ulp down or up is one step of the bit pattern, toward zero or away
+    # from it by the root's sign. needed == 0 closes at the root itself, the
+    # first value tried; needed < 0 is skipped, since a root of zero and its
+    # neighbours (subnormals, whose squares vanish, or NaN) keep norm^2 above 1
+    ulps = np.array([0, -1, 1, -2, 2, -3, 3, -4, 4, -5, 5, -6, 6])
+    steps = np.where(root[:, None] < 0.0, -ulps, ulps)
+    flat[k, :, parts] = (root.view(np.int64)[:, None] + steps).view(np.float64)
+    hit = _norm2(cands) == 1.0
+    return hit.any(axis=1), cands[k, hit.argmax(axis=1)]
 
 
-def _search_parts(w: np.ndarray) -> np.ndarray:
-    """Close the unit gap of one row the divisor ladder left off by
-    recomputing one sizeable part, then by a two-part joint search."""
-    def size(part):
-        i, imag = part
-        return abs(w[i].imag if imag else w[i].real)
+def _part_search(rows: np.ndarray) -> np.ndarray:
+    """Close the exact unit gap of the rows the divisor ladder left off.
 
-    parts = [(i, imag) for i in range(len(w)) for imag in (False, True)]
-    parts = sorted((t for t in parts if size(t) >= _RESOLVE_FLOOR), key=size)
-    for (i, imag) in parts:
-        hit = _resolve_part(w, i, imag)
-        if hit is not None:
-            return hit
-    # joint search: step the coarsest part by ulps, re-resolving the others
-    if len(parts) >= 2:
-        i0, im0 = parts[-1]
-        x = w[i0].imag if im0 else w[i0].real
-        for _ in range(12):
-            x = np.nextafter(x, math.inf if _norm2(w) < 1.0 else -math.inf)
-            stepped = w.copy()
-            _set_part(stepped, i0, im0, x)
-            if _norm2(stepped) == 1.0:
-                return stepped
-            for (i, imag) in parts[:-1]:
-                hit = _resolve_part(stepped, i, imag)
-                if hit is not None:
-                    return hit
-    return w
+    Each sizeable real/imag part of a row is recomputed in turn, smallest
+    first (ties in entry order, real before imaginary). Then, on rows with two
+    or more sizeable parts, the coarsest part steps 1 to 12 ulps toward the
+    gap, and at each step the stepped row and then its other sizeable parts,
+    in the same order, are tried. Every row keeps its first hit in that order,
+    and a row nothing closes comes back unchanged.
+    """
+    out, work = rows.copy(), rows
+    size = np.abs(rows.view(np.float64))
+    sizeable = size >= _RESOLVE_FLOOR
+    order = np.where(sizeable, size, np.inf).argsort(axis=1, kind="stable")
+    # the parts a row still tries: order[:, :count]; a closed row tries none
+    count = sizeable.sum(axis=1)
+    for step in range(13):
+        if step:  # the joint search; the stepped part is not recomputed
+            sel = (count >= 2).nonzero()[0]
+            if sel.size == 0:
+                break
+            if step == 1:
+                work, up = rows.copy(), np.where(_norm2(rows) < 1.0, math.inf, -math.inf)
+            at = sel, order[sel, count[sel] - 1]
+            work.view(np.float64)[at] = np.nextafter(work.view(np.float64)[at], up[sel])
+            hit, closed = _norm2(work[sel]) == 1.0, work[sel]
+            out[sel[hit]], count[sel[hit]] = closed[hit], 0
+        for rank in range(rows.shape[1] * 2):
+            sel = (count > rank + (step > 0)).nonzero()[0]
+            if sel.size == 0:
+                break
+            hit, closed = _try_part(work[sel], order[sel, rank])
+            out[sel[hit]], count[sel[hit]] = closed[hit], 0
+    return out
 
 
 def _unitize(rows: np.ndarray) -> np.ndarray:
     """Scale nonzero rows (the last axis) to unit length so that each computed
     norm^2 is exactly 1.0; rows already there are left untouched.
 
-    Plain division leaves the float sum one ulp off about half the time, so
-    the other rows run a short divisor ladder together; on each row it leaves
-    off, one sizeable real/imag part is recomputed to close the exact gap, and
-    a two-part joint search covers the rest. The direction moves by ~1e-12.
+    Plain division by sqrt(norm^2) leaves the float sum one ulp off about half
+    the time. The other rows try a ladder of divisors one ulp apart, from
+    sqrt(norm^2) toward the gap, that stops at a hit, where the gap changes
+    sign, or at 7 ulps; each keeps its first hit, else its smallest gap, and
+    the part search closes the rows left off. The direction moves by ~1e-12.
     """
     flat = rows.reshape(-1, rows.shape[-1])
     r = _norm2(flat)
@@ -208,29 +210,24 @@ def _unitize(rows: np.ndarray) -> np.ndarray:
         return rows
     out = flat.copy()
     left, s = flat[todo], np.sqrt(r[todo])
-    best, best_err, last = left, np.full(todo.size, math.inf), np.zeros(todo.size)
-    for i in range(8):
-        w = left / s[:, None]
-        gap = _norm2(w) - 1.0
-        err = np.abs(gap)
-        better = err < best_err
-        best, best_err = np.where(better[:, None], w, best), np.where(better, err, best_err)
-        hit = gap == 0.0
-        step = np.copysign(math.inf, gap)
-        # a row whose step turns back cycles between two divisors it has
-        # already tried, so the rest of the ladder cannot change its outcome;
-        # rows still open after the last step go to the part search as well
-        done = hit | (step == -last) | (i == 7)
-        if done.any():
-            out[todo[hit]] = w[hit]
-            for k, b in zip(todo[done & ~hit], best[done & ~hit]):
-                out[k] = _search_parts(b)
-            keep = ~done
-            arrays = (todo, left, s, step, best, best_err)
-            todo, left, s, step, best, best_err = (x[keep] for x in arrays)
-            if todo.size == 0:
-                break
-        s, last = np.nextafter(s, step), step
+    w = left / s[:, None]
+    gap = _norm2(w) - 1.0
+    if not gap.any():
+        out[todo] = w
+        return out.reshape(rows.shape)
+    # a positive float's neighbours one ulp apart are its next bit patterns
+    up = gap[:, None] > 0.0
+    ladder = s.view(np.int64)[:, None] + np.where(up, 1, -1) * np.arange(8)
+    w = left[:, None] / ladder.view(np.float64)[..., None]
+    gap = _norm2(w) - 1.0
+    stop = (gap == 0.0) | ((gap > 0.0) != up)
+    stop[:, -1] = True
+    err = np.where(np.arange(8) <= stop.argmax(axis=1)[:, None], np.abs(gap), np.inf)
+    k, best = np.arange(todo.size), err.argmin(axis=1)
+    out[todo] = w[k, best]
+    off = todo[err[k, best] != 0.0]
+    if off.size:
+        out[off] = _part_search(out[off])
     return out.reshape(rows.shape)
 
 

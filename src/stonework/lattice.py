@@ -27,8 +27,8 @@ from .matrix_algebra import (
 )
 from .numerics import DEFAULT_TOL, Tolerance, stacked_join, stacked_meet
 
-#: Matching distance below which two numeric lattice nodes are the same node.
-DEDUP_EPS = 1e-9
+#: Node-matching distance at the default tolerance; nodes match within tol.eps.
+DEDUP_EPS = DEFAULT_TOL.eps
 #: Array entries per temporary in every blocked loop of this module.
 _CHUNK = 1 << 20
 
@@ -55,7 +55,7 @@ class FiniteLattice:
             diff = np.einsum("imab,jmbc->ijmac", blk, stack) - blk[:, None]
             self.leq[s : s + step] = np.max(np.abs(diff), axis=(2, 3, 4)) <= self.tol.eps
         eye = np.broadcast_to(np.eye(self.n, dtype=np.complex128), stack[0].shape)
-        zero, one = _near(np.stack([np.zeros_like(eye), eye]), stack)
+        zero, one = _near(np.stack([np.zeros_like(eye), eye]), stack, self.tol.eps)
         if min(zero, one) < 0:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
@@ -82,7 +82,7 @@ class FiniteLattice:
 
     def index_of(self, op: FiberedOperator) -> int:
         if op.values.shape == self._stack.shape[1:]:
-            i = _near(op.values[None], self._stack)[0]
+            i = _near(op.values[None], self._stack, self.tol.eps)[0]
             if i >= 0:
                 return int(i)
         raise NotMember("operator is not a node of this lattice")
@@ -166,9 +166,9 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     return table
 
 
-def _near(cands: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     """For each of one or more candidates, the index of the first node within
-    DEDUP_EPS of it in max-abs distance, or -1 when there is none; compared in
+    eps of it in max-abs distance, or -1 when there is none; compared in
     chunks of bounded size."""
     c, k, size = len(cands), len(nodes), cands[0].size
     out = np.full(c, -1, dtype=np.intp)
@@ -179,7 +179,7 @@ def _near(cands: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK // (k * max(1, size)))
     for s in range(0, c, step):
         dist = np.abs(flat_c[s : s + step, None] - flat_n[None]).max(axis=2, initial=0.0)
-        hit = dist <= DEDUP_EPS
+        hit = dist <= eps
         out[s : s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     return out
 
@@ -194,7 +194,7 @@ def meet_closure(
 
     Nodes are numbered in discovery order: zero, one, the generators, then for
     each node i and each earlier node j in ascending order, meet(i, j) followed
-    by join(i, j). A candidate within DEDUP_EPS (max-abs) of a node already
+    by join(i, j). A candidate within tol.eps (max-abs) of a node already
     present is that node and is dropped, so the lowest-index match wins. Each
     node gets its meets and joins with all earlier nodes from one batched
     eigensolve each.
@@ -212,9 +212,9 @@ def meet_closure(
     stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
 
     def add(op: FiberedOperator) -> bool:
-        """Append op unless a node within DEDUP_EPS is already present."""
+        """Append op unless a node within tol.eps is already present."""
         nonlocal stack
-        if _near(op.values[None], stack[: len(elems)])[0] >= 0:
+        if _near(op.values[None], stack[: len(elems)], tol.eps)[0] >= 0:
             return False
         if len(elems) == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
@@ -237,7 +237,7 @@ def meet_closure(
         # one vectorized pass drops the candidates that match a known node; the
         # few left go through add in order, which matches them against the
         # nodes this pass has already appended
-        for c in np.flatnonzero(_near(cands, stack[: len(elems)]) < 0):
+        for c in np.flatnonzero(_near(cands, stack[: len(elems)], tol.eps) < 0):
             op = FiberedOperator(space, cands[c])
             if add(op):
                 require_projection(op, tol, "closure node")

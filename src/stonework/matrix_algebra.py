@@ -56,9 +56,6 @@ class FiberedOperator:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def fiber(self, omega: int) -> np.ndarray:
-        return self.values[omega].copy()
-
     def _check(self, other: "FiberedOperator"):
         if self.space != other.space or self.n != other.n:
             raise DimensionMismatch("operators have different shapes")

@@ -24,32 +24,31 @@ from .spectrum import Quasipoint, quasipoint
 
 @dataclass
 class SpectralFamily:
-    """Per fiber: ascending cluster values and cumulative spectral projections."""
+    """Ascending cluster values and cumulative spectral projections (steps)
+    of all fibers, fiber after fiber in one flat stack: fiber k owns the steps
+    ``first[k]`` up to ``first[k + 1]`` (the stack's end for the last fiber)."""
 
     operator: FiberedOperator
-    values: list[np.ndarray]       # per fiber, shape (r_k,)
-    cumulative: list[np.ndarray]   # per fiber, shape (r_k, n, n)
+    flat_values: np.ndarray  # shape (steps,)
+    flat_steps: np.ndarray   # shape (steps, n, n)
+    first: np.ndarray        # shape (m,)
 
     @property
-    def space(self):
-        return self.operator.space
+    def values(self) -> list[np.ndarray]:
+        """Per fiber, shape (r_k,)."""
+        return np.split(self.flat_values, self.first[1:])
 
     @property
-    def n(self):
-        return self.operator.n
-
-    def steps(self, omega: int):
-        return list(zip(self.values[omega], self.cumulative[omega]))
+    def cumulative(self) -> list[np.ndarray]:
+        """Per fiber, shape (r_k, n, n)."""
+        return np.split(self.flat_steps, self.first[1:])
 
     def reconstruct(self) -> FiberedOperator:
         """Rebuild the operator from its steps."""
-        fibers = np.zeros_like(self.operator.values)
-        for k in range(self.space.points):
-            prev = np.zeros((self.n, self.n), dtype=np.complex128)
-            for lam, cum in self.steps(k):
-                fibers[k] += lam * (cum - prev)
-                prev = cum
-        return FiberedOperator(self.space, fibers)
+        jumps = np.diff(self.flat_steps, axis=0, prepend=0.0)
+        jumps[self.first] = self.flat_steps[self.first]  # a fiber's first step starts at zero
+        terms = self.flat_values[:, None, None] * jumps
+        return FiberedOperator(self.operator.space, np.add.reduceat(terms, self.first))
 
 
 def require_self_adjoint(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL):
@@ -75,37 +74,44 @@ def spectral_family(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> Spectra
         ends = last[:, e - 1]
         block = vecs[ends][..., :e]
         steps[slot[ends, e - 1]] = hermitize(block @ np.conj(np.swapaxes(block, -1, -2)))
-    stops = np.cumsum(last.sum(axis=1)).tolist()
-    spans, values = list(zip([0, *stops], stops)), means[last]
-    return SpectralFamily(a, [values[i:j] for i, j in spans], [steps[i:j] for i, j in spans])
+    return SpectralFamily(a, means[last], steps, slot[:, -1] + 1 - last.sum(axis=1))
 
 
 def observable_value(
     a: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """inf of the eigenvalues whose cumulative projection contains the quasipoint."""
-    family = spectral_family(a, tol)
-    return observable_value_from_family(family, b, tol)
+    return float(observable_values(spectral_family(a, tol), [b], tol)[0])
 
 
-def observable_value_from_family(
-    family: SpectralFamily, b: Quasipoint, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    if b.space != family.space or b.n != family.n:
+def observable_values(
+    family: SpectralFamily, sample: list[Quasipoint], tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """The observable function at each quasipoint of the sample: the value of
+    the lowest step of its fiber whose projection fixes its line within eps."""
+    a, total = family.operator, len(family.flat_values)
+    if any(b.space != a.space or b.n != a.n for b in sample):
         raise DimensionMismatch("quasipoint does not match the operator's shape")
-    k = b.omega.omega
-    for lam, cum in family.steps(k):
-        if max_abs(cum @ b.line - b.line) <= tol.eps:
-            return float(lam)
-    raise AssertionError("unreachable: the top spectral step is the identity")
+    lines = np.array([b.line for b in sample], dtype=np.complex128).reshape(-1, a.n)
+    start = family.first[[b.omega.omega for b in sample]]
+    # each quasipoint's steps in rank order; an index past its fiber's top
+    # step, the identity, which fixes every line, is never the first to fix
+    steps = np.minimum(start[:, None] + np.arange(a.n), total - 1)
+    out = np.empty(len(sample))
+    block = max(1, total // a.n)  # temporaries no larger than the family's steps
+    for s in range(0, len(sample), block):
+        x, idx = lines[s : s + block], steps[s : s + block]
+        residual = (family.flat_steps[idx] @ x[:, None, :, None])[..., 0] - x[:, None]
+        rank = (np.abs(residual).max(axis=-1) <= tol.eps).argmax(axis=1)
+        out[s : s + block] = family.flat_values[idx[np.arange(len(idx)), rank]]
+    return out
 
 
 def observable_image(
     a: FiberedOperator, sample: list[Quasipoint], tol: Tolerance = DEFAULT_TOL
 ) -> list[float]:
     """Sorted observable values over a sample of quasipoints."""
-    family = spectral_family(a, tol)
-    return sorted({observable_value_from_family(family, b, tol) for b in sample})
+    return sorted(set(observable_values(spectral_family(a, tol), sample, tol).tolist()))
 
 
 def eigenline_quasipoints(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> list[Quasipoint]:

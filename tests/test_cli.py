@@ -89,6 +89,22 @@ def test_normalize_command(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["normalize", "e-a"])
+def test_unclosed_near_axis_fiber_fails_gram_check(tmp_path, capsys, command):
+    # one entry of size about 1, the other below the exact-unit adjustment's
+    # floor: no candidate closes its gap, so its norm^2 stays one ulp off 1
+    row = [
+        [0.5602042747493572, -0.32591225633256854],
+        [3.311684497780412e-07, -5.331825587706159e-06],
+    ]
+    path = write_config(tmp_path, {"n": 2, "m": 1, "vectors": {"a": [row]}})
+    code, out, _ = run_cli([command, "--config", path, "--vector", "a"], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert {"name": "gram_is_boolean", "passed": False} in payload["properties"]
+    assert payload["results"]["gram"][0][0] != 1.0
+
+
 def test_abelian_check_pass_and_fail(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG)
     code, out, _ = run_cli(["abelian-check", "--config", path, "--op", "P"], capsys)
@@ -191,6 +207,14 @@ def test_germ_command(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["germ"] == [[1.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("beta", ["5", "2", "-1"])
+def test_germ_beta_outside_space_exit_3(tmp_path, capsys, beta):
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, err = run_cli(["germ", "--config", path, "--vector", "b", "--beta", beta], capsys)
+    assert code == 3 and out == ""
+    assert f"beta {beta} outside the space of 2 points" in err
 
 
 def test_quasipoints_command(tmp_path, capsys):

@@ -7,6 +7,7 @@ and several fiber dimensions.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,12 +28,74 @@ from stonework.numerics import (
 
 DIMS = (1, 2, 3, 5, 9)
 
+#: How often the reference part search entered its joint search and how often
+#: it gave a row back unclosed, so that tests can show they reach both.
+REFERENCE_BRANCHES = Counter()
+
 
 # -- the per-fiber references ------------------------------------------------
 
 
 def reference_norm2(row):
     return float(np.sum(row.real * row.real + row.imag * row.imag))
+
+
+def reference_set_part(row, i, imag, x):
+    row[i] = complex(row[i].real, x) if imag else complex(x, row[i].imag)
+
+
+def reference_resolve_part(w, i, imag):
+    """Try to close the exact unit gap by recomputing one real/imag part."""
+    old = w[i].imag if imag else w[i].real
+    cand = w.copy()
+    reference_set_part(cand, i, imag, 0.0)
+    needed = 1.0 - reference_norm2(cand)
+    if needed < 0.0:
+        return None
+    target = math.copysign(math.sqrt(needed), old if old != 0.0 else 1.0)
+    lo = hi = target
+    ladder = [target]
+    for _ in range(6):
+        lo = np.nextafter(lo, -math.inf)
+        hi = np.nextafter(hi, math.inf)
+        ladder.extend((lo, hi))
+    for c in ladder:
+        reference_set_part(cand, i, imag, c)
+        if reference_norm2(cand) == 1.0:
+            return cand
+    return None
+
+
+def reference_search_parts(w):
+    """Close the unit gap of one row the divisor ladder left off by
+    recomputing one sizeable part, then by a two-part joint search."""
+    def size(part):
+        i, imag = part
+        return abs(w[i].imag if imag else w[i].real)
+
+    parts = [(i, imag) for i in range(len(w)) for imag in (False, True)]
+    parts = sorted((t for t in parts if size(t) >= hm._RESOLVE_FLOOR), key=size)
+    for (i, imag) in parts:
+        hit = reference_resolve_part(w, i, imag)
+        if hit is not None:
+            return hit
+    # joint search: step the coarsest part by ulps, re-resolving the others
+    if len(parts) >= 2:
+        REFERENCE_BRANCHES["joint"] += 1
+        i0, im0 = parts[-1]
+        x = w[i0].imag if im0 else w[i0].real
+        for _ in range(12):
+            x = np.nextafter(x, math.inf if reference_norm2(w) < 1.0 else -math.inf)
+            stepped = w.copy()
+            reference_set_part(stepped, i0, im0, x)
+            if reference_norm2(stepped) == 1.0:
+                return stepped
+            for (i, imag) in parts[:-1]:
+                hit = reference_resolve_part(stepped, i, imag)
+                if hit is not None:
+                    return hit
+    REFERENCE_BRANCHES["unclosed"] += 1
+    return w
 
 
 def reference_unitize(row):
@@ -49,7 +112,16 @@ def reference_unitize(row):
         if abs(rw - 1.0) < best_err:
             best, best_err = w, abs(rw - 1.0)
         s = np.nextafter(s, math.inf if rw > 1.0 else -math.inf)
-    return hm._search_parts(best)
+    return reference_search_parts(best)
+
+
+def reference_observable_value(family, b, tol):
+    """The per-step loop: the value of the first step that fixes the line."""
+    k = b.omega.omega
+    for lam, cum in zip(family.values[k], family.cumulative[k]):
+        if max_abs(cum @ b.line - b.line) <= tol.eps:
+            return float(lam)
+    raise AssertionError("unreachable: the top spectral step is the identity")
 
 
 def reference_phase_fix(v, eps):
@@ -185,6 +257,14 @@ def rows_with_zeros(gen, m, n):
     return v
 
 
+def near_axis_rows(gen, m, n):
+    """Rows with one entry of size about 1 and the others below the part
+    search's floor, which leaves it at most two parts to adjust."""
+    v = cnormal(gen, (m, n))
+    v[:, 1:] *= 1e-5
+    return v
+
+
 def line_projections(gen, m, n):
     """An abelian projection: a random line per fiber, zero on some fibers."""
     u = rows_with_zeros(gen, m, n)
@@ -212,13 +292,30 @@ def hermitian_families(gen, m, n):
 
 def test_unitize_matches_per_row_reference(tol):
     gen = np.random.default_rng(1)
+    REFERENCE_BRANCHES.clear()
     for n in DIMS:
         rows = rows_with_zeros(gen, 600, n)
         rows = rows[np.any(rows != 0, axis=1)]
-        want = np.array([reference_unitize(r.copy()) for r in rows])
-        assert np.array_equal(hm._unitize(rows), want)
-        # a single 1-D row takes the same path
-        assert np.array_equal(hm._unitize(rows[-1]), want[-1])
+        for stack in (rows, near_axis_rows(gen, 1500, n)):
+            want = np.array([reference_unitize(r.copy()) for r in stack])
+            assert np.array_equal(hm._unitize(stack), want)
+            # single 1-D rows take the same path
+            assert np.array_equal(np.array([hm._unitize(r) for r in stack[:500]]), want[:500])
+    # near-axis rows reach the joint search and rows that nothing closes
+    assert REFERENCE_BRANCHES["joint"] > 100 and REFERENCE_BRANCHES["unclosed"] > 0
+
+
+def test_unitize_returns_unclosed_rows_unchanged():
+    """Best effort: a row the part search cannot close keeps the divisor
+    ladder's result, whose norm^2 is within one ulp of 1."""
+    gen = np.random.default_rng(2)
+    for n in (2, 3):
+        out = hm._unitize(near_axis_rows(gen, 3000, n))
+        off = out[hm._norm2(out) != 1.0]
+        assert len(off) > 0
+        assert np.all(np.abs(hm._norm2(off) - 1.0) <= np.spacing(1.0))
+        assert np.array_equal(hm._part_search(off), off)
+        assert np.array_equal(np.array([reference_search_parts(r.copy()) for r in off]), off)
 
 
 def test_phase_fix_matches_scalar_abs(tol):
@@ -285,6 +382,20 @@ def test_module_projection_and_submodule_match_reference(n, tol):
     sub = hm.submodule_from_projection(p, tol)
     want = reference_submodule_generators(p, tol)
     assert np.array_equal(np.array([g.values for g in sub.generators]), want)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_observable_values_match_per_step_loop(n, tol):
+    gen = np.random.default_rng(60 + n)
+    for a in hermitian_families(gen, 40, n):
+        family = ob.spectral_family(a, tol)
+        eigenlines = ob.eigenline_quasipoints(a, tol)
+        fibers = gen.integers(0, 40, size=150)
+        lines = [sp.quasipoint(a.space, k, v) for k, v in zip(fibers, cnormal(gen, (150, n)))]
+        basis = [sp.quasipoint(a.space, k, e) for k in range(0, 40, 3) for e in np.eye(n)]
+        for sample in (eigenlines, lines, basis, lines[:1], []):
+            want = np.array([reference_observable_value(family, b, tol) for b in sample])
+            assert ob.observable_values(family, sample, tol).tobytes() == want.tobytes()
 
 
 def test_range_helpers_single_matrix(tol):

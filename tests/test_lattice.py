@@ -14,7 +14,7 @@ from stonework.errors import (
     NotProjection,
     StoneworkError,
 )
-from stonework.numerics import DEFAULT_TOL, max_abs
+from stonework.numerics import DEFAULT_TOL, Tolerance, max_abs
 
 
 def diag_projection(space, *subsets):
@@ -38,13 +38,13 @@ def reference_closure(generators, tol=DEFAULT_TOL):
     """Oracle: the closure as a plain per-pair scan. Node i is paired with
     every earlier node j in ascending order, one fibered meet and then one
     fibered join per pair, and each candidate is compared with every node in
-    turn, so the first node within DEDUP_EPS wins."""
+    turn, so the first node within tol.eps wins."""
     space, n = generators[0].space, generators[0].n
     elems = []
 
     def add(op):
         for i, e in enumerate(elems):
-            if max_abs(e.values - op.values) <= lt.DEDUP_EPS:
+            if max_abs(e.values - op.values) <= tol.eps:
                 return i
         elems.append(op)
         return len(elems) - 1
@@ -249,6 +249,21 @@ def test_node_lookup():
         lat.index_of(ma.identity(ct.StoneSpace(1), 2))
     with pytest.raises(StoneworkError, match="missing its zero or unit element"):
         lt.FiniteLattice([p, ma.identity(space, 2)])
+
+
+def test_nodes_match_within_tol_eps():
+    # p is a line projection only to within 1e-7, so at eps 1e-6 its meet and
+    # join with q are p and q again; matched at a fixed 1e-9 instead, every
+    # round of meets and joins found new nodes until the cap
+    space = ct.StoneSpace(1)
+    x = np.array([1, 1j, 0]) / np.sqrt(2)
+    e = np.random.default_rng(3).standard_normal((3, 3)) * 1e-7
+    p = ma.FiberedOperator(space, (np.outer(x, np.conj(x)) + e + e.T)[None])
+    q = diag_node(space, 1.0, 1.0, 0.0)
+    lat = lt.meet_closure([p, q], cap=64, tol=Tolerance(1e-6))
+    assert len(lat) == 4
+    assert (lat.index_of(p), lat.index_of(q)) == (2, 3)
+    assert lat.meet_table[2, 3] == 2 and lat.join_table[2, 3] == 3
 
 
 def test_meet_closure_rejects_non_projection_node(monkeypatch):

@@ -70,9 +70,10 @@ def test_observable_value_rejects_mismatched_quasipoint():
     family = ob.spectral_family(op_from_fibers(np.diag([1.0, 2.0])))
     other_space = sp.quasipoint(ct.StoneSpace(2), 0, [1, 0])
     other_n = sp.quasipoint(ct.StoneSpace(1), 0, [1, 0, 0])
+    good = sp.quasipoint(ct.StoneSpace(1), 0, [1, 0])
     for b in (other_space, other_n):
         with pytest.raises(DimensionMismatch):
-            ob.observable_value_from_family(family, b)
+            ob.observable_values(family, [good, b])
 
 
 def test_observable_central_evaluation():
