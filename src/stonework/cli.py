@@ -156,17 +156,17 @@ def _cmd_quasipoints(cfg, args, tol, seed):
     if not gens:
         raise ValidationError("no projection generators available for the lattice")
     lat = lt.meet_closure(gens, cap=args.cap, tol=tol)
-    points = lt.enumerate_quasipoints(lat)
+    points, atoms = lt.enumerate_quasipoints(lat), lat.atoms()
     axioms_ok = all(lt.is_quasipoint(lat, b.members) for b in points)
     results = {
         "generators": names,
         "size": len(lat),
         "elements": [encode(e.values) for e in lat.elements],
-        "leq": [[bool(x) for x in row] for row in lat.leq],
-        "atoms": [int(a) for a in lat.atoms()],
+        "leq": lat.leq.tolist(),
+        "atoms": atoms,
         "quasipoints": [
-            {"atom": int(a), "members": sorted(int(i) for i in b.members)}
-            for a, b in zip(lat.atoms(), points)
+            {"atom": a, "members": sorted(int(i) for i in b.members)}
+            for a, b in zip(atoms, points)
         ],
     }
     props = [{"name": "quasipoint_axioms", "passed": axioms_ok}]
@@ -217,11 +217,12 @@ def _cmd_observable(cfg, args, tol, seed):
     op = _named_element(cfg, args.op)
     ob.require_self_adjoint(op, tol)
     if args.points:
-        sample = [_parse_point(cfg, spec) for spec in args.points]
+        points = [_parse_point(cfg, spec) for spec in args.points]
+        omega, lines = np.array([b.omega.omega for b in points]), np.array([b.line for b in points])
     else:
-        sample = ob.eigenline_quasipoints(op, tol)
-    values = ob.observable_values(ob.spectral_family(op, tol), sample, tol).tolist()
-    rows = [{**sp.quasipoint_to_dict(b), "value": v} for b, v in zip(sample, values)]
+        omega, lines = ob.eigenline_quasipoints(op, tol)
+    values = ob.observable_values(ob.spectral_family(op, tol), omega, lines, tol).tolist()
+    rows = [{"omega": k, "line": x, "value": v} for k, x, v in zip(omega.tolist(), encode(lines), values)]
     image = sorted(set(values))
     spectrum = ob.spectrum_values(op, tol)
     # the spectrum value nearest to an image value is a neighbour in sorted order

@@ -16,7 +16,7 @@ import numpy as np
 
 from .center import StoneSpace
 from .errors import ParseError, ValidationError
-from .hilbert_module import ModuleElement
+from .hilbert_module import ModuleElement, _norm2
 from .matrix_algebra import FiberedOperator
 
 
@@ -84,7 +84,13 @@ def parse_config(data: dict) -> AlgebraConfig:
         values = _decode(payload, (m, n, n), f"elements[{name}]")
         cfg.elements[name] = FiberedOperator(space, values)
     for name, payload in (data.get("vectors") or {}).items():
-        cfg.vectors[name] = ModuleElement(space, _decode(payload, (m, n), f"vectors[{name}]"))
+        values = _decode(payload, (m, n), f"vectors[{name}]")
+        # finite entries can still overflow norm^2, which every vector operation takes
+        with np.errstate(over="ignore"):
+            big = np.flatnonzero(~np.isfinite(_norm2(values)))
+        if big.size:
+            raise ValidationError(f"vectors[{name}][{big[0]}]: squared norm overflows float64")
+        cfg.vectors[name] = ModuleElement(space, values)
     return cfg
 
 

@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, NotSelfAdjoint
 from .hilbert_module import _unitize
 from .matrix_algebra import FiberedOperator
 from .numerics import DEFAULT_TOL, Tolerance, cluster_eigenvalues, hermitize, max_abs
-from .spectrum import Quasipoint, quasipoint
+from .spectrum import Quasipoint, _check_point
 
 
 @dataclass
@@ -77,29 +77,26 @@ def spectral_family(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> Spectra
     return SpectralFamily(a, means[last], steps, slot[:, -1] + 1 - last.sum(axis=1))
 
 
-def observable_value(
-    a: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def observable_value(a: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """inf of the eigenvalues whose cumulative projection contains the quasipoint."""
-    return float(observable_values(spectral_family(a, tol), [b], tol)[0])
+    _check_point(b, a)
+    return float(observable_values(spectral_family(a, tol), np.array([b.omega.omega]), b.line[None], tol)[0])
 
 
 def observable_values(
-    family: SpectralFamily, sample: list[Quasipoint], tol: Tolerance = DEFAULT_TOL
+    family: SpectralFamily, omega: np.ndarray, lines: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """The observable function at each quasipoint of the sample: the value of
-    the lowest step of its fiber whose projection fixes its line within eps."""
+    """The observable function at each quasipoint (omega[i], lines[i]): the value
+    of the lowest step of its fiber whose projection fixes its line within eps."""
     a, total = family.operator, len(family.flat_values)
-    if any(b.space != a.space or b.n != a.n for b in sample):
-        raise DimensionMismatch("quasipoint does not match the operator's shape")
-    lines = np.array([b.line for b in sample], dtype=np.complex128).reshape(-1, a.n)
-    start = family.first[[b.omega.omega for b in sample]]
+    if lines.shape != (len(omega), a.n) or not np.all((omega >= 0) & (omega < a.space.points)):
+        raise DimensionMismatch("quasipoint sample does not match the operator's shape")
     # each quasipoint's steps in rank order; an index past its fiber's top
     # step, the identity, which fixes every line, is never the first to fix
-    steps = np.minimum(start[:, None] + np.arange(a.n), total - 1)
-    out = np.empty(len(sample))
+    steps = np.minimum(family.first[omega][:, None] + np.arange(a.n), total - 1)
+    out = np.empty(len(omega))
     block = max(1, total // a.n)  # temporaries no larger than the family's steps
-    for s in range(0, len(sample), block):
+    for s in range(0, len(omega), block):
         x, idx = lines[s : s + block], steps[s : s + block]
         residual = (family.flat_steps[idx] @ x[:, None, :, None])[..., 0] - x[:, None]
         rank = (np.abs(residual).max(axis=-1) <= tol.eps).argmax(axis=1)
@@ -108,18 +105,19 @@ def observable_values(
 
 
 def observable_image(
-    a: FiberedOperator, sample: list[Quasipoint], tol: Tolerance = DEFAULT_TOL
+    a: FiberedOperator, omega: np.ndarray, lines: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[float]:
     """Sorted observable values over a sample of quasipoints."""
-    return sorted(set(observable_values(spectral_family(a, tol), sample, tol).tolist()))
+    return sorted(set(observable_values(spectral_family(a, tol), omega, lines, tol).tolist()))
 
 
-def eigenline_quasipoints(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> list[Quasipoint]:
-    """One quasipoint per fiber eigenvector; exhausts the observable image."""
+def eigenline_quasipoints(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Base points (N,) and read-only exact-unit lines (N, n) of every fiber eigenvector."""
     require_self_adjoint(a, tol)
     _, vecs = np.linalg.eigh(hermitize(a.values))
-    lines = _unitize(np.swapaxes(vecs, 1, 2))  # lines[k, j]: eigenvector j of fiber k
-    return [quasipoint(a.space, k, line) for k in a.space for line in lines[k]]
+    lines = _unitize(np.swapaxes(vecs, 1, 2)).reshape(-1, a.n)  # row k*n + j: eigenvector j of fiber k
+    lines.setflags(write=False)
+    return np.repeat(np.arange(a.space.points), a.n), lines
 
 
 def spectrum_values(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

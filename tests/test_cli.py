@@ -200,6 +200,23 @@ def test_observable_image_check_uses_both_neighbours(tmp_path, capsys, monkeypat
     assert code == 1 and json.loads(out)["properties"][0]["passed"] is False
 
 
+def test_observable_eigenline_sample_builds_no_quasipoint(tmp_path, capsys, monkeypatch):
+    from stonework import spectrum as sp
+
+    built = []
+    init = sp.Quasipoint.__init__
+    monkeypatch.setattr(sp.Quasipoint, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, _ = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    assert code == 0 and len(json.loads(out)["results"]["rows"]) == 4
+    assert built == []
+    # the counter sees the points that --point parses
+    code, out, _ = run_cli(
+        ["observable", "--config", path, "--op", "A", "--point", "omega=1,line=b"], capsys
+    )
+    assert code == 0 and len(built) == 1
+
+
 def test_germ_command(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG)
     code, out, _ = run_cli(
@@ -254,6 +271,27 @@ def test_non_finite_config_number_exit_3(tmp_path, capsys, number):
     code, out, err = run_cli(["central-carrier", "--config", str(path), "--op", "A"], capsys)
     assert code == 3 and out == ""
     assert "elements[A][0][0][0]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--vector", "big"],
+        ["e-a", "--vector", "big"],
+        ["orbit", "--from", "omega=1,line=big", "--to", "omega=1,line=e1"],
+        ["zeta", "--point", "omega=1,line=big"],
+        ["observable", "--op", "A", "--point", "omega=1,line=big"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_vector_norm_overflow_exit_3(tmp_path, capsys, argv):
+    # every entry is finite, but norm^2 of fiber 1 is not
+    big = [[[1, 0], [0, 0]], [[1e200, 0], [0, 0]]]
+    data = {**BASE_CONFIG, "vectors": {**BASE_CONFIG["vectors"], "big": big}}
+    path = write_config(tmp_path, data)
+    code, out, err = run_cli([argv[0], "--config", path, *argv[1:]], capsys)
+    assert code == 3 and out == ""
+    assert "vectors[big][1]: squared norm overflows float64" in err
 
 
 def test_config_errors_name_the_entry():

@@ -115,11 +115,10 @@ def reference_unitize(row):
     return reference_search_parts(best)
 
 
-def reference_observable_value(family, b, tol):
-    """The per-step loop: the value of the first step that fixes the line."""
-    k = b.omega.omega
+def reference_observable_value(family, k, line, tol):
+    """The per-step loop: the value of the first step of fiber k that fixes the line."""
     for lam, cum in zip(family.values[k], family.cumulative[k]):
-        if max_abs(cum @ b.line - b.line) <= tol.eps:
+        if max_abs(cum @ line - line) <= tol.eps:
             return float(lam)
     raise AssertionError("unreachable: the top spectral step is the identity")
 
@@ -209,6 +208,15 @@ def reference_eigenlines(a):
     return np.array(lines)
 
 
+def reference_eigenline_quasipoints(a, tol):
+    """The per-object eigenline sample: one Quasipoint per row of the stacked
+    ``_unitize``, whose construction runs the norm and ``_unitize`` again."""
+    ob.require_self_adjoint(a, tol)
+    _, vecs = np.linalg.eigh(hermitize(a.values))
+    lines = hm._unitize(np.swapaxes(vecs, 1, 2))  # lines[k, j]: eigenvector j of fiber k
+    return [sp.quasipoint(a.space, k, line) for k in a.space for line in lines[k]]
+
+
 def reference_range_basis(a, tol):
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0 or max_abs(a) == 0.0:
@@ -287,6 +295,21 @@ def hermitian_families(gen, m, n):
     return [ma.FiberedOperator(space, x) for x in (generic, degenerate, proj, np.zeros((m, n, n)))]
 
 
+def near_diagonal(gen, m, n):
+    """Distinct diagonals plus a 1e-7 Hermitian perturbation: eigenvectors
+    with one entry of size about 1, many of which no exact-unit step closes."""
+    d = np.sort(gen.standard_normal((m, n)), axis=1)
+    b = cnormal(gen, (m, n, n)) * 1e-7
+    x = d[:, :, None] * np.eye(n) + 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
+    return ma.FiberedOperator(StoneSpace(m), x)
+
+
+def stacked(points, n):
+    """The (omega, lines) arrays of a list of Quasipoints."""
+    omega = np.array([b.omega.omega for b in points], dtype=np.intp)
+    return omega, np.array([b.line for b in points], dtype=np.complex128).reshape(-1, n)
+
+
 # -- the checks ------------------------------------------------------------------
 
 
@@ -363,8 +386,25 @@ def test_spectral_family_and_eigenlines_match_reference(n, tol):
         for k in a.space:
             assert np.array_equal(family.values[k], values[k])
             assert np.array_equal(family.cumulative[k], cumulative[k])
-        lines = np.array([b.line for b in ob.eigenline_quasipoints(a, tol)])
+        omega, lines = ob.eigenline_quasipoints(a, tol)
+        assert omega.tolist() == [k for k in a.space for _ in range(n)]
         assert np.array_equal(lines, reference_eigenlines(a))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_eigenline_sample_matches_per_object_path(n, tol):
+    gen = np.random.default_rng(70 + n)
+    unclosed = 0
+    for a in hermitian_families(gen, 60, n) + [near_diagonal(gen, 300, n)]:
+        omega, lines = ob.eigenline_quasipoints(a, tol)
+        want_omega, want_lines = stacked(reference_eigenline_quasipoints(a, tol), n)
+        assert omega.tobytes() == want_omega.tobytes()
+        assert lines.tobytes() == want_lines.tobytes()
+        assert not lines.flags.writeable
+        unclosed += int(np.count_nonzero(hm._norm2(lines) != 1.0))
+    # rows no exact-unit step closes, which the per-object path ran through
+    # _unitize a second time (an n = 1 eigenvector is exactly unit)
+    assert unclosed > 0 or n == 1
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -393,9 +433,9 @@ def test_observable_values_match_per_step_loop(n, tol):
         fibers = gen.integers(0, 40, size=150)
         lines = [sp.quasipoint(a.space, k, v) for k, v in zip(fibers, cnormal(gen, (150, n)))]
         basis = [sp.quasipoint(a.space, k, e) for k in range(0, 40, 3) for e in np.eye(n)]
-        for sample in (eigenlines, lines, basis, lines[:1], []):
-            want = np.array([reference_observable_value(family, b, tol) for b in sample])
-            assert ob.observable_values(family, sample, tol).tobytes() == want.tobytes()
+        for omega, x in (eigenlines, *(stacked(s, n) for s in (lines, basis, lines[:1], []))):
+            want = np.array([reference_observable_value(family, k, v, tol) for k, v in zip(omega, x)])
+            assert ob.observable_values(family, omega, x, tol).tobytes() == want.tobytes()
 
 
 def test_range_helpers_single_matrix(tol):

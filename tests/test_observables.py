@@ -67,13 +67,22 @@ def test_observable_values_two_level():
 
 
 def test_observable_value_rejects_mismatched_quasipoint():
-    family = ob.spectral_family(op_from_fibers(np.diag([1.0, 2.0])))
+    a = op_from_fibers(np.diag([1.0, 2.0]))
+    family = ob.spectral_family(a)
     other_space = sp.quasipoint(ct.StoneSpace(2), 0, [1, 0])
     other_n = sp.quasipoint(ct.StoneSpace(1), 0, [1, 0, 0])
-    good = sp.quasipoint(ct.StoneSpace(1), 0, [1, 0])
     for b in (other_space, other_n):
         with pytest.raises(DimensionMismatch):
-            ob.observable_values(family, [good, b])
+            ob.observable_value(a, b)
+    line = np.array([[1, 0]], dtype=complex)
+    for omega, lines in (
+        ([0], np.array([[1, 0, 0]], dtype=complex)),  # another n
+        ([0, 0], np.repeat(line, 3, axis=0)),  # more lines than base points
+        ([0, -1], np.repeat(line, 2, axis=0)),  # base points outside 0..m-1
+        ([0, 1], np.repeat(line, 2, axis=0)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            ob.observable_values(family, np.array(omega), lines)
 
 
 def test_observable_central_evaluation():
@@ -88,8 +97,8 @@ def test_observable_central_evaluation():
 
 def test_observable_image_constant():
     a = ma.central_operator(ct.unit(ct.StoneSpace(2)) * 4.0, 2)
-    sample = ob.eigenline_quasipoints(a)
-    assert ob.observable_image(a, sample) == [4.0]
+    omega, lines = ob.eigenline_quasipoints(a)
+    assert ob.observable_image(a, omega, lines) == [4.0]
 
 
 def test_observable_image_equals_spectrum_on_eigenlines(rng, tol):
@@ -98,7 +107,7 @@ def test_observable_image_equals_spectrum_on_eigenlines(rng, tol):
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
         a = ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
-        image = ob.observable_image(a, ob.eigenline_quasipoints(a, tol), tol)
+        image = ob.observable_image(a, *ob.eigenline_quasipoints(a, tol), tol)
         spectrum = ob.spectrum_values(a, tol)
         assert all(min(abs(v - s) for s in spectrum) <= 1e-8 for v in image)
         assert all(min(abs(v - s) for v in image) <= 1e-7 for s in spectrum)

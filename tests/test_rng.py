@@ -1,5 +1,7 @@
 """The documented splitmix64 recipe is what the stream actually produces."""
 
+import pytest
+
 from stonework.rng import SplitMix64
 
 # reference outputs computed directly from the recipe in the module docstring
@@ -49,3 +51,82 @@ def test_unitary_and_projection_shapes(rng):
     p = rng.projection(5, 2)
     assert np.allclose(p @ p, p, atol=1e-12)
     assert abs(np.trace(p).real - 2.0) < 1e-9
+
+
+def golden_draws(g):
+    """Two draws of each kind in a fixed order, floats as exact hex strings."""
+    return (
+        [g.next_u64(), g.next_u64()],
+        [g.uniform().hex(), g.uniform().hex()],
+        [g.integer(0, 9), g.integer(-3, 1000)],
+        [g.normal().hex(), g.normal().hex()],
+        [(z.real.hex(), z.imag.hex()) for z in g.complex_vector(2)],
+    )
+
+
+# (seed, fork label or None for the seed's own stream) -> golden_draws of the
+# stream, recorded from this implementation; a rewrite must reproduce them
+GOLDEN = {
+    (0, None): (
+        [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4],
+        ["0x1.b117462002500p-6", "0x1.f1177150e4990p-1"],
+        [7, 11],
+        ["0x1.0285969ebe6b7p-2", "0x1.99992ecac5d52p+0"],
+        [("0x1.81fae2d6ddccbp-4", "-0x1.11c125d48b7fep+0"), ("-0x1.a66ed714dc55fp-1", "0x1.c96ab409c6d04p-4")],
+    ),
+    (0, 1): (
+        [0x4181B152FB77616F, 0x169C646D52269D62],
+        ["0x1.2977a36354edcp-2", "0x1.21efdf7ad8bd9p-1"],
+        [9, 341],
+        ["-0x1.7c71bdc7c829fp+0", "-0x1.338e50ed442bcp-8"],
+        [("-0x1.7d5dfee29b968p-1", "0x1.0c33ebdff0effp+0"), ("0x1.194bc728ca70ap+1", "-0x1.fb14b0fd9ded8p-1")],
+    ),
+    (0, 2): (
+        [0x657E0BE0E89A4916, 0x4550574BBD163352],
+        ["0x1.b3f49e64eb06cp-2", "0x1.7c7a59fb71b10p-5"],
+        [6, 105],
+        ["0x1.e41c9ff2f530ep-1", "0x1.2ffc273845b50p-1"],
+        [("-0x1.d20e4169799e5p-1", "0x1.19a4a4b420cf3p-3"), ("-0x1.38225b76b086fp-1", "0x1.5c3fc161403e7p-2")],
+    ),
+    (0, 2**64 - 1): (
+        [0x0A4775CCDDAD9B5B, 0x64C6E6363484CA5C],
+        ["0x1.30f7d1d142be8p-3", "0x1.b15c8d566a462p-2"],
+        [5, 377],
+        ["-0x1.2880c233422a9p+1", "-0x1.4c73fa9e26c63p-2"],
+        [("0x1.1b66a64aa679ep-4", "-0x1.2ac8ecfd8deb0p-2"), ("-0x1.3ac3e3909a3f0p-7", "0x1.52c6aa3a47604p-1")],
+    ),
+    (42, None): (
+        [0xBDD732262FEB6E95, 0x28EFE333B266F103],
+        ["0x1.1d499d5c4c3e6p-2", "0x1.607387fc392b8p-2"],
+        [0, 815],
+        ["0x1.175b8fd2de8bap-1", "-0x1.1495f183d321dp+0"],
+        [("-0x1.c76296a7a60e6p+0", "-0x1.25473fd96d151p+0"), ("0x1.0ab38bced1168p-2", "-0x1.1078cda70d963p+1")],
+    ),
+    (42, 1): (
+        [0x3165819285DF2854, 0x599ED3CA2E2516F2],
+        ["0x1.08838692efc28p-3", "0x1.ed20cf7b3de32p-2"],
+        [7, 578],
+        ["0x1.08237785207e2p-1", "-0x1.362c4ab22e8bep-2"],
+        [("0x1.625d319179526p+1", "-0x1.f461980772ce1p-3"), ("-0x1.961f40038cc5ap+0", "0x1.3c4e7191595ecp+0")],
+    ),
+    (42, 2): (
+        [0x55B0F7F564CE472B, 0x50AB99CB391D0E8C],
+        ["0x1.47eafdbdd29b0p-5", "0x1.9c18be6c7ddb3p-1"],
+        [6, 730],
+        ["0x1.5d6d00e77e511p-2", "0x1.f4d4e36ddea74p+0"],
+        [("-0x1.1cc0f7c6d5ca3p+1", "-0x1.7ee9327a2c2ccp-1"), ("0x1.976fd7d7ca6acp-3", "0x1.6302d20113777p-4")],
+    ),
+    (42, 2**64 - 1): (
+        [0xDFAA83185DA62E29, 0x7A3B92BB24919407],
+        ["0x1.82b916d1edbb4p-3", "0x1.2ea8d40b6ab47p-1"],
+        [6, 368],
+        ["-0x1.6d412122378dap-1", "-0x1.0213ed519d0fbp+0"],
+        [("0x1.99c648d92b6d2p-3", "-0x1.7633c983b4557p-3"), ("0x1.14b023265a038p-4", "0x1.42ba65a107f55p-1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, label", list(GOLDEN))
+def test_golden_stream(seed, label):
+    g = SplitMix64(seed) if label is None else SplitMix64(seed).fork(label)
+    assert golden_draws(g) == GOLDEN[seed, label]
