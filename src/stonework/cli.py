@@ -215,13 +215,13 @@ def _cmd_orbit(cfg, args, tol, seed):
 
 def _cmd_observable(cfg, args, tol, seed):
     op = _named_element(cfg, args.op)
-    ob.require_self_adjoint(op, tol)
+    family = ob.spectral_family(op, tol)
     if args.points:
         points = [_parse_point(cfg, spec) for spec in args.points]
         omega, lines = np.array([b.omega.omega for b in points]), np.array([b.line for b in points])
     else:
-        omega, lines = ob.eigenline_quasipoints(op, tol)
-    values = ob.observable_values(ob.spectral_family(op, tol), omega, lines, tol).tolist()
+        omega, lines = ob.eigenline_quasipoints(family)
+    values = ob.observable_values(family, omega, lines, tol).tolist()
     rows = [{"omega": k, "line": x, "value": v} for k, x, v in zip(omega.tolist(), encode(lines), values)]
     image = sorted(set(values))
     spectrum = ob.spectrum_values(op, tol)

@@ -78,6 +78,9 @@ def parse_config(data: dict) -> AlgebraConfig:
     seed = data.get("seed", 0)
     if not isinstance(seed, int):
         raise ValidationError("config field 'seed' must be an integer")
+    for key in ("elements", "vectors"):
+        if not isinstance(data.get(key) or {}, dict):
+            raise ValidationError(f"config field {key!r} must be a JSON object")
     cfg = AlgebraConfig(n=n, m=m, seed=seed)
     space = cfg.space
     for name, payload in (data.get("elements") or {}).items():

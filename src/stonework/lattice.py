@@ -103,15 +103,8 @@ class Filter:
     def __init__(self, lattice: FiniteLattice, members):
         self.lattice = lattice
         self.members = frozenset(int(i) for i in members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
+        if self.members and not 0 <= min(self.members) <= max(self.members) < len(lattice):
+            raise NotMember(f"filter members must be lattice nodes 0..{len(lattice) - 1}")
 
     def __eq__(self, other):
         return (
@@ -127,11 +120,11 @@ class Filter:
         """The member below every other member (exists for any finite filter base)."""
         if not self.members:
             raise EmptyFilter("filter has no members")
-        leq = self.lattice.leq
-        for i in self.members:
-            if all(leq[i, j] for j in self.members):
-                return i
-        raise StoneworkError("member set is not downward directed")
+        m = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
+        low = self.lattice.leq[np.ix_(m, m)].all(axis=1)
+        if not low.any():
+            raise StoneworkError("member set is not downward directed")
+        return int(m[low.argmax()])
 
     def __repr__(self):
         return f"Filter({sorted(self.members)})"
@@ -288,16 +281,12 @@ def stone_base_set(lattice: FiniteLattice, a: int) -> frozenset:
 
 
 def isolated_points(lattice: FiniteLattice) -> frozenset:
-    """Quasipoints that are alone in some base set; all of them, for finite lattices."""
-    out = set()
-    for t in lattice.atoms():
-        b = Filter(lattice, lattice.up_set(t))
-        for a in range(len(lattice)):
-            bs = stone_base_set(lattice, a)
-            if bs == {b}:
-                out.add(b)
-                break
-    return frozenset(out)
+    """Quasipoints that are alone in some base set; all of them, for finite
+    lattices. Atom t's quasipoint is alone in a's when t is the only atom below a."""
+    atoms = lattice.atoms()
+    rows = lattice.leq[atoms]
+    alone = rows[:, rows.sum(axis=0) == 1].any(axis=1)
+    return frozenset(Filter(lattice, lattice.up_set(t)) for t, a in zip(atoms, alone) if a)
 
 
 # -- exhaustive Def-style validation ------------------------------------------
@@ -305,23 +294,24 @@ def isolated_points(lattice: FiniteLattice) -> frozenset:
 
 def is_filter_base(lattice: FiniteLattice, members) -> bool:
     """No zero, and every pair of members dominates some member through its meet."""
-    idx = np.fromiter((int(i) for i in members), dtype=np.intp)
+    idx = np.fromiter(Filter(lattice, members).members, dtype=np.intp)
     if idx.size == 0 or lattice.zero_index in idx:
         return False
-    meets = lattice.meet_table[np.ix_(idx, idx)].ravel()
-    covered = lattice.leq[np.ix_(idx, meets)].any(axis=0)
-    return bool(covered.all())
+    above = lattice.leq[idx].any(axis=0)  # the nodes at or above some member
+    return bool(above[lattice.meet_table[np.ix_(idx, idx)]].all())
 
 
 def is_quasipoint(lattice: FiniteLattice, members) -> bool:
-    """Filter base that cannot be extended by any non-member: the maximality
-    clause checked exhaustively over the whole lattice."""
-    base = frozenset(int(i) for i in members)
-    if not is_filter_base(lattice, base):
+    """Filter base that no non-member extends, checked for all of them at once:
+    pairs of members are covered already and meet(x, x) = x, so a non-member x
+    extends it exactly when x is not zero and the meet of x with each member
+    lies at or above some member or x itself."""
+    idx = np.fromiter(Filter(lattice, members).members, dtype=np.intp)
+    if not is_filter_base(lattice, idx):
         return False
-    for x in range(len(lattice)):
-        if x in base:
-            continue
-        if is_filter_base(lattice, base | {x}):
-            return False
-    return True
+    rest = np.ones(len(lattice), dtype=bool)  # the nonzero non-members
+    rest[idx] = rest[lattice.zero_index] = False
+    xs = np.flatnonzero(rest)
+    meets = lattice.meet_table[np.ix_(xs, idx)]
+    covered = lattice.leq[idx].any(axis=0)[meets] | lattice.leq[xs[:, None], meets]
+    return not covered.all(axis=1).any()

@@ -26,12 +26,14 @@ from .spectrum import Quasipoint, _check_point
 class SpectralFamily:
     """Ascending cluster values and cumulative spectral projections (steps)
     of all fibers, fiber after fiber in one flat stack: fiber k owns the steps
-    ``first[k]`` up to ``first[k + 1]`` (the stack's end for the last fiber)."""
+    ``first[k]`` up to ``first[k + 1]`` (the stack's end for the last fiber).
+    ``vectors`` are the eigenvectors the steps were built from."""
 
     operator: FiberedOperator
     flat_values: np.ndarray  # shape (steps,)
     flat_steps: np.ndarray   # shape (steps, n, n)
     first: np.ndarray        # shape (m,)
+    vectors: np.ndarray      # shape (m, n, n): columns in ascending eigenvalue order
 
     @property
     def values(self) -> list[np.ndarray]:
@@ -74,7 +76,7 @@ def spectral_family(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> Spectra
         ends = last[:, e - 1]
         block = vecs[ends][..., :e]
         steps[slot[ends, e - 1]] = hermitize(block @ np.conj(np.swapaxes(block, -1, -2)))
-    return SpectralFamily(a, means[last], steps, slot[:, -1] + 1 - last.sum(axis=1))
+    return SpectralFamily(a, means[last], steps, slot[:, -1] + 1 - last.sum(axis=1), vecs)
 
 
 def observable_value(a: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -111,11 +113,11 @@ def observable_image(
     return sorted(set(observable_values(spectral_family(a, tol), omega, lines, tol).tolist()))
 
 
-def eigenline_quasipoints(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Base points (N,) and read-only exact-unit lines (N, n) of every fiber eigenvector."""
-    require_self_adjoint(a, tol)
-    _, vecs = np.linalg.eigh(hermitize(a.values))
-    lines = _unitize(np.swapaxes(vecs, 1, 2)).reshape(-1, a.n)  # row k*n + j: eigenvector j of fiber k
+def eigenline_quasipoints(family: SpectralFamily) -> tuple:
+    """Base points (N,) and read-only exact-unit lines (N, n) of the family's
+    eigenvectors: row k*n + j is eigenvector j of fiber k."""
+    a = family.operator
+    lines = _unitize(np.swapaxes(family.vectors, 1, 2)).reshape(-1, a.n)
     lines.setflags(write=False)
     return np.repeat(np.arange(a.space.points), a.n), lines
 

@@ -9,7 +9,7 @@ run_all executes the whole battery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,14 +39,7 @@ class SuiteResult:
         self.samples = int(self.samples)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "samples": int(self.samples),
-            "tolerance": float(self.tolerance),
-            "max_residual": float(self.max_residual),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # -- samplers -----------------------------------------------------------------

@@ -217,6 +217,19 @@ def test_observable_eigenline_sample_builds_no_quasipoint(tmp_path, capsys, monk
     assert code == 0 and len(built) == 1
 
 
+def test_observable_decomposes_the_operator_once(tmp_path, capsys, monkeypatch):
+    # the spectral family and the eigenline sample share one eigh; the
+    # spectrum check keeps its own eigvalsh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, f=real, k=name: calls.append(k) or f(*a))
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, _ = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    assert code == 0 and len(json.loads(out)["results"]["rows"]) == 4
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
 def test_germ_command(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG)
     code, out, _ = run_cli(
@@ -292,6 +305,18 @@ def test_vector_norm_overflow_exit_3(tmp_path, capsys, argv):
     code, out, err = run_cli([argv[0], "--config", path, *argv[1:]], capsys)
     assert code == 3 and out == ""
     assert "vectors[big][1]: squared norm overflows float64" in err
+
+
+@pytest.mark.parametrize(
+    "key, section", [("elements", [1]), ("vectors", "abc")], ids=["elements-list", "vectors-str"]
+)
+def test_config_section_not_object_exit_3(tmp_path, capsys, key, section):
+    with pytest.raises(ValidationError, match=f"config field '{key}' must be a JSON object"):
+        parse_config({"n": 1, "m": 1, key: section})
+    path = write_config(tmp_path, {"n": 1, "m": 1, key: section})
+    code, out, err = run_cli(["quasipoints", "--config", path], capsys)
+    assert code == 3 and out == ""
+    assert f"config field '{key}' must be a JSON object" in err
 
 
 def test_config_errors_name_the_entry():

@@ -386,7 +386,7 @@ def test_spectral_family_and_eigenlines_match_reference(n, tol):
         for k in a.space:
             assert np.array_equal(family.values[k], values[k])
             assert np.array_equal(family.cumulative[k], cumulative[k])
-        omega, lines = ob.eigenline_quasipoints(a, tol)
+        omega, lines = ob.eigenline_quasipoints(family)
         assert omega.tolist() == [k for k in a.space for _ in range(n)]
         assert np.array_equal(lines, reference_eigenlines(a))
 
@@ -396,7 +396,7 @@ def test_eigenline_sample_matches_per_object_path(n, tol):
     gen = np.random.default_rng(70 + n)
     unclosed = 0
     for a in hermitian_families(gen, 60, n) + [near_diagonal(gen, 300, n)]:
-        omega, lines = ob.eigenline_quasipoints(a, tol)
+        omega, lines = ob.eigenline_quasipoints(ob.spectral_family(a, tol))
         want_omega, want_lines = stacked(reference_eigenline_quasipoints(a, tol), n)
         assert omega.tobytes() == want_omega.tobytes()
         assert lines.tobytes() == want_lines.tobytes()
@@ -429,7 +429,7 @@ def test_observable_values_match_per_step_loop(n, tol):
     gen = np.random.default_rng(60 + n)
     for a in hermitian_families(gen, 40, n):
         family = ob.spectral_family(a, tol)
-        eigenlines = ob.eigenline_quasipoints(a, tol)
+        eigenlines = ob.eigenline_quasipoints(family)
         fibers = gen.integers(0, 40, size=150)
         lines = [sp.quasipoint(a.space, k, v) for k, v in zip(fibers, cnormal(gen, (150, n)))]
         basis = [sp.quasipoint(a.space, k, e) for k in range(0, 40, 3) for e in np.eye(n)]

@@ -7,6 +7,7 @@ from stonework import center as ct
 
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
+from stonework import verify as vf
 from stonework.errors import (
     Ambiguous,
     ClosureExplosion,
@@ -15,6 +16,7 @@ from stonework.errors import (
     StoneworkError,
 )
 from stonework.numerics import DEFAULT_TOL, Tolerance, max_abs
+from stonework.rng import SplitMix64
 
 
 def diag_projection(space, *subsets):
@@ -112,6 +114,47 @@ def brute_force_quasipoints(lattice):
     return out
 
 
+def reference_is_filter_base(lattice, members):
+    """Oracle: no zero, and each meet of two members checked against every member."""
+    idx = np.array(sorted(members), dtype=np.intp)
+    if idx.size == 0 or lattice.zero_index in idx:
+        return False
+    meets = lattice.meet_table[np.ix_(idx, idx)].ravel()
+    return bool(lattice.leq[np.ix_(idx, meets)].any(axis=0).all())
+
+
+def reference_is_quasipoint(lattice, members):
+    """Oracle: maximality by trying each non-member in turn."""
+    base = frozenset(members)
+    if not reference_is_filter_base(lattice, base):
+        return False
+    for x in range(len(lattice)):
+        if x not in base and reference_is_filter_base(lattice, base | {x}):
+            return False
+    return True
+
+
+def reference_isolated_points(lattice):
+    """Oracle: each atom's quasipoint against the base set of every node."""
+    out = set()
+    for t in lattice.atoms():
+        b = lt.Filter(lattice, lattice.up_set(t))
+        for a in range(len(lattice)):
+            if lt.stone_base_set(lattice, a) == {b}:
+                out.add(b)
+                break
+    return frozenset(out)
+
+
+def reference_min_member(f):
+    """Oracle: the first member, in iteration order, below every member, or
+    None when there is none."""
+    for i in f.members:
+        if all(f.lattice.leq[i, j] for j in f.members):
+            return i
+    return None
+
+
 def test_meet_closure_two_bounds():
     space = ct.StoneSpace(1)
     lat = lt.meet_closure([ma.zero_operator(space, 2), ma.identity(space, 2)])
@@ -156,18 +199,24 @@ def test_meet_closure_two_lines():
     assert len(lat) == 4  # zero, the two lines, identity
 
 
+def lines_per_fiber(rng, m):
+    """One random line projection at fiber k, zero elsewhere, for each k < m;
+    their closure is the Boolean algebra on the m lines plus the identity."""
+    gens = []
+    for k in range(m):
+        fibers = np.zeros((m, 2, 2), dtype=complex)
+        fibers[k] = rng.projection(2, 1)
+        gens.append(ma.FiberedOperator(ct.StoneSpace(m), fibers))
+    return gens
+
+
 def closure_families(rng):
     """Generator families for the closure oracle, by name."""
     space4 = ct.StoneSpace(4)
     boolean = [ma.central_operator(ct.char_fn(space4, [k]), 2) for k in space4]
     boolean.append(ma.central_operator(ct.char_fn(space4, [0, 2]), 2))
     two_lines = [line_op(ct.StoneSpace(1), [1, 0]), line_op(ct.StoneSpace(1), [1, 1])]
-    # one random line projection at fiber k, zero elsewhere, for each k
-    lines = []
-    for k in space4:
-        fibers = np.zeros((4, 2, 2), dtype=complex)
-        fibers[k] = rng.projection(2, 1)
-        lines.append(ma.FiberedOperator(space4, fibers))
+    lines = lines_per_fiber(rng, 4)
     # spanning vectors of each generator at fibers 0 and 1; in this family one
     # pass finds the same new node twice, and another finds a new meet and a
     # new join, so both the in-pass dedup and the candidate order matter
@@ -418,3 +467,63 @@ def test_extrema_tables_past_256_nodes(rng):
     assert len(lat) == 257
     assert np.array_equal(masks[lat.meet_table], masks[:, None] & masks[None, :])
     assert np.array_equal(masks[lat.join_table], masks[:, None] | masks[None, :])
+
+
+def filter_layer_lattices(rng):
+    """Boolean lattices with 1..6 atoms, the closure-oracle families, the 65
+    nodes of one line per fiber on six fibers, and 240 random verify lattices."""
+    lattices = [boolean_lattice(a) for a in range(1, 7)]
+    lattices += [lt.meet_closure(g, cap=256) for g in closure_families(rng).values()]
+    lattices.append(lt.meet_closure(lines_per_fiber(rng, 6), cap=256))
+    assert len(lattices[-1]) == 65
+    draws = SplitMix64(7)
+    lattices += [vf.rand_lattice(draws, DEFAULT_TOL) for _ in range(240)]
+    return lattices
+
+
+def member_sets(lattice, gen):
+    """The up-set of every node, and, from each node i and a random node j,
+    the up-set with zero added, {i}, {i, j} and up(i) | up(j) (not directed
+    when i and j are incomparable), plus a few random subsets."""
+    k = len(lattice)
+    sets = []
+    for i, j in zip(range(k), gen.integers(0, k, size=k)):
+        up = lattice.up_set(i)
+        sets += [up, up | {lattice.zero_index}, {i}, {i, int(j)}, up | lattice.up_set(j)]
+    sets += [set(np.flatnonzero(gen.random(k) < 0.5).tolist()) for _ in range(8)]
+    return [s for s in sets if s]
+
+
+def test_filter_layer_matches_loop_oracles(rng):
+    gen = np.random.default_rng(5)
+    kinds = set()
+    for lat in filter_layer_lattices(rng):
+        assert lt.isolated_points(lat) == reference_isolated_points(lat)
+        for members in member_sets(lat, gen):
+            base = lt.is_filter_base(lat, members)
+            assert base == reference_is_filter_base(lat, members)
+            qp = lt.is_quasipoint(lat, members)
+            assert qp == reference_is_quasipoint(lat, members)
+            f = lt.Filter(lat, members)
+            low = reference_min_member(f)
+            if low is None:
+                with pytest.raises(StoneworkError, match="not downward directed"):
+                    f.min_member()
+            else:
+                assert f.min_member() == low
+            kinds.add((base, qp, low is None))
+    # filter bases maximal and not, and non-filter sets with a minimum and without
+    assert kinds >= {(True, True, False), (True, False, False), (False, False, False),
+                     (False, False, True)}
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 99])
+def test_member_indices_are_range_checked(bad):
+    lat = boolean_lattice(3)
+    assert len(lat) == 8
+    with pytest.raises(NotMember):
+        lt.is_filter_base(lat, [bad])
+    with pytest.raises(NotMember):
+        lt.is_quasipoint(lat, [lat.one_index, bad])
+    with pytest.raises(NotMember):
+        lt.Filter(lat, [bad])

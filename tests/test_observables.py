@@ -97,7 +97,7 @@ def test_observable_central_evaluation():
 
 def test_observable_image_constant():
     a = ma.central_operator(ct.unit(ct.StoneSpace(2)) * 4.0, 2)
-    omega, lines = ob.eigenline_quasipoints(a)
+    omega, lines = ob.eigenline_quasipoints(ob.spectral_family(a))
     assert ob.observable_image(a, omega, lines) == [4.0]
 
 
@@ -107,7 +107,7 @@ def test_observable_image_equals_spectrum_on_eigenlines(rng, tol):
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
         a = ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
-        image = ob.observable_image(a, *ob.eigenline_quasipoints(a, tol), tol)
+        image = ob.observable_image(a, *ob.eigenline_quasipoints(ob.spectral_family(a, tol)), tol)
         spectrum = ob.spectrum_values(a, tol)
         assert all(min(abs(v - s) for s in spectrum) <= 1e-8 for v in image)
         assert all(min(abs(v - s) for v in image) <= 1e-7 for s in spectrum)
