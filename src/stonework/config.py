@@ -71,12 +71,13 @@ def _entry(where: str, flat: int, shape: tuple) -> str:
 def parse_config(data: dict) -> AlgebraConfig:
     if not isinstance(data, dict):
         raise ValidationError("config root must be a JSON object")
+    # type(...) is int: JSON true and false are Python bools, which subclass int
     for key in ("n", "m"):
-        if key not in data or not isinstance(data[key], int) or data[key] < 1:
+        if key not in data or type(data[key]) is not int or data[key] < 1:
             raise ValidationError(f"config field {key!r} must be a positive integer")
     n, m = data["n"], data["m"]
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ValidationError("config field 'seed' must be an integer")
     for key in ("elements", "vectors"):
         if not isinstance(data.get(key) or {}, dict):
@@ -103,9 +104,11 @@ def load_config(path: str) -> AlgebraConfig:
             text = fh.read()
     except OSError as exc:
         raise IOError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nests too deeply
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)
 

@@ -9,7 +9,10 @@ increment), so sample sequences are reproducible across implementations:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
-Floats are drawn as (u64 >> 11) * 2^-53, normals via Box-Muller.
+Floats are drawn as (u64 >> 11) * 2^-53, normals via Box-Muller from one
+(u1, u2) pair each. A block call consumes the stream exactly as the same
+scalar calls would: ``normals(k)`` is k ``normal()`` draws, and
+``complex_normals(*shape)`` fills its entries in C order, re then im.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.integer(0, len(seq) - 1)]
-
     def normal(self) -> float:
         u1 = self.uniform()
         u2 = self.uniform()
@@ -59,28 +59,24 @@ class SplitMix64:
             u1 = 2.0 ** -53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def complex_normal(self) -> complex:
-        return complex(self.normal(), self.normal())
+    def normals(self, k: int) -> np.ndarray:
+        return np.array([self.normal() for _ in range(k)], dtype=np.float64)
 
-    def complex_vector(self, n: int) -> np.ndarray:
-        return np.array([self.complex_normal() for _ in range(n)], dtype=np.complex128)
+    def complex_normals(self, *shape: int) -> np.ndarray:
+        # each (re, im) pair of normals is read as one complex128 entry, bit for bit
+        return self.normals(2 * math.prod(shape)).view(np.complex128).reshape(shape)
 
-    def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.array(
-            [[self.complex_normal() for _ in range(cols)] for _ in range(rows)],
-            dtype=np.complex128,
-        )
+    def hermitian(self, *shape: int) -> np.ndarray:
+        """Hermitian n x n matrices stacked over shape[:-1]; shape[-1] is n."""
+        b = self.complex_normals(*shape, shape[-1])
+        return 0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))
 
-    def hermitian(self, n: int) -> np.ndarray:
-        b = self.complex_matrix(n, n)
-        return 0.5 * (b + np.conj(b.T))
-
-    def unitary(self, n: int) -> np.ndarray:
-        """Haar-ish unitary: QR of a Gaussian matrix with a positive-diagonal phase fix."""
-        q, r = np.linalg.qr(self.complex_matrix(n, n))
-        d = np.diagonal(r).copy()
+    def unitary(self, *shape: int) -> np.ndarray:
+        """Haar-ish unitaries stacked like ``hermitian``: QR, positive-diagonal phase fix."""
+        q, r = np.linalg.qr(self.complex_normals(*shape, shape[-1]))
+        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
         d[np.abs(d) == 0.0] = 1.0
-        return q * (d / np.abs(d))
+        return q * (d / np.abs(d))[..., None, :]
 
     def projection(self, n: int, rank: int) -> np.ndarray:
         """Random rank-``rank`` orthogonal projection on C^n."""
@@ -88,5 +84,5 @@ class SplitMix64:
             return np.zeros((n, n), dtype=np.complex128)
         if rank >= n:
             return np.eye(n, dtype=np.complex128)
-        q, _ = np.linalg.qr(self.complex_matrix(n, rank))
+        q, _ = np.linalg.qr(self.complex_normals(n, rank))
         return q @ np.conj(q.T)

@@ -50,7 +50,7 @@ def rand_space(rng: SplitMix64, lo: int = 1, hi: int = 4) -> ct.StoneSpace:
 
 
 def rand_center_element(rng: SplitMix64, space: ct.StoneSpace) -> ct.CenterElement:
-    return ct.CenterElement(space, rng.complex_vector(space.points))
+    return ct.CenterElement(space, rng.complex_normals(space.points))
 
 
 def rand_center_projection(rng: SplitMix64, space: ct.StoneSpace) -> ct.CenterElement:
@@ -64,7 +64,7 @@ def rand_module_element(
     rows = np.zeros((space.points, n), dtype=np.complex128)
     for k in space:
         if rng.uniform() >= zero_fiber_prob:
-            rows[k] = rng.complex_vector(n)
+            rows[k] = rng.complex_normals(n)
     return hm.ModuleElement(space, rows)
 
 
@@ -77,17 +77,15 @@ def rand_normalized(rng: SplitMix64, space: ct.StoneSpace, n: int) -> hm.ModuleE
 
 
 def rand_operator(rng: SplitMix64, space: ct.StoneSpace, n: int) -> ma.FiberedOperator:
-    return ma.FiberedOperator(
-        space, np.stack([rng.complex_matrix(n, n) for _ in space])
-    )
+    return ma.FiberedOperator(space, rng.complex_normals(space.points, n, n))
 
 
 def rand_hermitian_op(rng: SplitMix64, space: ct.StoneSpace, n: int) -> ma.FiberedOperator:
-    return ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
+    return ma.FiberedOperator(space, rng.hermitian(space.points, n))
 
 
 def rand_unitary_op(rng: SplitMix64, space: ct.StoneSpace, n: int) -> ma.FiberedOperator:
-    return ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+    return ma.FiberedOperator(space, rng.unitary(space.points, n))
 
 
 def rand_projection_op(
@@ -107,7 +105,7 @@ def rand_partial_isometry(rng: SplitMix64, space: ct.StoneSpace, n: int):
 
 
 def rand_quasipoint(rng: SplitMix64, space: ct.StoneSpace, n: int) -> sp.Quasipoint:
-    return sp.quasipoint(space, rng.integer(0, space.points - 1), rng.complex_vector(n))
+    return sp.quasipoint(space, rng.integer(0, space.points - 1), rng.complex_normals(n))
 
 
 def rand_submodule(
@@ -137,7 +135,7 @@ def rand_line_generators(rng: SplitMix64, space: ct.StoneSpace, n: int, count: i
 
 
 def _unit(rng: SplitMix64, n: int) -> np.ndarray:
-    v = rng.complex_vector(n)
+    v = rng.complex_normals(n)
     return hm._unitize(v / np.linalg.norm(v))
 
 
@@ -402,7 +400,7 @@ def suite_observable_functions(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     for _ in range(50):
         space = rand_space(rng)
         n = rng.integer(2, 4)
-        g = ct.CenterElement(space, [rng.normal() for _ in space])
+        g = ct.CenterElement(space, rng.normals(space.points))
         a = ma.central_operator(g, n)
         b = rand_quasipoint(rng, space, n)
         val = ob.observable_value(a, b, tol)
@@ -637,24 +635,14 @@ def suite_observable_equivariance(rng: SplitMix64, tol: Tolerance) -> SuiteResul
         n = rng.integer(2, 4)
         a = rand_hermitian_op(rng, space, n)
         b = rand_quasipoint(rng, space, n)
+        value = ob.observable_value(a, b, tol)
         c = rng.normal()
         shifted = a + ma.central_operator(ct.unit(space) * c, n)
-        worst = max(
-            worst,
-            abs(
-                ob.observable_value(shifted, b, tol)
-                - (ob.observable_value(a, b, tol) + c)
-            ),
-        )
+        worst = max(worst, abs(ob.observable_value(shifted, b, tol) - (value + c)))
         u = rand_unitary_op(rng, space, n)
         conj = u @ a @ ma.adjoint(u)
-        worst = max(
-            worst,
-            abs(
-                ob.observable_value(conj, sp.unitary_act(u, b, tol), tol)
-                - ob.observable_value(a, b, tol)
-            ),
-        )
+        moved = ob.observable_value(conj, sp.unitary_act(u, b, tol), tol)
+        worst = max(worst, abs(moved - value))
     return SuiteResult("observable_equivariance", worst <= 1e-9, 200, 1e-9, worst)
 
 

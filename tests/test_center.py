@@ -116,8 +116,8 @@ def test_gelfand_eval_examples():
 def test_gelfand_multiplicativity_exact(rng):
     space = ct.StoneSpace(4)
     for _ in range(100):
-        alpha = ct.CenterElement(space, rng.complex_vector(4))
-        gamma = ct.CenterElement(space, rng.complex_vector(4))
+        alpha = ct.CenterElement(space, rng.complex_normals(4))
+        gamma = ct.CenterElement(space, rng.complex_normals(4))
         for beta in ct.center_quasipoints(space):
             lhs = ct.gelfand_eval(alpha * gamma, beta)
             rhs = ct.gelfand_eval(alpha, beta) * ct.gelfand_eval(gamma, beta)

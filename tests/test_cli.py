@@ -268,6 +268,48 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["normalize", "--config", str(path), "--vector", "a"]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload", [b'{"n": 1, "m": 1}\xff', b"[" * 100000], ids=["not-utf8", "deep-nesting"]
+)
+def test_undecodable_config_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    with pytest.raises(ParseError):
+        load_config(str(path))
+    code, out, err = run_cli(["quasipoints", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "data, argv, message",
+    [
+        (
+            {"n": True, "m": 1, "vectors": {"v": [[[1, 0]]]}},
+            ["normalize", "--vector", "v"],
+            "config field 'n' must be a positive integer",
+        ),
+        (
+            {"n": 1, "m": True},
+            ["zeta", "--point", "omega=0,line=e1"],
+            "config field 'm' must be a positive integer",
+        ),
+        (
+            {"n": 1, "m": 1, "seed": True},
+            ["zeta", "--point", "omega=0,line=e1"],
+            "config field 'seed' must be an integer",
+        ),
+    ],
+    ids=["n", "m", "seed"],
+)
+def test_boolean_config_field_exit_3(tmp_path, capsys, data, argv, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config(data)
+    path = write_config(tmp_path, data)
+    code, out, err = run_cli([argv[0], "--config", path, *argv[1:]], capsys)
+    assert code == 3 and out == ""
+    assert message in err
+
+
 def test_validation_error_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, {"n": 2, "m": 1, "vectors": {"v": [[[1, 0]]]}})
     assert main(["normalize", "--config", str(path), "--vector", "v"]) == 3

@@ -46,9 +46,9 @@ def test_inner_fiberwise_sum():
 
 def test_inner_sesquilinearity(rng):
     space = ct.StoneSpace(3)
-    a = hm.ModuleElement(space, rng.complex_matrix(3, 4))
-    b = hm.ModuleElement(space, rng.complex_matrix(3, 4))
-    alpha = ct.CenterElement(space, rng.complex_vector(3))
+    a = hm.ModuleElement(space, rng.complex_normals(3, 4))
+    b = hm.ModuleElement(space, rng.complex_normals(3, 4))
+    alpha = ct.CenterElement(space, rng.complex_normals(3))
     conj_sym = hm.inner(a, b).conj().values - hm.inner(b, a).values
     assert max_abs(conj_sym) <= 1e-12
     lin = hm.inner(a, b * alpha).values - (hm.inner(a, b) * alpha).values
@@ -108,7 +108,7 @@ def test_normalize_gram_exact_and_idempotent(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = hm.ModuleElement(space, rng.complex_matrix(m, n))
+        a = hm.ModuleElement(space, rng.complex_normals(m, n))
         a_hat = hm.normalize(a, tol)
         gram = hm.inner(a_hat, a_hat)
         assert gram.is_projection()
@@ -131,7 +131,7 @@ def test_ket_bra_examples():
 
 def test_ket_bra_composition_law(rng):
     space = ct.StoneSpace(3)
-    a, b, u, v = (hm.ModuleElement(space, rng.complex_matrix(3, 4)) for _ in range(4))
+    a, b, u, v = (hm.ModuleElement(space, rng.complex_normals(3, 4)) for _ in range(4))
     lhs = hm.ket_bra(b, a) @ hm.ket_bra(v, u)
     rhs = hm.ket_bra(b, u) * hm.inner(a, v)
     assert max_abs(lhs.values - rhs.values) <= 1e-9
@@ -162,7 +162,7 @@ def test_projection_onto_line_is_unique(rng, tol):
         m = rng.integer(1, 3)
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
-        a = hm.normalize(hm.ModuleElement(space, rng.complex_matrix(m, n)), tol)
+        a = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
         e = hm.abelian_projection(a, tol)
         alt = np.zeros_like(e.values)
         for k in range(m):
@@ -177,7 +177,7 @@ def test_gram_projection_converse(rng, tol):
     # when (a|a) is not a projection, the ket-bra of a with itself cannot be one
     space = ct.StoneSpace(2)
     for _ in range(50):
-        a = hm.ModuleElement(space, rng.complex_matrix(2, 3))
+        a = hm.ModuleElement(space, rng.complex_normals(2, 3))
         if hm.inner(a, a).projection_defect() <= 1e-3:
             continue
         assert not hm.ket_bra(a, a).is_projection(tol)
@@ -206,8 +206,8 @@ def test_decompose_properties(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = hm.ModuleElement(space, rng.complex_matrix(m, n))
-        b = hm.ModuleElement(space, rng.complex_matrix(m, n))
+        a = hm.ModuleElement(space, rng.complex_normals(m, n))
+        b = hm.ModuleElement(space, rng.complex_normals(m, n))
         alpha, rest = hm.decompose(b, a, tol)
         recon = (a * alpha) + rest
         assert max_abs(recon.values - b.values) <= 1e-6
@@ -241,7 +241,7 @@ def test_support_witness_membership(rng, tol):
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
         gens = tuple(
-            hm.ModuleElement(space, rng.complex_matrix(m, n)) for _ in range(2)
+            hm.ModuleElement(space, rng.complex_normals(m, n)) for _ in range(2)
         )
         sub = hm.Submodule(gens)
         w = hm.support_witness(sub, tol)
@@ -280,7 +280,7 @@ def test_abelian_projection_invariants(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        raw = hm.ModuleElement(space, rng.complex_matrix(m, n))
+        raw = hm.ModuleElement(space, rng.complex_normals(m, n))
         a = hm.normalize(raw, tol)
         e = hm.abelian_projection(a, tol)
         assert e.is_projection(tol)

@@ -17,12 +17,12 @@ from stonework.numerics import max_abs
 
 
 def rand_op(rng, space, n):
-    return ma.FiberedOperator(space, np.stack([rng.complex_matrix(n, n) for _ in space]))
+    return ma.FiberedOperator(space, rng.complex_normals(space.points, n, n))
 
 
 def test_adjoint_hermitian_fixed(rng):
     space = ct.StoneSpace(2)
-    h = ma.FiberedOperator(space, np.stack([rng.hermitian(3) for _ in space]))
+    h = ma.FiberedOperator(space, rng.hermitian(space.points, 3))
     assert ma.adjoint(h).allclose(h, 1e-12)
 
 
@@ -37,8 +37,8 @@ def test_adjoint_pairing(rng):
     space = ct.StoneSpace(3)
     t = rand_op(rng, space, 4)
     for _ in range(20):
-        a = hm.ModuleElement(space, rng.complex_matrix(3, 4))
-        b = hm.ModuleElement(space, rng.complex_matrix(3, 4))
+        a = hm.ModuleElement(space, rng.complex_normals(3, 4))
+        b = hm.ModuleElement(space, rng.complex_normals(3, 4))
         lhs = hm.inner(t.apply(a), b)
         rhs = hm.inner(a, ma.adjoint(t).apply(b))
         assert max_abs(lhs.values - rhs.values) <= 1e-9
@@ -69,7 +69,7 @@ def test_carrier_of_line_projection(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = hm.normalize(hm.ModuleElement(space, rng.complex_matrix(m, n)), tol)
+        a = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
         e = hm.abelian_projection(a, tol)
         assert np.array_equal(
             ma.central_carrier(e, tol).values, hm.inner(a, a).values
@@ -109,7 +109,7 @@ def test_abelian_generator_round_trip(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = hm.normalize(hm.ModuleElement(space, rng.complex_matrix(m, n)), tol)
+        a = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
         e = hm.abelian_projection(a, tol)
         g = ma.abelian_generator(e, tol)
         rebuilt = hm.abelian_projection(g, tol)
@@ -168,7 +168,7 @@ def test_transport_hand_example(tol):
 def test_transport_unitary_preserves_ranks(rng, tol):
     space = ct.StoneSpace(2)
     n = 3
-    u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+    u = ma.FiberedOperator(space, rng.unitary(space.points, n))
     p = ma.FiberedOperator(space, np.stack([rng.projection(n, 2) for _ in space]))
     moved = ma.transport(u, p, tol)
     assert ma.fiber_ranks(moved) == ma.fiber_ranks(p)
@@ -190,7 +190,7 @@ def test_transport_respects_meets(rng, tol):
         space = ct.StoneSpace(2)
         n = 4
         e = ma.FiberedOperator(space, np.stack([rng.projection(n, 3) for _ in space]))
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
         theta = u @ e
         subs = []
         for _ in range(2):
@@ -233,10 +233,10 @@ def test_equivalence_partial_isometry_fiberwise(rng, tol):
         space = ct.StoneSpace(m)
         mask = ct.char_fn(space, [k for k in space if rng.uniform() < 0.7])
         a = hm.normalize(
-            hm.ModuleElement(space, rng.complex_matrix(m, n)) * mask, tol
+            hm.ModuleElement(space, rng.complex_normals(m, n)) * mask, tol
         )
         b = hm.normalize(
-            hm.ModuleElement(space, rng.complex_matrix(m, n)) * mask, tol
+            hm.ModuleElement(space, rng.complex_normals(m, n)) * mask, tol
         )
         if not hm.support(a, tol):
             continue
@@ -262,8 +262,8 @@ def test_meet_of_abelian_projections_is_abelian(rng, tol):
         m = rng.integer(1, 3)
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
-        a = hm.normalize(hm.ModuleElement(space, rng.complex_matrix(m, n)), tol)
-        b = hm.normalize(hm.ModuleElement(space, rng.complex_matrix(m, n)), tol)
+        a = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
+        b = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
         met = ma.fibered_meet(
             hm.abelian_projection(a, tol), hm.abelian_projection(b, tol), tol
         )

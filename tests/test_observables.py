@@ -47,7 +47,7 @@ def test_spectral_family_reconstruction(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
+        a = ma.FiberedOperator(space, rng.hermitian(space.points, n))
         family = ob.spectral_family(a, tol)
         assert max_abs(family.reconstruct().values - a.values) <= 1e-8
 
@@ -106,7 +106,7 @@ def test_observable_image_equals_spectrum_on_eigenlines(rng, tol):
         m = rng.integer(1, 3)
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
-        a = ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
+        a = ma.FiberedOperator(space, rng.hermitian(space.points, n))
         image = ob.observable_image(a, *ob.eigenline_quasipoints(ob.spectral_family(a, tol)), tol)
         spectrum = ob.spectrum_values(a, tol)
         assert all(min(abs(v - s) for s in spectrum) <= 1e-8 for v in image)
@@ -118,8 +118,8 @@ def test_observable_image_in_spectrum_random_lines(rng, tol):
         m = rng.integer(1, 4)
         n = rng.integer(2, 5)
         space = ct.StoneSpace(m)
-        a = ma.FiberedOperator(space, np.stack([rng.hermitian(n) for _ in space]))
-        v = rng.complex_vector(n)
+        a = ma.FiberedOperator(space, rng.hermitian(space.points, n))
+        v = rng.complex_normals(n)
         b = sp.quasipoint(space, rng.integer(0, m - 1), v / np.linalg.norm(v))
         value = ob.observable_value(a, b, tol)
         spectrum = np.linalg.eigvalsh(a.values[b.omega.omega])
@@ -128,7 +128,7 @@ def test_observable_image_in_spectrum_random_lines(rng, tol):
 
 def test_shift_by_central_constant(rng, tol):
     space = ct.StoneSpace(2)
-    a = ma.FiberedOperator(space, np.stack([rng.hermitian(3) for _ in space]))
+    a = ma.FiberedOperator(space, rng.hermitian(space.points, 3))
     b = sp.quasipoint(space, 0, [1, 0, 0])
     c = 2.5
     shifted = a + ma.central_operator(ct.unit(space) * c, 3)
@@ -138,9 +138,9 @@ def test_shift_by_central_constant(rng, tol):
 def test_unitary_equivariance(rng, tol):
     space = ct.StoneSpace(2)
     for _ in range(30):
-        a = ma.FiberedOperator(space, np.stack([rng.hermitian(3) for _ in space]))
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(3) for _ in space]))
-        v = rng.complex_vector(3)
+        a = ma.FiberedOperator(space, rng.hermitian(space.points, 3))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, 3))
+        v = rng.complex_normals(3)
         b = sp.quasipoint(space, rng.integer(0, 1), v / np.linalg.norm(v))
         conj = u @ a @ ma.adjoint(u)
         lhs = ob.observable_value(conj, sp.unitary_act(u, b, tol), tol)

@@ -1,8 +1,11 @@
 """The documented splitmix64 recipe is what the stream actually produces."""
 
+import math
+
+import numpy as np
 import pytest
 
-from stonework.rng import SplitMix64
+from stonework.rng import _GAMMA, _MASK, SplitMix64
 
 # reference outputs computed directly from the recipe in the module docstring
 REF_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
@@ -45,8 +48,6 @@ def test_integer_bounds():
 
 def test_unitary_and_projection_shapes(rng):
     u = rng.unitary(4)
-    import numpy as np
-
     assert np.allclose(u @ np.conj(u.T), np.eye(4), atol=1e-12)
     p = rng.projection(5, 2)
     assert np.allclose(p @ p, p, atol=1e-12)
@@ -60,7 +61,7 @@ def golden_draws(g):
         [g.uniform().hex(), g.uniform().hex()],
         [g.integer(0, 9), g.integer(-3, 1000)],
         [g.normal().hex(), g.normal().hex()],
-        [(z.real.hex(), z.imag.hex()) for z in g.complex_vector(2)],
+        [(z.real.hex(), z.imag.hex()) for z in g.complex_normals(2)],
     )
 
 
@@ -130,3 +131,86 @@ GOLDEN = {
 def test_golden_stream(seed, label):
     g = SplitMix64(seed) if label is None else SplitMix64(seed).fork(label)
     assert golden_draws(g) == GOLDEN[seed, label]
+
+
+def zero_at(k):
+    """Seed whose k-th draw is exactly 0: the state passes through 0, and _mix(0) == 0."""
+    return (2**64 - k * _GAMMA) & _MASK
+
+
+CLAMPED = math.sqrt(-2.0 * math.log(2.0**-53))
+
+
+def test_normal_clamps_a_zero_u1():
+    g = SplitMix64(zero_at(1))
+    assert g.next_u64() == 0
+    u2 = g.uniform()
+    assert SplitMix64(zero_at(1)).normal() == CLAMPED * math.cos(2.0 * math.pi * u2)
+
+
+def test_normals_block_clamps_a_zero_u1():
+    g = SplitMix64(zero_at(3))
+    draws = [g.next_u64() for _ in range(4)]
+    assert draws[2] == 0
+    u2 = (draws[3] >> 11) * 2.0**-53
+    block = SplitMix64(zero_at(3)).normals(3)
+    assert block[1] == CLAMPED * math.cos(2.0 * math.pi * u2)
+
+
+# -- per-entry and per-matrix oracles for the stacked samplers ------------------
+# One complex(normal(), normal()) per entry, one matrix per call, one np.stack
+# per fiber: the block calls must reproduce their bytes and consume the same
+# draws.
+
+
+def ref_complex_matrix(g, rows, cols):
+    return np.array(
+        [[complex(g.normal(), g.normal()) for _ in range(cols)] for _ in range(rows)],
+        dtype=np.complex128,
+    )
+
+
+def ref_hermitian(g, n):
+    b = ref_complex_matrix(g, n, n)
+    return 0.5 * (b + np.conj(b.T))
+
+
+def ref_unitary(g, n):
+    q, r = np.linalg.qr(ref_complex_matrix(g, n, n))
+    d = np.diagonal(r).copy()
+    d[np.abs(d) == 0.0] = 1.0
+    return q * (d / np.abs(d))
+
+
+ORACLE_SEEDS = list(range(300)) + [zero_at(k) for k in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_block_samplers_match_their_oracles(m):
+    for seed in ORACLE_SEEDS:
+        for n in range(1, 6):
+            g, ref = SplitMix64(seed), SplitMix64(seed)
+            calls = [
+                (lambda: g.normals(n), lambda: np.array([ref.normal() for _ in range(n)])),
+                (lambda: g.complex_normals(n), lambda: ref_complex_matrix(ref, 1, n)[0]),
+                (lambda: g.complex_normals(m, n), lambda: ref_complex_matrix(ref, m, n)),
+                (
+                    lambda: g.complex_normals(m, n, n),
+                    lambda: np.stack([ref_complex_matrix(ref, n, n) for _ in range(m)]),
+                ),
+                (lambda: g.hermitian(n), lambda: ref_hermitian(ref, n)),
+                (
+                    lambda: g.hermitian(m, n),
+                    lambda: np.stack([ref_hermitian(ref, n) for _ in range(m)]),
+                ),
+                (lambda: g.unitary(n), lambda: ref_unitary(ref, n)),
+                (
+                    lambda: g.unitary(m, n),
+                    lambda: np.stack([ref_unitary(ref, n) for _ in range(m)]),
+                ),
+            ]
+            for block, oracle in calls:
+                got, want = block(), oracle()
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (seed, m, n)
+                assert g._state == ref._state

@@ -21,7 +21,7 @@ from stonework.numerics import max_abs
 
 
 def unit(rng, n):
-    v = rng.complex_vector(n)
+    v = rng.complex_normals(n)
     return v / np.linalg.norm(v)
 
 
@@ -124,8 +124,8 @@ def test_unitary_act_is_group_action(rng, tol):
     space = ct.StoneSpace(2)
     n = 3
     for _ in range(30):
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
-        v = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
+        v = ma.FiberedOperator(space, rng.unitary(space.points, n))
         b = sp.quasipoint(space, rng.integer(0, 1), unit(rng, n))
         assert sp.unitary_act(u @ v, b, tol) == sp.unitary_act(
             u, sp.unitary_act(v, b, tol), tol
@@ -136,7 +136,7 @@ def test_unitary_act_membership_equivariance(rng, tol):
     space = ct.StoneSpace(2)
     n = 3
     for _ in range(30):
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
         b = sp.quasipoint(space, rng.integer(0, 1), unit(rng, n))
         p = ma.FiberedOperator(space, np.stack([rng.projection(n, rng.integer(0, n)) for _ in space]))
         moved = sp.unitary_act(u, b, tol)
@@ -162,7 +162,7 @@ def test_partial_isometry_agrees_with_unitary(rng, tol):
     space = ct.StoneSpace(2)
     n = 3
     for _ in range(20):
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
         b = sp.quasipoint(space, rng.integer(0, 1), unit(rng, n))
         assert sp.partial_isometry_act(u, b, tol) == sp.unitary_act(u, b, tol)
 
@@ -181,7 +181,7 @@ def test_trunk_transport(rng, tol):
             rows[k] = x if k == omega else unit(rng, n)
         a = hm.ModuleElement(space, rows)
         e = hm.abelian_projection(hm.normalize(a, tol), tol)
-        u = ma.FiberedOperator(space, np.stack([rng.unitary(n) for _ in space]))
+        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
         theta = u @ e
         moved = sp.partial_isometry_act(theta, b, tol)
         final = theta @ ma.adjoint(theta)
@@ -264,9 +264,9 @@ def test_germ_linearity_exact(rng, tol):
     space = ct.StoneSpace(3)
     beta = ct.CenterQuasipoint(space, 2)
     for _ in range(50):
-        a = hm.ModuleElement(space, rng.complex_matrix(3, 3))
-        b = hm.ModuleElement(space, rng.complex_matrix(3, 3))
-        alpha = ct.CenterElement(space, rng.complex_vector(3))
+        a = hm.ModuleElement(space, rng.complex_normals(3, 3))
+        b = hm.ModuleElement(space, rng.complex_normals(3, 3))
+        alpha = ct.CenterElement(space, rng.complex_normals(3))
         assert np.array_equal(
             sp.germ_eval(a + b, beta).value,
             sp.germ_eval(a, beta).value + sp.germ_eval(b, beta).value,
@@ -299,10 +299,10 @@ def test_germ_intersection_lemma(rng, tol):
         space = ct.StoneSpace(m)
         beta = ct.CenterQuasipoint(space, rng.integer(0, m - 1))
         m1 = hm.Submodule(
-            tuple(hm.ModuleElement(space, rng.complex_matrix(m, n)) for _ in range(2))
+            tuple(hm.ModuleElement(space, rng.complex_normals(m, n)) for _ in range(2))
         )
         m2 = hm.Submodule(
-            tuple(hm.ModuleElement(space, rng.complex_matrix(m, n)) for _ in range(2))
+            tuple(hm.ModuleElement(space, rng.complex_normals(m, n)) for _ in range(2))
         )
         p1 = hm.module_projection(m1, tol)
         p2 = hm.module_projection(m2, tol)
@@ -321,7 +321,7 @@ def test_germ_submodule_nonzero_on_support(rng, tol):
         n = rng.integer(2, 4)
         space = ct.StoneSpace(m)
         mask = ct.char_fn(space, [k for k in space if rng.uniform() < 0.6])
-        gen = hm.ModuleElement(space, rng.complex_matrix(m, n)) * mask
+        gen = hm.ModuleElement(space, rng.complex_normals(m, n)) * mask
         sub = hm.Submodule((gen,))
         for k in space:
             beta = ct.CenterQuasipoint(space, k)
