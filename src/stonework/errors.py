@@ -79,7 +79,3 @@ class ParseError(StoneworkError):
 
 class ValidationError(StoneworkError):
     pass
-
-
-class UnknownCommand(StoneworkError):
-    pass

@@ -167,7 +167,7 @@ def central_carrier(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> CenterE
 def fiber_ranks(p: FiberedOperator) -> list[int]:
     """Rank of each fiber of a projection, counted from its eigenvalues."""
     w = np.linalg.eigvalsh(hermitize(p.values))
-    return [int(np.count_nonzero(row > 0.5)) for row in w]
+    return np.count_nonzero(w > 0.5, axis=1).tolist()
 
 
 def is_abelian_projection(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> bool:

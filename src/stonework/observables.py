@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSelfAdjoint
+from .errors import DimensionMismatch, NoConvergence, NotSelfAdjoint
 from .hilbert_module import _unitize
 from .matrix_algebra import FiberedOperator
 from .numerics import DEFAULT_TOL, Tolerance, cluster_eigenvalues, hermitize, max_abs
@@ -62,10 +62,13 @@ def require_self_adjoint(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL):
 def spectral_family(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> SpectralFamily:
     """Eigenvalue steps per fiber, clustered at the shared relative tolerance.
 
-    The top cumulative projection is the identity fiber exactly.
+    The top cumulative projection is the identity fiber exactly. NoConvergence
+    when an eigenvalue is not finite, as when the operator's entries overflow.
     """
     require_self_adjoint(a, tol)
     w, vecs = np.linalg.eigh(hermitize(a.values))
+    if not np.isfinite(w).all():
+        raise NoConvergence("operator eigenvalues are not finite in float64")
     last, means = cluster_eigenvalues(w, a.norm_max())
     # the steps of all fibers, fiber after fiber, in one stack; slot[k, e] is
     # the row of the step that ends at eigenvalue e of fiber k

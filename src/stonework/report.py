@@ -19,8 +19,12 @@ class Report:
     inputs: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     properties: list = field(default_factory=list)
-    passed: bool = True
     timings_ms: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """The one verdict of a report: every listed property passed."""
+        return all(p["passed"] for p in self.properties)
 
     def json_payload(self) -> dict:
         return {
@@ -30,7 +34,7 @@ class Report:
             "inputs": self.inputs,
             "results": self.results,
             "properties": self.properties,
-            "passed": bool(self.passed),
+            "passed": self.passed,
         }
 
 

@@ -1,8 +1,6 @@
 """CLI surface: config schema, command dispatch, report determinism, exit codes."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -122,6 +120,21 @@ def test_e_a_command(tmp_path, capsys):
     assert payload["results"]["gram"] == [[1.0, 0.0], [1.0, 0.0]]
     fiber0 = payload["results"]["projection"][0]
     assert fiber0 == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_vector_zero_on_every_fiber(tmp_path, capsys):
+    zero = [[[0.0, 0.0], [0.0, 0.0]]] * 3
+    path = write_config(tmp_path, {"n": 2, "m": 3, "vectors": {"z": zero}})
+    code, out, _ = run_cli(["normalize", "--config", path, "--vector", "z"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["normalized"] == zero
+    code, out, _ = run_cli(["e-a", "--config", path, "--vector", "z"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    results = payload["results"]
+    assert results["normalized"] == zero and results["gram"] == [[0.0, 0.0]] * 3
+    assert results["carrier"] == [[0.0, 0.0]] * 3
+    assert {"name": "abelian", "passed": True} in payload["properties"]
 
 
 def test_zeta_command(tmp_path, capsys):
@@ -350,6 +363,21 @@ def test_vector_norm_overflow_exit_3(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [[[1e308, 1e308], [1e308, -1e308]], [[8e307] * 3] * 3],
+    ids=["hermitize-overflow", "eigenvalue-overflow"],
+)
+def test_observable_eigenvalue_overflow_exit_3(tmp_path, capsys, rows):
+    # every entry is finite, but the symmetrized operator or its top
+    # eigenvalue is not; no NaN or Infinity token may reach the report
+    op = [[[[x, 0] for x in row] for row in rows]]
+    path = write_config(tmp_path, {"n": len(rows), "m": 1, "elements": {"A": op}})
+    code, out, err = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    assert code == 3 and out == ""
+    assert "eigenvalues are not finite" in err
+
+
+@pytest.mark.parametrize(
     "key, section", [("elements", [1]), ("vectors", "abc")], ids=["elements-list", "vectors-str"]
 )
 def test_config_section_not_object_exit_3(tmp_path, capsys, key, section):
@@ -428,13 +456,3 @@ def test_verify_all_schema_and_exit(tmp_path, capsys):
         assert set(s) == {"name", "passed", "samples", "tolerance", "max_residual", "detail"}
         assert s["passed"] is True
     assert payload["passed"] is True
-
-
-def test_verify_all_deterministic_bytes(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG)
-    cmd = [sys.executable, "-m", "stonework.cli", "verify-all", "--config", path, "--seed", "42"]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert r1.stdout == r2.stdout
-    assert len(r1.stdout) > 100
