@@ -193,7 +193,8 @@ def _cmd_observable(cfg, args, tol, seed):
     hi = np.minimum(np.searchsorted(spectrum, image), spectrum.size - 1)
     lo = np.maximum(hi - 1, 0)
     gap = np.minimum(abs(image - spectrum[lo]), abs(image - spectrum[hi]))
-    contained = bool(np.all(gap <= 1e-8))
+    # relative to max(1, spectral radius): eigh and eigvalsh agree to a few ulps
+    contained = bool(np.all(gap <= 1e-8 * np.abs(spectrum).max(initial=1.0)))
     results = {"op": args.op, "rows": rows, "image": image, "spectrum": spectrum.tolist()}
     return results, [{"name": "image_in_spectrum", "passed": contained, "tolerance": 1e-8}]
 

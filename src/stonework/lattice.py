@@ -10,6 +10,9 @@ adding any non-member to an up-set of an atom forces a zero meet.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import (
@@ -31,6 +34,9 @@ from .numerics import DEFAULT_TOL, Tolerance, stacked_join, stacked_meet
 DEDUP_EPS = DEFAULT_TOL.eps
 #: Array entries per temporary in every blocked loop of this module.
 _CHUNK = 1 << 20
+#: Up to this many compared entries (candidates x nodes x entries per node)
+#: _near compares every pair, which costs less than building its key window.
+_DENSE = 1 << 13
 
 
 class FiniteLattice:
@@ -159,22 +165,84 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _key_weights(length: int):
+    """The key weights w for rows of ``length`` = L float64 parts, sum(w),
+    gamma_L sum(w) and L eta. gamma_L = L u / (1 - L u) bounds the rounding of
+    a dot product of L terms in any order (u the unit roundoff), and eta, the
+    smallest subnormal, bounds the underflow of one product."""
+    w = 1.5 + np.cos(0.7548776662466927 * np.arange(length))
+    w.setflags(write=False)
+    u = np.finfo(np.float64).eps / 2
+    wsum = float(w.sum())
+    return w, wsum, wsum * length * u / (1 - length * u), length * float(np.nextafter(0.0, 1.0))
+
+
 def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     """For each of one or more candidates, the index of the first node within
-    eps of it in max-abs distance, or -1 when there is none; compared in
-    chunks of bounded size."""
+    eps of it in max-abs distance, or -1 when there is none.
+
+    A sort-and-sweep broad phase picks the pairs to compare. Each row, viewed
+    as its L real and imaginary parts r, gets the key w.r for fixed positive
+    weights w. A node within eps of a candidate differs from it by at most
+    eps (1 + 4u) in each part (the computed modulus rounds down by at most
+    3u), so their computed keys differ by at most
+
+        rho = eps (1 + 4u) sum(w) + gamma_L sum(w) B + L eta,
+
+    where B, the sum of |largest| and |smallest| part of the candidates and
+    of the nodes, bounds max|r_c| + max|r_x|. A candidate's window is its
+    key +- R with R = 2 (eps sum(w) + gamma_L sum(w) B + L eta) >= 1.9 rho.
+    Rounding key +- R errs by at most u (|key| + R) <= u sum(w) B (1 +
+    gamma_L) + u R, under the spare 0.9 rho since gamma_L >= 2u. Identical
+    rows need not get identical keys, so the pad stays at eps = 0. Only the
+    pairs inside windows get the exact max-abs test, in blocks of at most
+    _CHUNK entries, and the lowest passing node index wins. Up to _DENSE
+    compared entries, and when the radius is not finite, every candidate is
+    tested against every node instead.
+    """
     c, k, size = len(cands), len(nodes), cands[0].size
     out = np.full(c, -1, dtype=np.intp)
     if k == 0:
         return out
-    flat_c = cands.reshape(c, size)
-    flat_n = nodes.reshape(k, size)
+    flat_c, flat_x = cands.reshape(c, size), nodes.reshape(k, size)
+    if c * k * size > _DENSE and (found := _near_keyed(flat_c, flat_x, eps)) is not None:
+        return found
     step = max(1, _CHUNK // (k * max(1, size)))
     for s in range(0, c, step):
-        dist = np.abs(flat_c[s : s + step, None] - flat_n[None]).max(axis=2, initial=0.0)
+        dist = np.abs(flat_c[s : s + step, None] - flat_x[None]).max(axis=2, initial=0.0)
         hit = dist <= eps
         out[s : s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     return out
+
+
+def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarray | None:
+    """_near through the key window of each candidate; None when the radius
+    is not finite."""
+    c, k, size = len(flat_c), len(flat_x), flat_c.shape[1]
+    w, wsum, gamma_wsum, tiny = _key_weights(2 * size)
+    rc, rx = flat_c.view(np.float64), flat_x.view(np.float64)
+    bound = sum(abs(float(v)) for v in (rc.max(), rc.min(), rx.max(), rx.min()))
+    radius = 2 * (eps * wsum + gamma_wsum * bound + tiny)
+    if not math.isfinite(radius + 2 * wsum * bound):  # a key may overflow
+        return None
+    key_x = rx @ w
+    order = np.argsort(key_x, kind="stable")
+    keys, key_c = key_x[order], rc @ w
+    lo = np.searchsorted(keys, key_c - radius, "left")
+    hi = np.searchsorted(keys, key_c + radius, "right")
+    ends = (hi - lo).cumsum()
+    total = int(ends[-1])
+    shift = hi - ends  # pair p of candidate i sits at sorted position p + shift[i]
+    best = np.full(c, k, dtype=np.intp)
+    step = max(1, _CHUNK // size)
+    for s in range(0, total, step):
+        pair = np.arange(s, min(s + step, total))
+        ci = np.searchsorted(ends, pair, "right")
+        xi = order[pair + shift[ci]]
+        hit = np.abs(flat_c[ci] - flat_x[xi]).max(axis=1, initial=0.0) <= eps
+        np.minimum.at(best, ci, np.where(hit, xi, k))
+    return np.where(best < k, best, -1)
 
 
 def meet_closure(
@@ -189,8 +257,8 @@ def meet_closure(
     each node i and each earlier node j in ascending order, meet(i, j) followed
     by join(i, j). A candidate within tol.eps (max-abs) of a node already
     present is that node and is dropped, so the lowest-index match wins. Each
-    node gets its meets and joins with all earlier nodes from one batched
-    eigensolve each.
+    node gets its meets and joins with the earlier nodes from batched
+    eigensolves, a block of at most _CHUNK entries at a time.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -204,10 +272,11 @@ def meet_closure(
     elems: list[FiberedOperator] = []
     stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
 
-    def add(op: FiberedOperator) -> bool:
-        """Append op unless a node within tol.eps is already present."""
+    def add(op: FiberedOperator, since: int = 0) -> bool:
+        """Append op unless a node from index ``since`` on is within tol.eps."""
         nonlocal stack
-        if _near(op.values[None], stack[: len(elems)], tol.eps)[0] >= 0:
+        fresh = stack[since : len(elems)]
+        if len(fresh) and _near(op.values[None], fresh, tol.eps)[0] >= 0:
             return False
         if len(elems) == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
@@ -221,19 +290,24 @@ def meet_closure(
         add(op)
 
     # Nodes 0 and 1 are zero and one (when n > 0); meets and joins with the
-    # bounds add nothing new, so node i pairs with nodes 2..i-1.
+    # bounds add nothing new, so node i pairs with nodes 2..i-1, a block of
+    # at most _CHUNK entries at a time.
     i = 3
     while i < len(elems):
-        p, q = stack[i], stack[2:i]
-        cands = np.stack([stacked_meet(p, q, tol), stacked_join(p, q, tol)], axis=1)
-        cands = cands.reshape(-1, *p.shape)
-        # one vectorized pass drops the candidates that match a known node; the
-        # few left go through add in order, which matches them against the
-        # nodes this pass has already appended
-        for c in np.flatnonzero(_near(cands, stack[: len(elems)], tol.eps) < 0):
-            op = FiberedOperator(space, cands[c])
-            if add(op):
-                require_projection(op, tol, "closure node")
+        p = stack[i]
+        step = max(1, _CHUNK // max(1, p.size))
+        for s in range(2, i, step):
+            q = stack[s : min(s + step, i)]
+            cands = np.stack([stacked_meet(p, q, tol), stacked_join(p, q, tol)], axis=1)
+            cands = cands.reshape(-1, *p.shape)
+            # one vectorized pass drops the candidates that match a known
+            # node; the few left go through add in order, which matches them
+            # against the nodes appended since
+            start = len(elems)
+            for c in np.flatnonzero(_near(cands, stack[:start], tol.eps) < 0):
+                op = FiberedOperator(space, cands[c])
+                if add(op, start):
+                    require_projection(op, tol, "closure node")
         i += 1
     return FiniteLattice(elems, tol)
 

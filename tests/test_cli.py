@@ -197,7 +197,8 @@ def test_observable_one_value_spectrum(tmp_path, capsys):
 
 def test_observable_image_check_uses_both_neighbours(tmp_path, capsys, monkeypatch):
     """The image check compares each image value with the spectrum values on
-    either side of it; shifting the spectrum away by more than 1e-8 fails it."""
+    either side of it; shifting the spectrum away by more than 1e-8 times
+    max(1, spectral radius) fails it."""
     from stonework import observables as ob
 
     diag = {"n": 2, "m": 1, "elements": {"A": [[[[1, 0], [0, 0]], [[0, 0], [3, 0]]]]}}
@@ -209,6 +210,36 @@ def test_observable_image_check_uses_both_neighbours(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["passed"] is True
     monkeypatch.setattr(ob, "spectrum_values", lambda a, tol: np.array([1 + 1e-7, 3 + 1e-7]))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1 and json.loads(out)["properties"][0]["passed"] is False
+
+
+def hermitian_config(gen, m, n, scale):
+    b = gen.standard_normal((m, n, n)) + 1j * gen.standard_normal((m, n, n))
+    a = scale * 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
+    return {"n": n, "m": m, "elements": {"A": np.stack([a.real, a.imag], axis=-1).tolist()}}
+
+
+def test_observable_image_check_is_relative_to_spectral_radius(tmp_path, capsys):
+    # at |lambda| up to about 5e9 the eigh image and the eigvalsh spectrum
+    # differ by a few ulps, about 3e-6, which an absolute 1e-8 rejected
+    path = write_config(tmp_path, hermitian_config(np.random.default_rng(0), 50, 4, 1e9))
+    code, out, _ = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert max(map(abs, payload["results"]["spectrum"])) > 1e9
+    assert payload["properties"] == [{"name": "image_in_spectrum", "passed": True, "tolerance": 1e-8}]
+
+
+def test_observable_wrong_image_fails_at_unit_scale(tmp_path, capsys, monkeypatch):
+    from stonework import observables as ob
+
+    path = write_config(tmp_path, hermitian_config(np.random.default_rng(1), 5, 3, 0.5))
+    argv = ["observable", "--config", path, "--op", "A"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and max(map(abs, json.loads(out)["results"]["spectrum"])) < 2
+    real = ob.observable_values
+    monkeypatch.setattr(ob, "observable_values", lambda *a: real(*a) + 1e-6)
     code, out, _ = run_cli(argv, capsys)
     assert code == 1 and json.loads(out)["properties"][0]["passed"] is False
 

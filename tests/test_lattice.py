@@ -1,5 +1,8 @@
 """Finite lattices: closure, quasipoint enumeration, trunks, Stone base sets."""
 
+import itertools
+import types
+
 import numpy as np
 import pytest
 
@@ -40,15 +43,17 @@ def reference_closure(generators, tol=DEFAULT_TOL):
     """Oracle: the closure as a plain per-pair scan. Node i is paired with
     every earlier node j in ascending order, one fibered meet and then one
     fibered join per pair, and each candidate is compared with every node in
-    turn, so the first node within tol.eps wins."""
+    turn (``reference_near``), so the first node within tol.eps wins."""
     space, n = generators[0].space, generators[0].n
-    elems = []
+    elems, values = [], np.empty((0, space.points, n, n), dtype=complex)
 
     def add(op):
-        for i, e in enumerate(elems):
-            if max_abs(e.values - op.values) <= tol.eps:
-                return i
+        nonlocal values
+        i = reference_near(op.values[None], values, tol.eps)[0]
+        if i >= 0:
+            return i
         elems.append(op)
+        values = np.concatenate([values, op.values[None]])
         return len(elems) - 1
 
     bounds = {add(ma.zero_operator(space, n)), add(ma.identity(space, n))}
@@ -63,6 +68,23 @@ def reference_closure(generators, tol=DEFAULT_TOL):
             add(ma.fibered_join(elems[i], elems[j], tol))
         i += 1
     return elems
+
+
+def reference_near(cands, nodes, eps):
+    """Oracle: for each candidate, the index of the first node within eps of
+    it in max-abs distance, or -1; every candidate against every node."""
+    c, k, size = len(cands), len(nodes), cands[0].size
+    out = np.full(c, -1, dtype=np.intp)
+    if k == 0:
+        return out
+    flat_c = cands.reshape(c, size)
+    flat_n = nodes.reshape(k, size)
+    step = max(1, lt._CHUNK // (k * max(1, size)))
+    for s in range(0, c, step):
+        dist = np.abs(flat_c[s : s + step, None] - flat_n[None]).max(axis=2, initial=0.0)
+        hit = dist <= eps
+        out[s : s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return out
 
 
 def reference_extrema_table(leq):
@@ -238,16 +260,31 @@ def closure_families(rng):
     }
 
 
+def pruning_families(rng):
+    """Closures large enough for the key window of node matching to prune:
+    one line per fiber on six fibers (65 nodes), and the central projections
+    of seven points (n = 1), whose closure is the Boolean algebra (128 nodes)."""
+    space7 = ct.StoneSpace(7)
+    return {
+        "line_per_fiber_6": lines_per_fiber(rng, 6),
+        "boolean_7": [ma.central_operator(ct.char_fn(space7, [k]), 1) for k in space7],
+    }
+
+
 @pytest.mark.parametrize(
     "name, size",
     # central projections give the Boolean algebra on four fibers; the lines
     # give the same plus the identity, which is not a sum of lines
     [("boolean", 2 ** 4), ("two_lines", 4), ("line_per_fiber", 2 ** 4 + 1),
-     ("noncommuting_n3", 24)],
+     ("noncommuting_n3", 24), ("line_per_fiber_6", 2 ** 6 + 1), ("boolean_7", 2 ** 7)],
 )
-def test_meet_closure_matches_per_pair_scan(rng, name, size):
-    gens = closure_families(rng)[name]
+def test_meet_closure_matches_per_pair_scan(rng, monkeypatch, name, size):
+    gens = {**closure_families(rng), **pruning_families(rng)}[name]
+    keyed = []
+    real = lt._near_keyed
+    monkeypatch.setattr(lt, "_near_keyed", lambda *a: keyed.append(1) or real(*a))
     lat = lt.meet_closure(gens, cap=256)
+    assert keyed or size < 64  # the large families reach the key window
     ref = reference_closure(gens)
     assert len(lat) == len(ref) == size
     for e, r in zip(lat.elements, ref):
@@ -313,6 +350,136 @@ def test_nodes_match_within_tol_eps():
     assert len(lat) == 4
     assert (lat.index_of(p), lat.index_of(q)) == (2, 3)
     assert lat.meet_table[2, 3] == 2 and lat.join_table[2, 3] == 3
+
+
+@pytest.fixture
+def keyed(monkeypatch):
+    """_near through its key window at every input size."""
+    monkeypatch.setattr(lt, "_DENSE", 0)
+
+
+def complex_rows(gen, k, size):
+    return gen.standard_normal((k, size)) + 1j * gen.standard_normal((k, size))
+
+
+def check_near(cands, nodes, eps):
+    got = lt._near(cands, nodes, eps)
+    assert np.array_equal(got, reference_near(cands, nodes, eps))
+    return got
+
+
+@pytest.mark.parametrize("size", [1, 4, 24, 100])
+def test_near_exact_duplicates_at_eps_zero(keyed, size):
+    # identical rows need not get identical keys: a single row, and rows at
+    # other offsets of a stack, go through other summation orders
+    gen = np.random.default_rng(size)
+    nodes = complex_rows(gen, 40, size)
+    nodes[[9, 31]] = nodes[4]  # the duplicates of node 4 must not win
+    for offset in range(6):
+        stack = np.concatenate([complex_rows(gen, offset, size), nodes])
+        cands = stack[gen.permutation(len(stack))]
+        got = check_near(cands, stack, 0.0)
+        assert np.array_equal(stack[got], cands)
+        for c in range(0, len(stack), 7):
+            check_near(stack[c : c + 1], stack, 0.0)
+        assert set(got) == set(range(len(stack))) - {offset + 9, offset + 31}
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 9e-4])
+@pytest.mark.parametrize("size", [1, 8, 96])
+def test_near_at_eps_in_key_direction(keyed, eps, size):
+    # every entry moved by about eps in modulus along its two key weights,
+    # which moves the key by the most a match can: just under eps matches
+    # its node, just over matches none
+    gen = np.random.default_rng(7)
+    nodes = complex_rows(gen, 30, size)
+    weights = lt._key_weights(2 * size)[0]
+    step = weights[0::2] + 1j * weights[1::2]
+    step /= np.abs(step)
+    for sign in (1, -1):
+        for scale, found in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            got = check_near(nodes + sign * scale * eps * step, nodes, eps)
+            assert np.array_equal(got, np.arange(30) if found else np.full(30, -1))
+
+
+def test_near_lowest_index_wins_within_eps(keyed):
+    # two nodes within eps of the candidate, the later one nearer and lower
+    # in key order: the first node wins
+    gen = np.random.default_rng(11)
+    base = complex_rows(gen, 1, 6)
+    nodes = np.concatenate([complex_rows(gen, 5, 6), base + 0.9e-6, base - 0.1e-6, base])
+    assert check_near(base, nodes, 1e-6)[0] == 5
+    assert check_near(base, nodes[6:], 1e-6)[0] == 0
+
+
+def test_near_colliding_keys(keyed, monkeypatch):
+    # with equal weights every permutation of one diagonal has one key, so a
+    # window holds them all; the exact test still tells them apart
+    real = lt._key_weights
+
+    def equal_weights(length):
+        w, wsum, gamma_wsum, tiny = real(length)
+        return np.ones(length), float(length), gamma_wsum * length / wsum, tiny
+
+    monkeypatch.setattr(lt, "_key_weights", equal_weights)
+    diags = [np.diag(d).astype(complex) for d in itertools.product([0, 1], repeat=4)]
+    nodes = np.stack(diags)[:, None]  # (16, 1, 4, 4)
+    gen = np.random.default_rng(2)
+    cands = nodes[gen.integers(0, 16, size=50)]
+    for chunk in (1, 5, lt._CHUNK):
+        monkeypatch.setattr(lt, "_CHUNK", chunk)
+        got = check_near(cands, nodes, 1e-9)
+        assert np.array_equal(nodes[got], cands)
+        check_near(cands + 2e-9, nodes, 1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 17, 64])
+def test_near_chunk_boundaries(keyed, monkeypatch, chunk):
+    # windows of several nodes (clusters of near-duplicates within eps), cut
+    # by pair blocks of a few entries each
+    gen = np.random.default_rng(chunk)
+    centers = complex_rows(gen, 12, 4)
+    nodes = np.repeat(centers, 4, axis=0) + 1e-10 * complex_rows(gen, 48, 4)
+    cands = np.concatenate([nodes[gen.permutation(48)], complex_rows(gen, 8, 4)])
+    monkeypatch.setattr(lt, "_CHUNK", chunk)
+    got = check_near(cands, nodes, 1e-9)
+    assert np.all(got[:48] % 4 == 0) and np.all(got[48:] == -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_near_non_finite_candidate(monkeypatch, bad):
+    lat = boolean_lattice(3)
+    nodes = lat._stack
+    cand = nodes[5].copy()
+    cand[1, 0, 0] = bad
+    for dense in (0, lt._DENSE):
+        monkeypatch.setattr(lt, "_DENSE", dense)
+        assert check_near(np.stack([cand, nodes[2]]), nodes, 1e-9).tolist() == [-1, 2]
+        with pytest.raises(NotMember):
+            lat.index_of(types.SimpleNamespace(values=cand))
+    # a row whose key overflows still matches its duplicate
+    huge = np.concatenate([nodes, np.full((1, *cand.shape), 1e308 + 1e308j)])
+    assert check_near(huge[-1:], huge, 0.0)[0] == len(nodes)
+
+
+@pytest.mark.parametrize("chunk", [1, 50])
+def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
+    # meets and joins in blocks of one or two earlier nodes, and every other
+    # blocked loop at its smallest blocks: the same nodes, bit for bit
+    families = {**closure_families(rng), **pruning_families(rng)}
+    families.pop("boolean_7")
+    want = {name: lt.meet_closure(g, cap=256) for name, g in families.items()}
+    monkeypatch.setattr(lt, "_CHUNK", chunk)
+    real_meet, blocks = lt.stacked_meet, []
+    monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: blocks.append(q) or real_meet(p, q, tol))
+    for name, gens in families.items():
+        lat = lt.meet_closure(gens, cap=256)
+        assert max(q.size for q in blocks) <= max(chunk, blocks[0][0].size)
+        blocks.clear()
+        assert len(lat) == len(want[name])
+        for e, r in zip(lat.elements, want[name].elements):
+            assert e.values.tobytes() == r.values.tobytes()
+        assert np.array_equal(lat.leq, want[name].leq)
 
 
 def test_meet_closure_rejects_non_projection_node(monkeypatch):
