@@ -20,15 +20,11 @@ from .errors import (
     ClosureExplosion,
     EmptyFilter,
     NotMember,
+    NotProjection,
     StoneworkError,
 )
-from .matrix_algebra import (
-    FiberedOperator,
-    identity,
-    require_projection,
-    zero_operator,
-)
-from .numerics import DEFAULT_TOL, Tolerance, stacked_join, stacked_meet
+from .matrix_algebra import FiberedOperator, require_projection
+from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_join, stacked_meet
 
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
@@ -51,6 +47,7 @@ class FiniteLattice:
 
     def _build_tables(self):
         stack = np.stack([e.values for e in self.elements])  # (k, m, n, n)
+        _require_fibers(stack.shape[-1])
         k = len(stack)
         self._stack = stack
         # leq[i, j]: e_i e_j = e_i, i.e. i <= j; built a block of rows at a time
@@ -60,8 +57,7 @@ class FiniteLattice:
             blk = stack[s : s + step]
             diff = np.einsum("imab,jmbc->ijmac", blk, stack) - blk[:, None]
             self.leq[s : s + step] = np.max(np.abs(diff), axis=(2, 3, 4)) <= self.tol.eps
-        eye = np.broadcast_to(np.eye(self.n, dtype=np.complex128), stack[0].shape)
-        zero, one = _near(np.stack([np.zeros_like(eye), eye]), stack, self.tol.eps)
+        zero, one = _near(_bounds(stack.shape[1:]), stack, self.tol.eps)
         if min(zero, one) < 0:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
@@ -134,6 +130,18 @@ class Filter:
 
     def __repr__(self):
         return f"Filter({sorted(self.members)})"
+
+
+def _bounds(shape) -> np.ndarray:
+    """The values of the zero and the identity operator of a (m, n, n) shape."""
+    bounds = np.zeros((2, *shape), dtype=np.complex128)
+    bounds[1] = np.eye(shape[-1])
+    return bounds
+
+
+def _require_fibers(n: int):
+    if n == 0:
+        raise StoneworkError("fibers of size n = 0 hold no projection lattice; need n >= 1")
 
 
 def _extrema_table(leq: np.ndarray) -> np.ndarray:
@@ -245,6 +253,71 @@ def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarra
     return np.where(best < k, best, -1)
 
 
+class _FiberMemo:
+    """Meets and joins of single fibers, each distinct pair eigensolved once.
+
+    The projection lattice of a direct sum of matrix algebras is the product
+    of its fiber lattices: a fibered meet or join is the meet or join of each
+    fiber pair on its own. Each node fiber gets as id the flat position of
+    the first node fiber with the same bytes, and the unordered pair of ids
+    keys the row of ``solved`` that holds its meet and join.
+    ``stacked_meet`` and ``stacked_join`` solve one matrix at a time and give
+    the same bits with their arguments swapped, so a remembered fiber is bit
+    for bit what a fresh solve gives. Both tables are dicts over the distinct
+    fiber values and pairs, filled and read a whole block at a time.
+    """
+
+    def __init__(self, m: int, n: int, tol: Tolerance):
+        self.tol = tol
+        self._void = np.dtype((np.void, 16 * n * n))  # a fiber's bytes as one key
+        self._first: dict[bytes, int] = {}  # fiber bytes -> id
+        self.node_ids = np.empty((0, m), dtype=np.intp)  # per node fiber
+        # pair key lo << 32 | hi -> row; ids are flat positions in the node
+        # stack, below 2**31 for any stack that fits in memory
+        self._rows: dict[int, int] = {}
+        self.solved = np.empty((0, 2, n, n), dtype=np.complex128)  # meet, join
+
+    def meet_join(self, stack: np.ndarray, known: int, blocks):
+        """For each block (i, lo, hi) of node pairs (i, j), lo <= j < hi <= i
+        < known, the meet and the join (axis 1) of each of their fibers (axis
+        2), as (hi - lo, 2, m, n, n) arrays, where ``stack`` holds the nodes.
+        Pairs not seen before are solved in blocks of at most _CHUNK entries."""
+        m, n = stack.shape[1:3]
+        fibers = stack.reshape(-1, n, n)
+        if len(self.node_ids) < known:  # number the fibers of the new nodes
+            start = len(self.node_ids)
+            new = fibers[start * m : known * m].reshape(-1, n * n).view(self._void)[:, 0].tolist()
+            ids = map(self._first.setdefault, new, range(start * m, known * m))
+            ids = np.fromiter(ids, dtype=np.intp, count=len(new)).reshape(-1, m)
+            self.node_ids = np.concatenate([self.node_ids, ids])
+        keys = []
+        for i, lo, hi in blocks:
+            a, b = self.node_ids[i], self.node_ids[lo:hi]
+            keys.append(np.minimum(a, b) << 32 | np.maximum(a, b))
+        flat = np.concatenate(keys, axis=None).tolist()
+        if fresh := set(flat).difference(self._rows):
+            fresh = np.array(sorted(fresh))
+            step = max(1, _CHUNK // fibers[0].size)
+            solved = [self.solved]
+            for s in range(0, len(fresh), step):
+                pair = fresh[s : s + step]
+                p, q = fibers[pair >> 32], fibers[pair & 0xFFFFFFFF]
+                solved.append(np.empty((len(pair), *self.solved.shape[1:]), dtype=np.complex128))
+                solved[-1][:, 0] = stacked_meet(p, q, self.tol)
+                solved[-1][:, 1] = stacked_join(p, q, self.tol)
+            self._rows.update(zip(fresh.tolist(), range(len(self.solved), len(self.solved) + len(fresh))))
+            self.solved = np.concatenate(solved)
+        rows = np.fromiter(map(self._rows.__getitem__, flat), dtype=np.intp, count=len(flat))
+        at = 0
+        for k in keys:
+            yield self.solved[rows[at : at + k.size].reshape(k.shape)[:, None], _MEET_JOIN]
+            at += k.size
+
+
+#: Picks the meet (row 0) and the join (row 1) of each solved pair.
+_MEET_JOIN = np.array([[0], [1]])
+
+
 def meet_closure(
     generators: list[FiberedOperator],
     cap: int = 4096,
@@ -256,59 +329,74 @@ def meet_closure(
     Nodes are numbered in discovery order: zero, one, the generators, then for
     each node i and each earlier node j in ascending order, meet(i, j) followed
     by join(i, j). A candidate within tol.eps (max-abs) of a node already
-    present is that node and is dropped, so the lowest-index match wins. Each
-    node gets its meets and joins with the earlier nodes from batched
-    eigensolves, a block of at most _CHUNK entries at a time.
+    present is that node and is dropped, so the lowest-index match wins.
+    Meets and joins act fiber by fiber, and each distinct pair of fiber values
+    (by their exact bytes) is eigensolved once; every other fiber is copied
+    from that solve, which leaves the bytes of every node unchanged. The
+    pairs of the nodes known so far are looked up and solved up to _CHUNK
+    entries at once.
     """
     if not generators:
         raise ValueError("need at least one generator")
     space = generators[0].space
     n = generators[0].n
-    for g in generators:
-        require_projection(g, tol, "generator")
-        if g.space != space or g.n != n:
-            raise StoneworkError("generators have mixed shapes")
+    if any(g.space != space or g.n != n for g in generators):
+        raise StoneworkError("generators have mixed shapes")
+    _require_fibers(n)
+    gens = np.stack([g.values for g in generators])
+    if not is_projection(gens, tol):
+        raise NotProjection(f"generator is not a fiberwise projection at eps={tol.eps}")
 
     elems: list[FiberedOperator] = []
     stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
 
-    def add(op: FiberedOperator, since: int = 0) -> bool:
-        """Append op unless a node from index ``since`` on is within tol.eps."""
+    def add(op: FiberedOperator):
         nonlocal stack
-        fresh = stack[since : len(elems)]
-        if len(fresh) and _near(op.values[None], fresh, tol.eps)[0] >= 0:
-            return False
         if len(elems) == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
         stack[len(elems)] = op.values
         elems.append(op)
         if len(elems) > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
-        return True
 
-    for op in (zero_operator(space, n), identity(space, n), *generators):
-        add(op)
+    def admit(cands: np.ndarray, make, what: str = ""):
+        """Append, in order, ``make(c)`` for each candidate c that no node is
+        within tol.eps of when its turn comes: one pass against the nodes so
+        far, then one against each node appended. A node appended as ``what``
+        must be a projection."""
+        todo = np.flatnonzero(_near(cands, stack[: len(elems)], tol.eps) < 0)
+        while len(todo):
+            op = make(todo[0])
+            add(op)
+            if what:
+                require_projection(op, tol, what)
+            todo = todo[1:]
+            if len(todo):
+                todo = todo[_near(cands[todo], stack[len(elems) - 1 : len(elems)], tol.eps) < 0]
 
-    # Nodes 0 and 1 are zero and one (when n > 0); meets and joins with the
-    # bounds add nothing new, so node i pairs with nodes 2..i-1, a block of
-    # at most _CHUNK entries at a time.
-    i = 3
+    # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
+    # against them and each other
+    for bound in _bounds(gens.shape[1:]):
+        add(FiberedOperator(space, bound))
+    admit(gens, generators.__getitem__)
+    memo = _FiberMemo(space.points, n, tol)
+
+    # Meets and joins with the bounds add nothing new, so node i pairs with
+    # nodes 2..i-1. Each round takes the pairs from (i, j) on among the nodes
+    # known now, up to ``step`` of them, solves what is new in one go and
+    # then matches node by node, as if each node's pairs were done alone.
+    step = max(1, _CHUNK // stack[0].size)  # node pairs at once
+    i, j = 3, 2
     while i < len(elems):
-        p = stack[i]
-        step = max(1, _CHUNK // max(1, p.size))
-        for s in range(2, i, step):
-            q = stack[s : min(s + step, i)]
-            cands = np.stack([stacked_meet(p, q, tol), stacked_join(p, q, tol)], axis=1)
-            cands = cands.reshape(-1, *p.shape)
-            # one vectorized pass drops the candidates that match a known
-            # node; the few left go through add in order, which matches them
-            # against the nodes appended since
-            start = len(elems)
-            for c in np.flatnonzero(_near(cands, stack[:start], tol.eps) < 0):
-                op = FiberedOperator(space, cands[c])
-                if add(op, start):
-                    require_projection(op, tol, "closure node")
-        i += 1
+        known, left, blocks = len(elems), step, []
+        while i < known and left:
+            stop = min(i, j + left)
+            blocks.append((i, j, stop))
+            left -= stop - j
+            i, j = (i + 1, 2) if stop == i else (i, stop)
+        for cands in memo.meet_join(stack, known, blocks):
+            cands = cands.reshape(-1, *stack.shape[1:])
+            admit(cands, lambda c: FiberedOperator(space, cands[c]), "closure node")
     return FiniteLattice(elems, tol)
 
 

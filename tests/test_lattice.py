@@ -1,6 +1,7 @@
 """Finite lattices: closure, quasipoint enumeration, trunks, Stone base sets."""
 
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -480,6 +481,106 @@ def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
         for e, r in zip(lat.elements, want[name].elements):
             assert e.values.tobytes() == r.values.tobytes()
         assert np.array_equal(lat.leq, want[name].leq)
+
+
+def distinct_fiber_pairs(lattice):
+    """The distinct unordered pairs (bytes of p_f, bytes of q_f) over the node
+    pairs a closure meets and joins: each node i >= 3 with nodes 2..i-1."""
+    fibers = [[f.tobytes() for f in e.values] for e in lattice.elements]
+    return {
+        tuple(sorted((fibers[i][f], fibers[j][f])))
+        for i in range(3, len(fibers))
+        for j in range(2, i)
+        for f in range(len(fibers[i]))
+    }
+
+
+def count_solved_meets(monkeypatch):
+    """Record the number of matrices each stacked_meet call solves."""
+    real, solved = lt.stacked_meet, []
+
+    def counting(p, q, tol):
+        solved.append(q.size // q.shape[-1] ** 2)
+        return real(p, q, tol)
+
+    monkeypatch.setattr(lt, "stacked_meet", counting)
+    return solved
+
+
+def test_meet_closure_solves_each_fiber_pair_once(rng, monkeypatch):
+    solved = count_solved_meets(monkeypatch)
+    lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
+    assert len(lat) == 2 ** 6 + 1
+    # 50 distinct pairs among the 11718 fiber pairs of the 1953 node pairs
+    assert sum(solved) <= len(distinct_fiber_pairs(lat)) < 100
+    # one solve per round of the nodes known so far, not one per node (62)
+    assert len(solved) <= 6
+
+
+def test_meet_closure_keys_fibers_by_exact_bytes(monkeypatch):
+    # fibers equal within eps but not in bytes, and -0.0 entries next to 0.0
+    # ones, are distinct inputs: each distinct pair of bytes is solved once,
+    # none is merged with a near twin, and the nodes match the per-pair scan
+    # bit for bit
+    p = projector([1, 1j])
+    twin = p + 1e-13 * np.array([[1, 1j], [-1j, -1]])
+    e = np.diag([1.0, 0.0]).astype(complex)
+    signed = np.array([[1, -0.0], [complex(-0.0, -0.0), -0.0]])
+    assert max_abs(twin - p) <= DEFAULT_TOL.eps and twin.tobytes() != p.tobytes()
+    assert np.array_equal(signed, e) and signed.tobytes() != e.tobytes()
+    space = ct.StoneSpace(4)
+    gens = [
+        ma.FiberedOperator(space, np.stack(f))
+        for f in (
+            [p, twin, e, signed],
+            [twin, p, signed, projector([1, 1])],
+            [projector([1, -1]), signed, e, twin],
+        )
+    ]
+    solved = count_solved_meets(monkeypatch)
+    lat = lt.meet_closure(gens, cap=256)
+    ref = reference_closure(gens)
+    assert len(lat) == len(ref) > 8
+    for a, r in zip(lat.elements, ref):
+        assert a.values.tobytes() == r.values.tobytes()
+    assert np.array_equal(lat.leq, lt.FiniteLattice(ref).leq)
+    assert sum(solved) == len(distinct_fiber_pairs(lat))
+
+
+def test_wide_closure_memory_grows_with_distinct_values():
+    # two random lines on 2000 fibers: about 4000 distinct fiber values, for
+    # which a dense value-by-value table alone would take 16 M entries
+    m = 2000
+    gen = np.random.default_rng(5)
+    u = gen.standard_normal((2, m, 2)) + 1j * gen.standard_normal((2, m, 2))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    space = ct.StoneSpace(m)
+    gens = [ma.FiberedOperator(space, np.einsum("mi,mj->mij", v, v.conj())) for v in u]
+    tracemalloc.start()
+    try:
+        lat = lt.meet_closure(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 4  # zero, one and the two lines: they meet in 0, span C^2
+    assert peak < 16_000_000
+
+
+def test_zero_size_fibers_raise_stonework_error():
+    space = ct.StoneSpace(2)
+    with pytest.raises(StoneworkError, match="n = 0"):
+        lt.meet_closure([ma.zero_operator(space, 0)])
+    with pytest.raises(StoneworkError, match="n = 0"):
+        lt.FiniteLattice([ma.zero_operator(space, 0)])
+
+
+def test_meet_closure_checks_generators():
+    space = ct.StoneSpace(2)
+    line = line_op(space, [1, 1])
+    with pytest.raises(NotProjection, match="generator"):
+        lt.meet_closure([line, 2 * line])
+    with pytest.raises(StoneworkError, match="mixed shapes"):
+        lt.meet_closure([line, line_op(ct.StoneSpace(3), [1, 0])])
 
 
 def test_meet_closure_rejects_non_projection_node(monkeypatch):
