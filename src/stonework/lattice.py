@@ -33,6 +33,9 @@ _CHUNK = 1 << 20
 #: Up to this many compared entries (candidates x nodes x entries per node)
 #: _near compares every pair, which costs less than building its key window.
 _DENSE = 1 << 13
+#: Bytes the order and meet/join tables of a closure may take: two intp tables
+#: and one of bools, 17 k^2 bytes for k nodes on 64 bits (285 MB at k = 4096).
+_TABLE_BUDGET = 1 << 29
 
 
 class FiniteLattice:
@@ -50,13 +53,7 @@ class FiniteLattice:
         _require_fibers(stack.shape[-1])
         k = len(stack)
         self._stack = stack
-        # leq[i, j]: e_i e_j = e_i, i.e. i <= j; built a block of rows at a time
-        self.leq = np.empty((k, k), dtype=bool)
-        step = max(1, _CHUNK // max(1, stack.size))
-        for s in range(0, k, step):
-            blk = stack[s : s + step]
-            diff = np.einsum("imab,jmbc->ijmac", blk, stack) - blk[:, None]
-            self.leq[s : s + step] = np.max(np.abs(diff), axis=(2, 3, 4)) <= self.tol.eps
+        self.leq = _order(stack, self.tol.eps)
         zero, one = _near(_bounds(stack.shape[1:]), stack, self.tol.eps)
         if min(zero, one) < 0:
             raise StoneworkError("lattice is missing its zero or unit element")
@@ -142,6 +139,56 @@ def _bounds(shape) -> np.ndarray:
 def _require_fibers(n: int):
     if n == 0:
         raise StoneworkError("fibers of size n = 0 hold no projection lattice; need n >= 1")
+
+
+def _order(stack: np.ndarray, eps: float) -> np.ndarray:
+    """leq[i, j] = (max|e_i e_j - e_i| <= eps) for a (k, m, n, n) node stack.
+
+    The order of a direct sum of matrix algebras is the product of its fiber
+    orders, and a fiber takes few distinct values. One sort of the node
+    fibers' bytes, each led by the index of its fiber, ranks the distinct
+    (fiber, value) pairs. Row r of the flat table ``below`` holds the test of
+    rank r against each value of its fiber, run once per pair in blocks of at
+    most _CHUNK entries, and leq ANDs over the fibers one entry of each row.
+    """
+    k, m, n = stack.shape[:3]
+    # void keys sort as unsigned bytes, so a big-endian fiber index in front
+    # makes the ranks run fiber by fiber
+    keys = np.empty((m, k, 8 + 16 * n * n), dtype=np.uint8)
+    keys[..., :8] = np.arange(m, dtype=">u8").view(np.uint8).reshape(m, 1, 8)
+    keys[..., 8:] = stack.transpose(1, 0, 2, 3).reshape(m, k, -1).view(np.uint8)
+    keys = keys.view(f"V{keys.shape[-1]}").ravel()
+    order = keys.argsort()
+    new = np.ones(k * m, dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    rank = np.empty(k * m, dtype=np.intp)  # of each node fiber
+    rank[order] = new.cumsum() - 1
+    fiber, node = np.divmod(order[new], k)  # of each rank
+    per = np.bincount(fiber, minlength=m)
+    first, count = (per.cumsum() - per)[fiber], per[fiber]  # of each rank's fiber
+    ends = count.cumsum()  # row r spans ends[r] - count[r] .. ends[r]
+    vals = np.ascontiguousarray(stack[node, fiber].transpose(1, 2, 0))  # (n, n, ranks)
+    below = np.empty(int(ends[-1]), dtype=bool)
+    step = max(1, _CHUNK // (n * n))
+    for s in range(0, len(below), step):
+        at = np.arange(s, min(s + step, len(below)))
+        r = np.searchsorted(ends, at, "right")
+        col = at - ends[r] + count[r] + first[r]
+        below[s : s + step] = _below(vals.take(r, axis=2), vals.take(col, axis=2), eps)
+    rank = rank.reshape(m, k)
+    row, col = (ends - count)[rank], (np.arange(len(fiber)) - first)[rank]
+    leq = np.empty((k, k), dtype=bool)
+    step = max(1, _CHUNK // (k * m))
+    for s in range(0, k, step):
+        leq[s : s + step] = below[row[:, s : s + step, None] + col[:, None]].all(axis=0)
+    return leq
+
+
+def _below(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """max|p q - p| <= eps for pairs stacked on the last axis. Each product
+    sums over its middle index in the order an einsum over all node pairs and
+    fibers does, so the two agree bit for bit."""
+    return np.abs(np.einsum("abp,bcp->acp", p, q) - p).max(axis=(0, 1)) <= eps
 
 
 def _extrema_table(leq: np.ndarray) -> np.ndarray:
@@ -324,17 +371,15 @@ def meet_closure(
     tol: Tolerance = DEFAULT_TOL,
 ) -> FiniteLattice:
     """Smallest family containing the generators, zero and one, closed under
-    meet and join. Raises ClosureExplosion past ``cap``.
+    meet and join. Raises ClosureExplosion past ``cap``, or once the order and
+    meet/join tables of the nodes would outgrow _TABLE_BUDGET bytes.
 
     Nodes are numbered in discovery order: zero, one, the generators, then for
     each node i and each earlier node j in ascending order, meet(i, j) followed
     by join(i, j). A candidate within tol.eps (max-abs) of a node already
     present is that node and is dropped, so the lowest-index match wins.
-    Meets and joins act fiber by fiber, and each distinct pair of fiber values
-    (by their exact bytes) is eigensolved once; every other fiber is copied
-    from that solve, which leaves the bytes of every node unchanged. The
-    pairs of the nodes known so far are looked up and solved up to _CHUNK
-    entries at once.
+    Meets and joins come from a _FiberMemo, which eigensolves each distinct
+    pair of fiber values once; the bytes of every node stay unchanged.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -349,6 +394,7 @@ def meet_closure(
 
     elems: list[FiberedOperator] = []
     stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
+    pair_bytes = 2 * np.dtype(np.intp).itemsize + 1  # one entry of each k x k table
 
     def add(op: FiberedOperator):
         nonlocal stack
@@ -358,6 +404,9 @@ def meet_closure(
         elems.append(op)
         if len(elems) > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
+        if len(elems) ** 2 * pair_bytes > _TABLE_BUDGET:
+            raise ClosureExplosion(f"closure reached {len(elems)} nodes, whose tables "
+                                   f"outgrow the table budget of {_TABLE_BUDGET} bytes")
 
     def admit(cands: np.ndarray, make, what: str = ""):
         """Append, in order, ``make(c)`` for each candidate c that no node is

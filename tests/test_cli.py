@@ -302,6 +302,22 @@ def test_quasipoints_command(tmp_path, capsys):
         assert point["atom"] in point["members"]
 
 
+def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # the central projections of 4 points close to 16 nodes; a table budget
+    # of 100 bytes holds the tables of 2 nodes (17 bytes per node pair)
+    from stonework import lattice
+
+    units = np.eye(4).reshape(4, 4, 1, 1, 1) * [1, 0]
+    elements = {f"C{k}": units[k].tolist() for k in range(4)}
+    path = write_config(tmp_path, {"n": 1, "m": 4, "elements": elements})
+    code, out, _ = run_cli(["quasipoints", "--config", path], capsys)
+    assert code == 0 and json.loads(out)["results"]["size"] == 16
+    monkeypatch.setattr(lattice, "_TABLE_BUDGET", 100)
+    code, out, err = run_cli(["quasipoints", "--config", path], capsys)
+    assert code == 3 and out == ""
+    assert "closure reached 3 nodes" in err and "table budget of 100 bytes" in err
+
+
 def test_unknown_command_exit_4(capsys):
     assert main(["no-such-command"]) == 4
 

@@ -1,6 +1,7 @@
 """Finite lattices: closure, quasipoint enumeration, trunks, Stone base sets."""
 
 import itertools
+import math
 import tracemalloc
 import types
 
@@ -100,6 +101,19 @@ def reference_extrema_table(leq):
     is_max = cands & ~(counts.reshape(k, k, k) > 0)
     assert np.all(is_max.sum(axis=0) == 1)
     return np.argmax(is_max, axis=0)
+
+
+def reference_leq(stack, eps):
+    """Oracle: the order as one einsum over all node pairs and fibers,
+    leq[i, j] = max|e_i e_j - e_i| <= eps, a block of rows at a time."""
+    k = len(stack)
+    leq = np.empty((k, k), dtype=bool)
+    step = max(1, lt._CHUNK // max(1, stack.size))
+    for s in range(0, k, step):
+        blk = stack[s : s + step]
+        diff = np.einsum("imab,jmbc->ijmac", blk, stack) - blk[:, None]
+        leq[s : s + step] = np.max(np.abs(diff), axis=(2, 3, 4)) <= eps
+    return leq
 
 
 def reference_atoms(lat):
@@ -564,6 +578,129 @@ def test_wide_closure_memory_grows_with_distinct_values():
         tracemalloc.stop()
     assert len(lat) == 4  # zero, one and the two lines: they meet in 0, span C^2
     assert peak < 16_000_000
+
+
+def order_fuzz(gen, count):
+    """Seeded node stacks for the order: m 1..8 fibers of size n 1..3, each
+    node fiber drawn from a small per-fiber pool of zero, the identity, a
+    coordinate projection (exact at eps = 0), random projections and a 1e-12
+    near twin of one, so many fibers repeat exactly; eps is 1e-9, 1e-6 or 0."""
+    for case in range(count):
+        m, n, k = int(gen.integers(1, 9)), int(gen.integers(1, 4)), int(gen.integers(1, 13))
+        eps = (1e-9, 1e-6, 0.0)[case % 3]
+        pools = []
+        for _ in range(m):
+            pool = [np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)]
+            pool.append(np.diag(gen.integers(0, 2, n)).astype(complex))
+            for _ in range(int(gen.integers(1, 4))):
+                v = gen.standard_normal((n, int(gen.integers(1, n + 1)))) * (1 + 1j)
+                pool.append(projector(*(v + gen.standard_normal(v.shape)).T))
+            noise = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+            pool.append(pool[-1] + 1e-12 * (noise + noise.conj().T))
+            pools.append(pool)
+        stack = np.stack(
+            [np.stack([pool[gen.integers(len(pool))] for pool in pools]) for _ in range(k)]
+        )
+        yield stack, eps
+
+
+def count_order_pairs(monkeypatch):
+    """Record the number of value pairs each per-fiber order test gets."""
+    real, pairs = lt._below, []
+
+    def counting(p, q, eps):
+        pairs.append(p.shape[-1])
+        return real(p, q, eps)
+
+    monkeypatch.setattr(lt, "_below", counting)
+    return pairs
+
+
+def distinct_within_fiber_pairs(stack):
+    """The sum over the fibers of (distinct fiber values by bytes) squared."""
+    return sum(len({f.tobytes() for f in stack[:, i]}) ** 2 for i in range(stack.shape[1]))
+
+
+def test_order_matches_einsum_on_fuzz():
+    gen = np.random.default_rng(12)
+    seen = set()
+    for stack, eps in order_fuzz(gen, 240):
+        leq = lt._order(stack, eps)
+        assert np.array_equal(leq, reference_leq(stack, eps))
+        seen.add((eps, bool(leq.all()), bool(leq.any())))
+    assert len(seen) >= 6  # both full and partial orders at every eps
+    # past 256 fibers a fiber's index takes two bytes of its sort key
+    values = np.array([0.0, 1.0, 1.0 + 1e-12, 0.5 + 0.5j], dtype=complex)
+    stack = values[gen.integers(0, 4, (9, 300))].reshape(9, 300, 1, 1)
+    for eps in (1e-9, 0.0):
+        assert np.array_equal(lt._order(stack, eps), reference_leq(stack, eps))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.0])
+def test_order_keys_fibers_by_exact_bytes(monkeypatch, eps):
+    # fibers equal within 1e-9 but not in bytes, and -0.0 entries next to
+    # 0.0 ones, are distinct values of their fiber: each pair is tested once
+    # and the order is the einsum's bit for bit
+    p = projector([1, 1j])
+    twin = p + 1e-13 * np.array([[1, 1j], [-1j, -1]])
+    e = np.diag([1.0, 0.0]).astype(complex)
+    signed = np.array([[1, -0.0], [complex(-0.0, -0.0), -0.0]])
+    zero, one = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
+    stack = np.stack([
+        np.stack(f) for f in (
+            [zero, zero, zero], [one, one, one], [p, e, twin], [twin, signed, p],
+            [p, signed, twin], [twin, one - e, signed], [zero, signed, e],
+        )
+    ])
+    pairs = count_order_pairs(monkeypatch)
+    leq = lt._order(stack, eps)
+    assert np.array_equal(leq, reference_leq(stack, eps))
+    assert sum(pairs) == distinct_within_fiber_pairs(stack) == 4 ** 2 + 5 ** 2 + 6 ** 2
+    assert leq[2, 3] == leq[3, 2] == (eps > 0)  # p and twin on fibers 0 and 2
+    # nodes 2 and 4 differ only in e and signed on fiber 1, equal as numbers
+    assert np.array_equal(leq[2], leq[4]) and np.array_equal(leq[:, 2], leq[:, 4])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_order_blocks_give_identical_order(rng, monkeypatch, chunk):
+    # the pair tests and the gather of leq in many blocks
+    lattices = [lt.meet_closure(g, cap=256) for g in closure_families(rng).values()]
+    lattices.append(lt.meet_closure(lines_per_fiber(rng, 6), cap=256))
+    stacks = [(lat._stack, DEFAULT_TOL.eps) for lat in lattices]
+    stacks += list(order_fuzz(np.random.default_rng(13), 30))
+    monkeypatch.setattr(lt, "_CHUNK", chunk)
+    pairs, blocked = count_order_pairs(monkeypatch), 0
+    for stack, eps in stacks:
+        pairs.clear()
+        assert np.array_equal(lt._order(stack, eps), reference_leq(stack, eps))
+        k, m, n = stack.shape[:3]
+        assert max(pairs) <= max(1, chunk // n ** 2)
+        blocked += len(pairs) > 1 and k * m > chunk  # both loops ran in blocks
+    assert blocked
+
+
+def test_order_tests_each_distinct_fiber_pair_once(rng, monkeypatch):
+    lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
+    k, m = len(lat), lat._stack.shape[1]
+    pairs = count_order_pairs(monkeypatch)
+    rebuilt = lt.FiniteLattice(lat.elements)
+    assert np.array_equal(rebuilt.leq, reference_leq(lat._stack, DEFAULT_TOL.eps))
+    # 4 to 6 distinct values on each fiber: 152 pairs, against the 65 * 65 * 6
+    # fiber products of the einsum over all node pairs
+    assert sum(pairs) == distinct_within_fiber_pairs(lat._stack) < 200
+    assert sum(pairs) * 100 < k * k * m
+
+
+def test_meet_closure_fails_fast_past_table_budget(monkeypatch):
+    per_pair = 2 * np.dtype(np.intp).itemsize + 1  # two intp tables and the order
+    assert math.isqrt(lt._TABLE_BUDGET // per_pair) >= 4096  # the default cap fits
+    gens = [ma.central_operator(ct.char_fn(ct.StoneSpace(4), [k]), 1) for k in range(4)]
+    monkeypatch.setattr(lt, "_TABLE_BUDGET", per_pair * 16 ** 2)
+    assert len(lt.meet_closure(gens)) == 16
+    monkeypatch.setattr(lt, "_TABLE_BUDGET", per_pair * 16 ** 2 - 1)
+    budget = f"table budget of {per_pair * 16 ** 2 - 1} bytes"
+    with pytest.raises(ClosureExplosion, match=f"closure reached 16 nodes.*{budget}"):
+        lt.meet_closure(gens)
 
 
 def test_zero_size_fibers_raise_stonework_error():
