@@ -318,6 +318,14 @@ def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
     assert "closure reached 3 nodes" in err and "table budget of 100 bytes" in err
 
 
+def test_config_past_operator_budget_exit_3(tmp_path, capsys):
+    # one operator would take 16 m n^2 = 32 TB; np.eye(n) for the point used to crash
+    path = write_config(tmp_path, {"n": 1000000, "m": 2})
+    code, out, err = run_cli(["zeta", "--config", path, "--point", "omega=0,line=e1"], capsys)
+    assert code == 3 and out == ""
+    assert "one operator takes 32000000000000 bytes, past the budget of 536870912 bytes" in err
+
+
 def test_unknown_command_exit_4(capsys):
     assert main(["no-such-command"]) == 4
 
