@@ -319,7 +319,7 @@ def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_config_past_operator_budget_exit_3(tmp_path, capsys):
-    # one operator would take 16 m n^2 = 32 TB; np.eye(n) for the point used to crash
+    # one operator would take 16 m n^2 = 32 TB; the check runs before np.eye(n) for the point
     path = write_config(tmp_path, {"n": 1000000, "m": 2})
     code, out, err = run_cli(["zeta", "--config", path, "--point", "omega=0,line=e1"], capsys)
     assert code == 3 and out == ""
