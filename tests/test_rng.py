@@ -1,11 +1,12 @@
 """The documented splitmix64 recipe is what the stream actually produces."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from stonework.rng import _GAMMA, _MASK, SplitMix64
+from stonework.rng import _BLOCK, _GAMMA, _MASK, SplitMix64
 
 # reference outputs computed directly from the recipe in the module docstring
 REF_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
@@ -214,3 +215,116 @@ def test_block_samplers_match_their_oracles(m):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (seed, m, n)
                 assert g._state == ref._state
+
+
+# -- streams across block boundaries -------------------------------------------
+# A stream computes its draws _BLOCK at a time; the reference below takes one
+# state step per draw, straight from the recipe in the module docstring.
+
+
+def recipe_mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+class RecipeStream:
+    def __init__(self, seed):
+        self.state = seed & _MASK
+        self.draws = 0
+
+    def next_u64(self):
+        self.state = (self.state + _GAMMA) & _MASK
+        self.draws += 1
+        return recipe_mix(self.state)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def integer(self, lo, hi):
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def normal(self):
+        u1 = self.uniform()
+        u2 = self.uniform()
+        if u1 <= 0.0:
+            u1 = 2.0**-53
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def fork(self, label):
+        return RecipeStream(recipe_mix(self.state ^ recipe_mix(label & _MASK)))
+
+
+def ref_complex_normals(ref, *shape):
+    entries = [complex(ref.normal(), ref.normal()) for _ in range(math.prod(shape))]
+    return np.array(entries, dtype=np.complex128).reshape(shape)
+
+
+CALL_KINDS = [
+    "next_u64", "uniform", "integer", "normal", "normals", "complex_normals", "hermitian", "unitary", "fork"
+]
+
+
+def random_call(pick, g, ref):
+    """One call of a random kind and size on both streams: (got, want), compared exactly."""
+    kind = pick.choice(CALL_KINDS)
+    n, m = pick.randint(1, 5), pick.randint(1, 4)
+    if kind == "next_u64":
+        return g.next_u64(), ref.next_u64()
+    if kind == "uniform":
+        return g.uniform().hex(), ref.uniform().hex()
+    if kind == "integer":
+        lo = pick.randint(-10, 10)
+        hi = lo + pick.choice([0, 1, 6, 1000, 2**64])
+        return g.integer(lo, hi), ref.integer(lo, hi)
+    if kind == "normal":
+        return g.normal().hex(), ref.normal().hex()
+    if kind == "normals":
+        k = pick.randint(0, 300)
+        return g.normals(k).tobytes(), np.array([ref.normal() for _ in range(k)], dtype=np.float64).tobytes()
+    if kind == "complex_normals":
+        shape = [pick.randint(0, 6) for _ in range(pick.randint(1, 3))]
+        return g.complex_normals(*shape).tobytes(), ref_complex_normals(ref, *shape).tobytes()
+    if kind == "hermitian":
+        got = g.hermitian(m, n)
+        return got.tobytes(), np.stack([ref_hermitian(ref, n) for _ in range(m)]).tobytes()
+    if kind == "unitary":
+        got = g.unitary(m, n)
+        return got.tobytes(), np.stack([ref_unitary(ref, n) for _ in range(m)]).tobytes()
+    label = pick.choice([0, 1, pick.getrandbits(64)])
+    child, ref_child = g.fork(label), ref.fork(label)
+    assert child._state == ref_child.state
+    return [child.normal().hex() for _ in range(3)], [ref_child.normal().hex() for _ in range(3)]
+
+
+EDGE_SEEDS = [zero_at(k) for k in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK)]
+
+
+@pytest.mark.parametrize("seed", list(range(8)) + [2**64 - 1] + EDGE_SEEDS)
+def test_streams_across_blocks_match_the_recipe(seed):
+    pick = random.Random(seed)
+    g, ref = SplitMix64(seed), RecipeStream(seed)
+    calls = 0
+    while ref.draws < 3 * _BLOCK + 100:
+        got, want = random_call(pick, g, ref)
+        calls += 1
+        assert got == want, (seed, calls)
+        assert g._state == ref.state, (seed, calls)
+
+
+@pytest.mark.parametrize("ahead", [0, 1, _BLOCK - 96, _BLOCK])
+def test_empty_normals_consume_no_draw(ahead):
+    g, ref = SplitMix64(5), RecipeStream(5)
+    for _ in range(ahead):
+        g.uniform()
+        ref.uniform()
+    # -(_BLOCK // 2 - 3) asks for -4090 floats, which from position _BLOCK - 96
+    # would slice forwards to a non-empty list
+    for k in (0, -1, -45, -(_BLOCK // 2 - 3)):
+        out = g.normals(k)
+        assert out.shape == (0,) and out.dtype == np.float64
+    for shape in ((0,), (3, 0), (0, 4, 4)):
+        out = g.complex_normals(*shape)
+        assert out.shape == shape and out.dtype == np.complex128
+    assert g._state == ref.state
+    assert g.next_u64() == ref.next_u64()
