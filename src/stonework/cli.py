@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     parser = _build_parser(command)
     try:
         args = parser.parse_args(argv[1:])
+        # SplitMix64 reads its seed mod 2**64, so a seed outside would alias another
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            parser.error(f"argument --seed: {args.seed} outside 0..2**64 - 1")
         tol = Tolerance(args.eps)
     except (ValidationError, ValueError) as exc:
         print(f"stonework: {exc}", file=sys.stderr)

@@ -118,8 +118,8 @@ def parse_config(data: dict) -> AlgebraConfig:
         raise ValidationError(f"config with n = {n} and m = {m}: one operator takes "
                               f"{16 * m * n * n} bytes, past the budget of {_OPERATOR_BUDGET} bytes")
     seed = data.get("seed", 0)
-    if type(seed) is not int:
-        raise ValidationError("config field 'seed' must be an integer")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValidationError("config field 'seed' must be an integer in 0..2**64 - 1")
     for key in ("elements", "vectors"):
         if not isinstance(data.get(key) or {}, dict):
             raise ValidationError(f"config field {key!r} must be a JSON object")

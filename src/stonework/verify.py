@@ -19,7 +19,8 @@ from . import lattice as lt
 from . import matrix_algebra as ma
 from . import observables as ob
 from . import spectrum as sp
-from .numerics import DEFAULT_TOL, Tolerance, max_abs
+from .errors import StoneworkError
+from .numerics import DEFAULT_TOL, Tolerance, max_abs, projector_onto_columns, range_basis, stacked_meet
 from .rng import SplitMix64
 
 
@@ -47,6 +48,14 @@ class SuiteResult:
 
 def rand_space(rng: SplitMix64, lo: int = 1, hi: int = 4) -> ct.StoneSpace:
     return ct.StoneSpace(rng.integer(lo, hi))
+
+
+def rand_shapes(rng: SplitMix64, count: int, n_max: int):
+    """``count`` samples of a random space and then a fiber size in 2..n_max.
+    Drawn lazily: a sample's draws follow the body run on the one before."""
+    for _ in range(count):
+        space = rand_space(rng)
+        yield space, rng.integer(2, n_max)
 
 
 def rand_center_element(rng: SplitMix64, space: ct.StoneSpace) -> ct.CenterElement:
@@ -88,13 +97,8 @@ def rand_unitary_op(rng: SplitMix64, space: ct.StoneSpace, n: int) -> ma.Fibered
     return ma.FiberedOperator(space, rng.unitary(space.points, n))
 
 
-def rand_projection_op(
-    rng: SplitMix64, space: ct.StoneSpace, n: int, max_rank: int | None = None
-) -> ma.FiberedOperator:
-    hi = n if max_rank is None else max_rank
-    return ma.FiberedOperator(
-        space, np.stack([rng.projection(n, rng.integer(0, hi)) for _ in space])
-    )
+def rand_projection_op(rng: SplitMix64, space: ct.StoneSpace, n: int) -> ma.FiberedOperator:
+    return ma.FiberedOperator(space, np.stack([rng.projection(n, rng.integer(0, n)) for _ in space]))
 
 
 def rand_partial_isometry(rng: SplitMix64, space: ct.StoneSpace, n: int):
@@ -185,9 +189,7 @@ def suite_abelian_commutation(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     """Compressions by a rank-one-per-fiber projection commute."""
     worst = 0.0
     samples = 200
-    for _ in range(samples):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, samples, 5):
         a = rand_normalized(rng, space, n)
         e = hm.abelian_projection(a, tol)
         x = rand_operator(rng, space, n)
@@ -203,9 +205,7 @@ def suite_abelian_matrix_formula(rng: SplitMix64, tol: Tolerance) -> SuiteResult
     generator with its conjugate; checked against column-by-column assembly."""
     worst = 0.0
     samples = 200
-    for _ in range(samples):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, samples, 5):
         a = rand_normalized(rng, space, n)
         e = hm.abelian_projection(a, tol)
         cols = []
@@ -222,16 +222,12 @@ def suite_central_carriers(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     carrier of a submodule projection is the support characteristic function."""
     worst = 0.0
     exact_ok = True
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, 100, 5):
         a = rand_normalized(rng, space, n)
         e = hm.abelian_projection(a, tol)
         carrier = ma.central_carrier(e, tol)
-        worst = max(worst, float(np.max(np.abs(carrier.values - hm.inner(a, a).values))))
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+        worst = max(worst, max_abs(carrier.values - hm.inner(a, a).values))
+    for space, n in rand_shapes(rng, 100, 4):
         m = rand_submodule(rng, space, n, rng.integer(1, 3))
         p = hm.module_projection(m, tol)
         carrier = ma.central_carrier(p, tol)
@@ -248,9 +244,7 @@ def suite_normalization(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     worst = 0.0
     boolean_ok = True
     samples = 100
-    for _ in range(samples):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, samples, 5):
         a = rand_module_element(rng, space, n, zero_fiber_prob=0.25)
         if not hm.support(a, tol):
             a = rand_module_element(rng, space, n)
@@ -299,29 +293,26 @@ def suite_quasipoint_axioms(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     lattices = [boolean_lattice(k, tol) for k in (1, 2, 3, 4)]
     lattices += [rand_lattice(rng, tol) for _ in range(100)]
     checked = 0
+
+    def fail(detail: str) -> SuiteResult:
+        return SuiteResult("quasipoint_axioms", False, checked, 0.0, 1.0, detail)
     for lat in lattices:
         points = lt.enumerate_quasipoints(lat)
         if len(points) != len(lat.atoms()):
-            return SuiteResult("quasipoint_axioms", False, checked, 0.0, 1.0, "count mismatch")
+            return fail("count mismatch")
         for b in points:
             checked += 1
             if not lt.is_quasipoint(lat, b.members):
-                return SuiteResult(
-                    "quasipoint_axioms", False, checked, 0.0, 1.0, "axioms failed"
-                )
+                return fail("axioms failed")
             for e in b.members:
                 if lt.extend_trunk(lat, lt.trunk(b, e)) != b:
-                    return SuiteResult(
-                        "quasipoint_axioms", False, checked, 0.0, 1.0, "trunk roundtrip failed"
-                    )
+                    return fail("trunk roundtrip failed")
         for i in range(len(lat)):
             for j in range(len(lat)):
                 lhs = lt.stone_base_set(lat, lat.meet_table[i, j])
                 rhs = lt.stone_base_set(lat, i) & lt.stone_base_set(lat, j)
                 if lhs != rhs:
-                    return SuiteResult(
-                        "quasipoint_axioms", False, checked, 0.0, 1.0, "base sets failed"
-                    )
+                    return fail("base sets failed")
     return SuiteResult("quasipoint_axioms", True, checked, 0.0, 0.0)
 
 
@@ -388,18 +379,14 @@ def suite_observable_functions(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
                 "observable_functions", False, 3, 0.0, 1.0, "two-level values wrong"
             )
     worst_spec = 0.0
-    for _ in range(200):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, 200, 5):
         a = rand_hermitian_op(rng, space, n)
         b = rand_quasipoint(rng, space, n)
         val = ob.observable_value(a, b, tol)
         spec = np.linalg.eigvalsh(a.values[b.omega.omega])
         worst_spec = max(worst_spec, float(np.min(np.abs(spec - val))))
     worst_central = 0.0
-    for _ in range(50):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 50, 4):
         g = ct.CenterElement(space, rng.normals(space.points))
         a = ma.central_operator(g, n)
         b = rand_quasipoint(rng, space, n)
@@ -446,9 +433,7 @@ def suite_germ_structure(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
         basis = [sp.germ_eval(hm.basis_vector(space, n, k), beta).value for k in range(n)]
         exact_ok = exact_ok and np.array_equal(np.stack(basis), np.eye(n, dtype=complex))
     meets_ok = True
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 100, 4):
         beta = ct.CenterQuasipoint(space, rng.integer(0, space.points - 1))
         m1 = rand_submodule(rng, space, n, rng.integer(1, 2))
         m2 = rand_submodule(rng, space, n, rng.integer(1, 2))
@@ -458,8 +443,6 @@ def suite_germ_structure(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
         lhs = sp.germ_submodule(meet, beta, tol)
         s1 = sp.germ_submodule(m1, beta, tol)
         s2 = sp.germ_submodule(m2, beta, tol)
-        from .numerics import stacked_meet
-
         proj1 = s1 @ np.conj(s1.T)
         proj2 = s2 @ np.conj(s2.T)
         rhs = stacked_meet(proj1[None], proj2[None], tol)[0]
@@ -473,12 +456,8 @@ def suite_transport_laws(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     """Conjugating a subordinate projection through a partial isometry gives
     the projection onto the transported range; abelian members of one
     quasipoint agree after a central reduction in its center filter."""
-    from .numerics import projector_onto_columns, range_basis
-
     worst = 0.0
-    for _ in range(200):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 200, 4):
         theta, e = rand_partial_isometry(rng, space, n)
         sub = np.zeros_like(e.values)
         for k in space:
@@ -531,9 +510,7 @@ def suite_star_algebra_laws(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     """Fiberwise star-algebra laws and the adjoint pairing on the module."""
     worst_star = 0.0
     worst_pair = 0.0
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, 100, 5):
         s = rand_operator(rng, space, n)
         t = rand_operator(rng, space, n)
         lhs = ma.adjoint(s @ t)
@@ -543,9 +520,7 @@ def suite_star_algebra_laws(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
         b = rand_module_element(rng, space, n)
         lhs_in = hm.inner(t.apply(a), b)
         rhs_in = hm.inner(a, ma.adjoint(t).apply(b))
-        worst_pair = max(
-            worst_pair, float(np.max(np.abs(lhs_in.values - rhs_in.values)))
-        )
+        worst_pair = max(worst_pair, max_abs(lhs_in.values - rhs_in.values))
     passed = worst_star <= 1e-12 and worst_pair <= 1e-9
     return SuiteResult(
         "star_algebra_laws", passed, 100, 1e-9, max(worst_star, worst_pair)
@@ -555,9 +530,7 @@ def suite_star_algebra_laws(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
 def suite_ket_bra_composition(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     """Composition of two ket-bra operators contracts through the inner product."""
     worst = 0.0
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 5)
+    for space, n in rand_shapes(rng, 100, 5):
         a, b, u, v = (rand_module_element(rng, space, n) for _ in range(4))
         lhs = hm.ket_bra(b, a) @ hm.ket_bra(v, u)
         rhs = hm.ket_bra(b, u) * hm.inner(a, v)
@@ -573,9 +546,7 @@ def suite_diagonal_sums(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     with the sum of scaled-generator projections."""
     ok = True
     worst = 0.0
-    for _ in range(100):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 100, 4):
         projective = rng.uniform() < 0.5
         if projective:
             coeffs = [rand_center_projection(rng, space) for _ in range(n)]
@@ -599,9 +570,7 @@ def suite_diagonal_sums(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
 def suite_zeta_surjectivity(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
     """Every center quasipoint is hit, and central membership factors through it."""
     ok = True
-    for _ in range(50):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 50, 4):
         for beta in ct.center_quasipoints(space):
             b = sp.quasipoint(space, beta.omega, np.eye(n)[0])
             ok = ok and sp.zeta(b) == beta
@@ -630,9 +599,7 @@ def suite_observable_equivariance(rng: SplitMix64, tol: Tolerance) -> SuiteResul
     """Shifting by a real multiple of the identity shifts values; conjugating
     the operator and moving the quasipoint together changes nothing."""
     worst = 0.0
-    for _ in range(200):
-        space = rand_space(rng)
-        n = rng.integer(2, 4)
+    for space, n in rand_shapes(rng, 200, 4):
         a = rand_hermitian_op(rng, space, n)
         b = rand_quasipoint(rng, space, n)
         value = ob.observable_value(a, b, tol)
@@ -668,9 +635,15 @@ ALL_SUITES = [
 
 
 def run_all(seed: int, tol: Tolerance = DEFAULT_TOL) -> list[SuiteResult]:
-    """Run every suite on streams forked from the seed; deterministic output."""
+    """Run every suite on streams forked from the seed; deterministic output.
+    A suite whose sampled input fails a library precondition at this eps
+    (a StoneworkError) fails with the exception named in its detail."""
     master = SplitMix64(seed)
     results = []
     for i, suite in enumerate(ALL_SUITES):
-        results.append(suite(master.fork(i + 1), tol))
+        try:
+            results.append(suite(master.fork(i + 1), tol))
+        except StoneworkError as exc:
+            name = suite.__name__.removeprefix("suite_")
+            results.append(SuiteResult(name, False, 0, 0.0, 1.0, f"{type(exc).__name__}: {exc}"))
     return results

@@ -511,3 +511,130 @@ def test_verify_all_schema_and_exit(tmp_path, capsys):
         assert set(s) == {"name", "passed", "samples", "tolerance", "max_residual", "detail"}
         assert s["passed"] is True
     assert payload["passed"] is True
+
+
+def test_verify_all_names_a_suite_whose_input_fails_a_precondition(capsys):
+    # at eps 0 some sampled operators are not exact projections or unitaries;
+    # each such suite fails with the exception in its detail, the rest still run
+    from stonework.verify import ALL_SUITES
+
+    code, out, _ = run_cli(["verify-all", "--seed", "0", "--eps", "0"], capsys)
+    assert code == 1
+    payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    suites = payload["results"]["suites"]
+    assert [s["name"] for s in suites] == [f.__name__.removeprefix("suite_") for f in ALL_SUITES]
+    failed = {s["name"]: s for s in suites if not s["passed"]}
+    assert set(failed) == {
+        "central_carriers", "quasipoint_axioms", "all_quasipoints_abelian",
+        "orbit_parametrization", "germ_structure", "transport_laws",
+        "stone_topology", "observable_equivariance",
+    }
+    assert failed["central_carriers"]["detail"] == (
+        "NotProjection: operator is not a fiberwise projection at eps=0.0"
+    )
+    assert failed["orbit_parametrization"]["detail"].startswith("NotUnitary: ")
+    assert all(s["samples"] == 0 and s["max_residual"] == 1.0 for s in failed.values())
+
+
+def test_run_all_lets_other_exceptions_through(monkeypatch):
+    from stonework import verify
+    from stonework.errors import NotProjection
+
+    def suite_precondition(rng, tol):
+        raise NotProjection("not a projection")
+
+    def suite_bug(rng, tol):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(verify, "ALL_SUITES", [suite_precondition])
+    [result] = verify.run_all(0)
+    assert result == verify.SuiteResult(
+        "precondition", False, 0, 0.0, 1.0, "NotProjection: not a projection"
+    )
+    monkeypatch.setattr(verify, "ALL_SUITES", [suite_precondition, suite_bug])
+    with pytest.raises(KeyError):
+        verify.run_all(0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_outside_64_bits_exit_3(tmp_path, capsys, seed, source):
+    # SplitMix64 reads its seed mod 2**64: 2**64 would replay seed 0
+    if source == "flag":
+        argv = ["verify-all", "--seed", str(seed)]
+    else:
+        argv = ["verify-all", "--config", write_config(tmp_path, {"n": 1, "m": 1, "seed": seed})]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert "0..2**64 - 1" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "largest"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_at_the_ends_of_64_bits_is_reported(tmp_path, capsys, seed, source):
+    if source == "flag":
+        argv = ["zeta", "--point", "omega=0,line=e1", "--seed", str(seed)]
+    else:
+        path = write_config(tmp_path, {"n": 1, "m": 1, "seed": seed})
+        argv = ["zeta", "--config", path, "--point", "omega=0,line=e1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["seed"] == seed
+
+
+def test_central_carrier_of_a_line_projection_is_its_support(tmp_path, capsys):
+    line = np.array([0.6, 0.8j])
+    fibers = [np.outer(line, line.conj()), np.zeros((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2))]
+    pairs = np.stack([np.real(fibers), np.imag(fibers)], axis=-1).tolist()
+    path = write_config(tmp_path, {"n": 2, "m": 4, "elements": {"E": pairs}})
+    code, out, _ = run_cli(["central-carrier", "--config", path, "--op", "E"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["carrier"] == [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    assert payload["properties"] == [{"name": "carrier_dominates", "passed": True}]
+
+
+@pytest.mark.parametrize("target", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_exit_5(tmp_path, capsys, target):
+    code, out, err = run_cli(["verify-all", "--config", str(tmp_path / target)], capsys)
+    assert code == 5 and out == ""
+    assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"]], ids=["no-arguments", "help"])
+def test_usage_exit_0(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "Exit codes" in out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("omega0", "bad quasipoint spec"),
+        ("omega=0", "needs omega= and line="),
+        ("omega=x,line=e1", "omega must be an integer"),
+        ("omega=2,line=e1", "omega 2 outside the space of 2 points"),
+        ("omega=0,line=e9", "basis line e9 outside dimension 2"),
+        ("omega=1,line=z", "vector 'z' vanishes at fiber 1"),
+    ],
+    ids=["no-equals", "no-line", "omega-not-int", "omega-outside", "basis-outside", "vanishing"],
+)
+def test_bad_point_spec_exit_3(tmp_path, capsys, spec, message):
+    path = write_config(tmp_path, {**BASE_CONFIG, "vectors": {"z": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}})
+    code, out, err = run_cli(["zeta", "--config", path, "--point", spec], capsys)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_config_root_not_object_exit_3(tmp_path, capsys):
+    path = write_config(tmp_path, [1, 2])
+    code, out, err = run_cli(["verify-all", "--config", path], capsys)
+    assert code == 3 and out == ""
+    assert "config root must be a JSON object" in err
+
+
+def test_text_format_shows_residuals():
+    from stonework.report import Report, render_text
+
+    prop = {"name": "suite", "passed": True, "max_residual": 2.5e-13, "tolerance": 1e-9}
+    text = render_text(Report(command="verify-all", eps=1e-9, seed=0, properties=[prop]))
+    assert "  [pass] suite  residual=2.500e-13 tol=1.0e-09\n" in text
