@@ -65,7 +65,7 @@ class CenterElement:
 
     def __init__(self, space: StoneSpace, values):
         arr = np.array(values, dtype=np.complex128).reshape(space.points)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("center element values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)

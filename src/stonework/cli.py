@@ -62,7 +62,7 @@ def _parse_point(cfg: AlgebraConfig, spec: str) -> sp.Quasipoint:
     else:
         vec = _named(cfg.vectors, "vector", token)
         line = vec.values[omega]
-        if float(np.linalg.norm(line)) <= 0.0:
+        if not line.any():
             raise ValidationError(f"vector {token!r} vanishes at fiber {omega}")
     return sp.quasipoint(cfg.space, omega, line)
 

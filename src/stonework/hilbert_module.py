@@ -10,6 +10,7 @@ construction for finitely generated submodules all live here.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class ModuleElement:
             raise DimensionMismatch(
                 f"expected shape ({space.points}, n), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("module element values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
@@ -193,16 +194,117 @@ def _part_search(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+#: One row of at most this many entries runs the search in Python floats
+#: (``_unitize_row``). Its norm^2 is summed left to right, which is the order
+#: numpy's ``add.reduce`` takes for fewer than 8 terms; from 8 terms on numpy
+#: sums in unrolled blocks, so longer rows stay on the numpy path.
+_ROW_MAX = 7
+
+_F64, _U64 = struct.Struct("<d"), struct.Struct("<Q")
+_MASK64 = (1 << 64) - 1
+_ULPS = (0, -1, 1, -2, 2, -3, 3, -4, 4, -5, 5, -6, 6)
+
+
+def _bits(x: float) -> int:
+    return _U64.unpack(_F64.pack(x))[0]
+
+
+def _from_bits(b: int) -> float:
+    # wraps like the int64 steps of the numpy path
+    return _F64.unpack(_U64.pack(b & _MASK64))[0]
+
+
+def _row_norm2(p: list) -> float:
+    """``_norm2`` of one row given as its floats (re, im of entry 0, then of
+    entry 1, ...). An explicit loop: ``sum`` compensates on Python 3.12+."""
+    acc = 0.0
+    for i in range(0, len(p), 2):
+        acc += p[i] * p[i] + p[i + 1] * p[i + 1]
+    return acc
+
+
+def _row_scale(p: list, d: float) -> list:
+    # numpy divides a complex array by a real one as a product with 1.0 / d
+    inv = 1.0 / d
+    return [x * inv for x in p]
+
+
+def _row_try_part(p: list, j: int):
+    """``_try_part`` on one row: the row with part j at its first hit, or None."""
+    cand = p.copy()
+    old, cand[j] = cand[j], 0.0
+    needed = 1.0 - _row_norm2(cand)
+    if needed < 0.0:
+        return None
+    root = math.copysign(math.sqrt(needed), old)
+    base, sign = _bits(root), (-1 if root < 0.0 else 1)
+    for u in _ULPS:
+        cand[j] = _from_bits(base + sign * u)
+        if _row_norm2(cand) == 1.0:
+            return cand
+    return None
+
+
+def _row_part_search(p: list) -> list:
+    """``_part_search`` on one row, in the same order."""
+    size = [abs(x) for x in p]
+    order = sorted((j for j in range(len(p)) if size[j] >= _RESOLVE_FLOOR), key=size.__getitem__)
+    for j in order:
+        hit = _row_try_part(p, j)
+        if hit is not None:
+            return hit
+    if len(order) >= 2:
+        work, up = p.copy(), (math.inf if _row_norm2(p) < 1.0 else -math.inf)
+        for _ in range(12):
+            work[order[-1]] = math.nextafter(work[order[-1]], up)
+            if _row_norm2(work) == 1.0:
+                return work
+            for j in order[:-1]:
+                hit = _row_try_part(work, j)
+                if hit is not None:
+                    return hit
+    return p
+
+
+def _unitize_row(p: list, r: float) -> list:
+    """The search of ``_unitize`` on one row with norm^2 ``r`` (finite,
+    nonzero, not 1), in Python floats; bit for bit the numpy path's result."""
+    s = math.sqrt(r)
+    best = _row_scale(p, s)
+    gap = _row_norm2(best) - 1.0
+    if gap == 0.0:
+        return best
+    up, base = gap > 0.0, _bits(s)
+    err = abs(gap)
+    for i in range(1, 8):
+        w = _row_scale(p, _from_bits(base + i if up else base - i))
+        gap = _row_norm2(w) - 1.0
+        if abs(gap) < err:
+            best, err = w, abs(gap)
+        if gap == 0.0 or (gap > 0.0) != up:
+            break
+    return best if err == 0.0 else _row_part_search(best)
+
+
 def _unitize(rows: np.ndarray) -> np.ndarray:
-    """Scale nonzero rows (the last axis) to unit length so that each computed
-    norm^2 is exactly 1.0; rows already there are left untouched.
+    """Scale nonzero complex128 rows (the last axis) to unit length so that
+    each computed norm^2 is exactly 1.0; rows already there are left untouched.
 
     Plain division by sqrt(norm^2) leaves the float sum one ulp off about half
     the time. The other rows try a ladder of divisors one ulp apart, from
     sqrt(norm^2) toward the gap, that stops at a hit, where the gap changes
     sign, or at 7 ulps; each keeps its first hit, else its smallest gap, and
     the part search closes the rows left off. The direction moves by ~1e-12.
+    A single row of at most ``_ROW_MAX`` entries with a finite nonzero norm^2
+    runs this search in Python floats, which skips numpy's per-call cost.
     """
+    if rows.ndim <= 2 and rows.size == rows.shape[-1] <= _ROW_MAX:
+        p = rows.ravel().view(np.float64).tolist()
+        r = _row_norm2(p)
+        if r == 1.0:
+            return rows
+        if 0.0 < r < math.inf:
+            return np.array(_unitize_row(p, r)).view(np.complex128).reshape(rows.shape)
     flat = rows.reshape(-1, rows.shape[-1])
     r = _norm2(flat)
     todo = (r != 1.0).nonzero()[0]

@@ -43,7 +43,7 @@ class FiberedOperator:
             raise DimensionMismatch(
                 f"expected shape ({space.points}, n, n), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)

@@ -11,6 +11,7 @@ constructively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,19 @@ class Quasipoint:
 
     def __init__(self, omega: CenterQuasipoint, line):
         vec = np.array(line, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(vec))
-        if nrm <= 0.0:
-            raise ValueError("a quasipoint line needs a nonzero vector")
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(vec))
+        if not 0.0 < nrm < math.inf:
+            # a NaN or inf entry, or a norm that under- or overflows
+            if not np.isfinite(vec).all():
+                raise ValueError("quasipoint line values must be finite")
+            parts = vec.view(np.float64)
+            big = float(np.max(np.abs(parts), initial=0.0))
+            if big == 0.0:
+                raise ValueError("a quasipoint line needs a nonzero vector")
+            # real division: 1 / big overflows for a subnormal big
+            vec = (parts / big).view(np.complex128)
+            nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > 1e-12:
             vec = vec / nrm
         vec = _unitize(vec)

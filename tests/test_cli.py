@@ -625,6 +625,14 @@ def test_bad_point_spec_exit_3(tmp_path, capsys, spec, message):
     assert message in err
 
 
+def test_point_from_tiny_vector(tmp_path, capsys):
+    """A vector whose norm underflows is still a line: only all-zero entries vanish."""
+    path = write_config(tmp_path, {**BASE_CONFIG, "vectors": {"t": [[[1e-200, 0], [0, 0]], [[0, 0], [0, 0]]]}})
+    code, out, _ = run_cli(["zeta", "--config", path, "--point", "omega=0,line=t"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["point"] == {"omega": 0, "line": [[1.0, 0.0], [0.0, 0.0]]}
+
+
 def test_config_root_not_object_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, [1, 2])
     code, out, err = run_cli(["verify-all", "--config", path], capsys)

@@ -341,6 +341,41 @@ def test_unitize_returns_unclosed_rows_unchanged():
         assert np.array_equal(np.array([reference_search_parts(r.copy()) for r in off]), off)
 
 
+def test_unitize_one_row_matches_reference():
+    """One row, 1-D or (1, n), of every length the Python-float search takes
+    and the first one past it, at mixed and extreme scales and near an axis."""
+    gen = np.random.default_rng(3)
+    joint = Counter()
+    for n in range(1, hm._ROW_MAX + 2):
+        rows = rows_with_zeros(gen, 300, n)
+        extreme = cnormal(gen, (100, n)) * 10.0 ** gen.choice([-160, -150, 150, 153], size=(100, 1))
+        for stack in (rows[np.any(rows != 0, axis=1)], near_axis_rows(gen, 600, n), extreme):
+            before = REFERENCE_BRANCHES["joint"]
+            want = [reference_unitize(r.copy()) for r in stack]
+            joint[n] += REFERENCE_BRANCHES["joint"] - before
+            for row, w in zip(stack, want):
+                assert hm._unitize(row).tobytes() == w.tobytes()
+                out = hm._unitize(row[None])
+                assert out.shape == (1, n) and out.tobytes() == w.tobytes()
+    # one-row inputs reach the joint search at every length past one entry
+    assert all(joint[n] > 0 for n in range(2, hm._ROW_MAX + 2))
+
+
+@pytest.mark.parametrize("n", range(1, hm._ROW_MAX + 1))
+def test_norm2_sums_left_to_right(n):
+    """The one-row search sums norm^2 left to right in Python floats, and is
+    exact only while numpy's ``add.reduce`` sums a row in that order too."""
+    gen = np.random.default_rng(80 + n)
+    rows = cnormal(gen, (3000, n)) * 10.0 ** gen.integers(-8, 9, size=(3000, n))
+    want = np.zeros(len(rows))
+    for k in range(n):
+        want = want + (rows[:, k].real * rows[:, k].real + rows[:, k].imag * rows[:, k].imag)
+    assert hm._norm2(rows).tobytes() == want.tobytes()
+    for row, w in zip(rows, want):
+        assert hm._norm2(row) == hm._norm2(row[None])[0] == w
+        assert hm._row_norm2(row.view(np.float64).tolist()) == w
+
+
 def test_phase_fix_matches_scalar_abs(tol):
     # numpy's vectorized complex abs rounds |z| of this entry differently from
     # the scalar abs on some CPUs, so a phase_fix built on np.abs fails here

@@ -1,5 +1,7 @@
 """Parametrized quasipoints: membership, the center map, actions, germs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,39 @@ def test_quasipoint_line_equality():
     b3 = sp.quasipoint(space, 0, [0, 1])
     assert b1 == b2
     assert b1 != b3
+
+
+@pytest.mark.parametrize(
+    "line", [[np.inf, 1], [np.nan, 1], [1, complex(0, -np.inf)]], ids=["inf", "nan", "imag-inf"]
+)
+def test_quasipoint_rejects_non_finite_line(line):
+    with pytest.raises(ValueError, match="must be finite"):
+        sp.quasipoint(ct.StoneSpace(1), 0, line)
+
+
+@pytest.mark.parametrize(
+    "line, scaled",
+    [
+        ([1e200, 1e200], [1, 1]),
+        ([2.0**1020 * (1 + 1j), -(2.0**1019)], [1 + 1j, -0.5]),
+        ([1e-200, 0], [1, 0]),
+        ([3 * 2.0**-1074 * 1j, 2.0**-1074], [1j, 1 / 3]),
+        ([5e-324, 0], [1, 0]),
+    ],
+    ids=["overflow", "overflow-complex", "underflow", "subnormal", "smallest"],
+)
+def test_quasipoint_line_with_norm_out_of_range(line, scaled):
+    """A finite nonzero line whose norm overflows or underflows gives the
+    exact unit line of its copy divided by its largest part, without a
+    floating-point warning."""
+    space = ct.StoneSpace(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = sp.quasipoint(space, 0, line)
+    assert b.line.tobytes() == sp.quasipoint(space, 0, scaled).line.tobytes()
+    assert hm._norm2(b.line) == 1.0
+    with pytest.raises(ValueError, match="nonzero"):
+        sp.quasipoint(space, 0, [0, -0.0])
 
 
 def test_maximality_witness(tol):
