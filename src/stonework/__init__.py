@@ -22,7 +22,6 @@ from .hilbert_module import (
     ModuleElement,
     Submodule,
     abelian_projection,
-    annihilator,
     basis_vector,
     decompose,
     inner,
@@ -31,7 +30,6 @@ from .hilbert_module import (
     module_projection,
     normalize,
     support,
-    support_witness,
 )
 from .lattice import (
     FiniteLattice,
@@ -50,18 +48,16 @@ from .matrix_algebra import (
     central_carrier,
     central_operator,
     diagonal_sum_projection,
-    equivalence_partial_isometry,
     fibered_join,
     fibered_meet,
     identity,
     is_abelian_projection,
     transport,
 )
-from .numerics import Tolerance, hermitian_eig, is_projection
+from .numerics import Tolerance, is_projection
 from .observables import (
     SpectralFamily,
     eigenline_quasipoints,
-    observable_image,
     observable_value,
     spectral_family,
 )
@@ -74,9 +70,7 @@ from .spectrum import (
     germ_eval,
     germ_inverse,
     germ_submodule,
-    maximality_witness,
     orbit_witness,
-    partial_isometry_act,
     qp_contains,
     quasipoint,
     unitary_act,
@@ -98,7 +92,6 @@ __all__ = [
     "ModuleElement",
     "Submodule",
     "abelian_projection",
-    "annihilator",
     "basis_vector",
     "decompose",
     "inner",
@@ -107,7 +100,6 @@ __all__ = [
     "module_projection",
     "normalize",
     "support",
-    "support_witness",
     # lattice
     "FiniteLattice",
     "Filter",
@@ -124,7 +116,6 @@ __all__ = [
     "central_carrier",
     "central_operator",
     "diagonal_sum_projection",
-    "equivalence_partial_isometry",
     "fibered_join",
     "fibered_meet",
     "identity",
@@ -132,12 +123,10 @@ __all__ = [
     "transport",
     # numerics
     "Tolerance",
-    "hermitian_eig",
     "is_projection",
     # observables
     "SpectralFamily",
     "eigenline_quasipoints",
-    "observable_image",
     "observable_value",
     "spectral_family",
     # rng
@@ -150,9 +139,7 @@ __all__ = [
     "germ_eval",
     "germ_inverse",
     "germ_submodule",
-    "maximality_witness",
     "orbit_witness",
-    "partial_isometry_act",
     "qp_contains",
     "quasipoint",
     "unitary_act",

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, NotProjection
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL
 
 
 def cmul(x, y):
@@ -144,13 +144,6 @@ def char_fn(space: StoneSpace, subset: Iterable[int]) -> CenterElement:
             raise ValueError(f"point index {k} outside space of {space.points}")
         v[k] = 1.0
     return CenterElement(space, v)
-
-
-def snap_projection(p: CenterElement, tol: Tolerance = DEFAULT_TOL) -> CenterElement:
-    """Round a within-eps projection to exact {0,1} values."""
-    if p.projection_defect() > tol.eps:
-        raise NotProjection(f"values are {p.projection_defect():.3e} away from {{0,1}}")
-    return CenterElement(p.space, np.where(np.abs(p.values) > 0.5, 1.0, 0.0))
 
 
 def center_quasipoints(space: StoneSpace) -> list[CenterQuasipoint]:

@@ -5,10 +5,6 @@ class StoneworkError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(StoneworkError):
-    pass
-
-
 class NoConvergence(StoneworkError):
     pass
 
@@ -22,10 +18,6 @@ class DimensionMismatch(StoneworkError):
 
 
 class NotNormalized(StoneworkError):
-    pass
-
-
-class ZeroModule(StoneworkError):
     pass
 
 
@@ -45,19 +37,11 @@ class NotUnitary(StoneworkError):
     pass
 
 
-class CarrierMismatch(StoneworkError):
-    pass
-
-
 class ClosureExplosion(StoneworkError):
     pass
 
 
 class NotMember(StoneworkError):
-    pass
-
-
-class AlreadyMember(StoneworkError):
     pass
 
 

@@ -3,8 +3,8 @@
 An element is one complex n-vector per point of the space (stored as an
 (m, n) array, column convention). The inner product is conjugate-linear in the
 first slot and takes values in the center. Normalization, supports, ket-bra
-operators, the rank-one-per-fiber abelian projections and the support-witness
-construction for finitely generated submodules all live here.
+operators, the rank-one-per-fiber abelian projections and the projections onto
+finitely generated submodules all live here.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center import CenterElement, StoneSpace, char_fn, cmul
-from .errors import DimensionMismatch, NotNormalized, ZeroModule
+from .center import CenterElement, StoneSpace, cmul
+from .errors import DimensionMismatch, NotNormalized
 from .numerics import DEFAULT_TOL, Tolerance, max_abs, projector_onto_columns, range_basis
 
 
@@ -75,10 +75,6 @@ class ModuleElement:
 
     def __repr__(self):
         return f"ModuleElement({self.values.tolist()!r})"
-
-
-def zero_element(space: StoneSpace, n: int) -> ModuleElement:
-    return ModuleElement(space, np.zeros((space.points, n)))
 
 
 def basis_vector(space: StoneSpace, n: int, k: int) -> ModuleElement:
@@ -409,34 +405,6 @@ class Submodule:
         for g in self.generators:
             out |= support(g, tol)
         return out
-
-
-def support_witness(m: Submodule, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
-    """A normalized element of the submodule supported on the whole support.
-
-    Folds the generators left to right through the orthogonal split: adding
-    the orthogonal remainder of the next generator can only grow the support,
-    and after the last step it equals the union of the generator supports.
-    """
-    gens = [g for g in m.generators if support(g, tol)]
-    if not gens:
-        raise ZeroModule("all generators vanish")
-    acc = gens[0]
-    for g in gens[1:]:
-        _, rest = decompose(g, acc, tol)
-        acc = acc + rest
-    return normalize(acc, tol)
-
-
-def annihilator(m: Submodule, tol: Tolerance = DEFAULT_TOL) -> CenterElement:
-    """Generator of the ideal of center elements killing the submodule.
-
-    This is the characteristic function of the complement of the support; a
-    center element annihilates the submodule exactly when it lives on that
-    complement.
-    """
-    supp = m.support(tol)
-    return char_fn(m.space, [k for k in m.space if k not in supp])
 
 
 def module_projection(m: Submodule, tol: Tolerance = DEFAULT_TOL):

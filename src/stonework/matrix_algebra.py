@@ -13,7 +13,6 @@ import numpy as np
 
 from .center import CenterElement, StoneSpace
 from .errors import (
-    CarrierMismatch,
     DimensionMismatch,
     NotAbelian,
     NotPartialIsometry,
@@ -241,27 +240,4 @@ def transport(theta: FiberedOperator, p: FiberedOperator, tol: Tolerance = DEFAU
     if not leq_projection(p, initial, tol):
         raise NotSubordinate("projection is not below the initial projection of theta")
     return FiberedOperator(theta.space, hermitize((theta @ p @ adjoint(theta)).values))
-
-
-def equivalence_partial_isometry(
-    e: FiberedOperator, f: FiberedOperator, tol: Tolerance = DEFAULT_TOL
-) -> FiberedOperator:
-    """A partial isometry with initial projection e and final projection f.
-
-    Both arguments must be abelian projections with the same central carrier;
-    the isometry maps the generating line of e onto that of f, fiber by fiber,
-    and vanishes off the common carrier.
-    """
-    e._check(f)
-    if not (is_abelian_projection(e, tol) and is_abelian_projection(f, tol)):
-        raise NotAbelian("both arguments must be abelian projections")
-    ce = central_carrier(e, tol)
-    cf = central_carrier(f, tol)
-    if not np.array_equal(ce.values, cf.values):
-        raise CarrierMismatch("central carriers differ")
-    from .hilbert_module import ket_bra
-
-    gen_e = abelian_generator(e, tol)
-    gen_f = abelian_generator(f, tol)
-    return ket_bra(gen_f, gen_e)
 

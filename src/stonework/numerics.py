@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotProjection
-
 #: Relative tolerance for clustering near-degenerate eigenvalues.
 CLUSTER_RTOL = 1e-7
 
@@ -45,26 +43,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return max_abs(h - np.conj(np.swapaxes(h, -1, -2))) <= tol.eps
-
-
-def hermitian_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Raises NotHermitian when the input fails the Hermitian check at ``tol.eps``
-    and NoConvergence when the iteration underneath gives up.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise NotHermitian(f"expected a square matrix, got shape {h.shape}")
-    if not is_hermitian(h, tol):
-        raise NotHermitian(
-            f"matrix deviates from its adjoint by {max_abs(h - np.conj(np.swapaxes(h, -1, -2))):.3e}"
-        )
-    try:
-        w, v = np.linalg.eigh(hermitize(h))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return w, v
 
 
 def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -100,14 +78,6 @@ def stacked_meet(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
 def stacked_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     eye = np.eye(p.shape[-1], dtype=np.complex128)
     return eye - null_projector(p + q, tol)
-
-
-def projection_rank(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of a projection, counted from its eigenvalues."""
-    if not is_projection(p, tol):
-        raise NotProjection(f"matrix is not a projection at eps={tol.eps}")
-    w = np.linalg.eigvalsh(hermitize(np.asarray(p, dtype=np.complex128)))
-    return int(np.count_nonzero(w > 0.5))
 
 
 def _left_singular(a: np.ndarray, tol: Tolerance):

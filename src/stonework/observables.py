@@ -45,13 +45,6 @@ class SpectralFamily:
         """Per fiber, shape (r_k, n, n)."""
         return np.split(self.flat_steps, self.first[1:])
 
-    def reconstruct(self) -> FiberedOperator:
-        """Rebuild the operator from its steps."""
-        jumps = np.diff(self.flat_steps, axis=0, prepend=0.0)
-        jumps[self.first] = self.flat_steps[self.first]  # a fiber's first step starts at zero
-        terms = self.flat_values[:, None, None] * jumps
-        return FiberedOperator(self.operator.space, np.add.reduceat(terms, self.first))
-
 
 def require_self_adjoint(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL):
     dev = max_abs(a.values - np.conj(np.swapaxes(a.values, 1, 2)))
@@ -107,13 +100,6 @@ def observable_values(
         rank = (np.abs(residual).max(axis=-1) <= tol.eps).argmax(axis=1)
         out[s : s + block] = family.flat_values[idx[np.arange(len(idx)), rank]]
     return out
-
-
-def observable_image(
-    a: FiberedOperator, omega: np.ndarray, lines: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> list[float]:
-    """Sorted observable values over a sample of quasipoints."""
-    return sorted(set(observable_values(spectral_family(a, tol), omega, lines, tol).tolist()))
 
 
 def eigenline_quasipoints(family: SpectralFamily) -> tuple:

@@ -3,10 +3,9 @@
 Every quasipoint of the algebra is abelian and is pinned down by a point of
 the base space together with a line in C^n: membership of a projection means
 its fiber at that point fixes the line. The center map reads off the point,
-unitaries and partial isometries move the line, orbits of the unitary group
-are exactly the fibers of the center map, and germs evaluate elements at the
-point. Lattice filters extend to such parametrized quasipoints
-constructively.
+unitaries move the line, orbits of the unitary group are exactly the fibers
+of the center map, and germs evaluate elements at the point. Lattice filters
+extend to such parametrized quasipoints constructively.
 """
 
 from __future__ import annotations
@@ -19,21 +18,17 @@ import numpy as np
 from .center import CenterElement, CenterQuasipoint, StoneSpace
 from .config import encode
 from .errors import (
-    AlreadyMember,
     DimensionMismatch,
     EmptyFilter,
     NotAbelian,
     NotMember,
-    NotPartialIsometry,
     NotProjection,
-    NotSubordinate,
     NotUnitary,
 )
 from .hilbert_module import ModuleElement, Submodule, _unitize
 from .lattice import FiniteLattice, Filter
 from .matrix_algebra import (
     FiberedOperator,
-    adjoint,
     is_abelian_projection,
     nonzero_fibers,
     phase_fix,
@@ -140,20 +135,6 @@ def line_projection(b: Quasipoint) -> FiberedOperator:
     return FiberedOperator(b.space, fibers)
 
 
-def maximality_witness(
-    b: Quasipoint, p: FiberedOperator, tol: Tolerance = DEFAULT_TOL
-) -> FiberedOperator:
-    """A member of b whose meet with a non-member has zero fiber at the base point.
-
-    Witnesses that no filter base can contain b together with p: the returned
-    projection fixes the line, while its range meets the range of p trivially
-    at the base point.
-    """
-    if qp_contains(b, p, tol):
-        raise AlreadyMember("projection already belongs to the quasipoint")
-    return line_projection(b)
-
-
 def zeta(b: Quasipoint) -> CenterQuasipoint:
     """The center quasipoint under b: central membership happens through it."""
     return b.omega
@@ -165,23 +146,6 @@ def unitary_act(u: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL)
     if not u.is_unitary(tol):
         raise NotUnitary("operator is not fiberwise unitary")
     return Quasipoint(b.omega, u.values[b.omega.omega] @ b.line)
-
-
-def partial_isometry_act(
-    theta: FiberedOperator, b: Quasipoint, tol: Tolerance = DEFAULT_TOL
-) -> Quasipoint:
-    """Transport the quasipoint through a partial isometry whose initial
-    projection belongs to it; agrees with the unitary action on unitaries."""
-    _check_point(b, theta)
-    initial = adjoint(theta) @ theta
-    if not initial.is_projection(tol):
-        raise NotPartialIsometry("theta* theta is not a projection")
-    if not qp_contains(b, initial, tol):
-        raise NotSubordinate(
-            "the initial projection of theta does not belong to the quasipoint"
-        )
-    moved = theta.values[b.omega.omega] @ b.line
-    return Quasipoint(b.omega, moved)
 
 
 def complete_to_unitary(x: np.ndarray) -> np.ndarray:

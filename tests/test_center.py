@@ -133,11 +133,3 @@ def test_membership_examples_and_errors():
     with pytest.raises(NotProjection):
         ct.center_membership(ct.CenterElement(space, [0.5, 1.0]), betas[0])
 
-
-def test_snap_projection(tol):
-    space = ct.StoneSpace(2)
-    fuzzy = ct.CenterElement(space, [1.0 + 1e-12, -1e-13])
-    snapped = ct.snap_projection(fuzzy, tol)
-    assert snapped.is_projection()
-    with pytest.raises(NotProjection):
-        ct.snap_projection(ct.CenterElement(space, [0.4, 1.0]), tol)

@@ -600,6 +600,30 @@ def test_unreadable_config_exit_5(tmp_path, capsys, target):
     assert "cannot read config file" in err
 
 
+class BrokenStream:
+    """A stream whose every write fails, as on a closed pipe."""
+
+    def write(self, text):
+        raise OSError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_emit_report_to_a_broken_stream_raises_ioerror():
+    from stonework.report import Report, emit_report
+
+    with pytest.raises(IOError, match="cannot write report: .*Broken pipe"):
+        emit_report(Report(command="zeta", eps=1e-9, seed=0), stream=BrokenStream())
+
+
+def test_broken_stdout_exit_5(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", BrokenStream())
+    code = main(["zeta", "--point", "omega=0,line=e1"])
+    assert code == 5
+    assert "stonework: cannot write report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [[], ["-h"]], ids=["no-arguments", "help"])
 def test_usage_exit_0(capsys, argv):
     code, out, _ = run_cli(argv, capsys)

@@ -16,6 +16,7 @@ from stonework import verify as vf
 from stonework.errors import (
     Ambiguous,
     ClosureExplosion,
+    EmptyFilter,
     NotMember,
     NotProjection,
     StoneworkError,
@@ -826,6 +827,9 @@ def test_stone_base_sets():
             assert lt.stone_base_set(lat, lat.meet_table[i, j]) == (
                 lt.stone_base_set(lat, i) & lt.stone_base_set(lat, j)
             )
+    for outside in (-1, len(lat)):
+        with pytest.raises(NotMember):
+            lt.stone_base_set(lat, outside)
 
 
 def test_isolated_points():
@@ -851,6 +855,17 @@ def test_filter_min_member():
     b = lt.enumerate_quasipoints(lat)[1]
     low = b.min_member()
     assert all(lat.leq[low, i] for i in b.members)
+    with pytest.raises(EmptyFilter):
+        lt.Filter(lat, ()).min_member()
+
+
+def test_extend_trunk_rejects_foreign_and_zero_trunks():
+    lat = boolean_lattice(2)
+    other = boolean_lattice(2)
+    with pytest.raises(NotMember, match="different lattice"):
+        lt.extend_trunk(lat, lt.Filter(other, {other.one_index}))
+    with pytest.raises(EmptyFilter, match="zero"):
+        lt.extend_trunk(lat, lt.Filter(lat, {lat.zero_index, lat.one_index}))
 
 
 def test_extrema_tables_past_256_nodes(rng):

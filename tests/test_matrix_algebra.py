@@ -7,7 +7,6 @@ from stonework import center as ct
 from stonework import hilbert_module as hm
 from stonework import matrix_algebra as ma
 from stonework.errors import (
-    CarrierMismatch,
     NotAbelian,
     NotPartialIsometry,
     NotProjection,
@@ -210,51 +209,6 @@ def test_transport_respects_meets(rng, tol):
             ma.transport(theta, p, tol), ma.transport(theta, q, tol), tol
         )
         assert lhs.allclose(rhs, 1e-8)
-
-
-def test_equivalence_partial_isometry(tol):
-    space = ct.StoneSpace(1)
-    e1 = hm.basis_vector(space, 2, 0)
-    e2 = hm.basis_vector(space, 2, 1)
-    pe1 = hm.abelian_projection(e1, tol)
-    pe2 = hm.abelian_projection(e2, tol)
-
-    same = ma.equivalence_partial_isometry(pe1, pe1, tol)
-    assert same.allclose(pe1, 1e-12)
-
-    theta = ma.equivalence_partial_isometry(pe1, pe2, tol)
-    assert theta.allclose(hm.ket_bra(e2, e1), 1e-9)
-
-
-def test_equivalence_partial_isometry_fiberwise(rng, tol):
-    for _ in range(25):
-        m = rng.integer(2, 4)
-        n = rng.integer(2, 4)
-        space = ct.StoneSpace(m)
-        mask = ct.char_fn(space, [k for k in space if rng.uniform() < 0.7])
-        a = hm.normalize(
-            hm.ModuleElement(space, rng.complex_normals(m, n)) * mask, tol
-        )
-        b = hm.normalize(
-            hm.ModuleElement(space, rng.complex_normals(m, n)) * mask, tol
-        )
-        if not hm.support(a, tol):
-            continue
-        e = hm.abelian_projection(a, tol)
-        f = hm.abelian_projection(b, tol)
-        theta = ma.equivalence_partial_isometry(e, f, tol)
-        assert (ma.adjoint(theta) @ theta).allclose(e, 1e-9)
-        assert (theta @ ma.adjoint(theta)).allclose(f, 1e-9)
-
-
-def test_equivalence_carrier_mismatch(tol):
-    space = ct.StoneSpace(2)
-    a = hm.normalize(hm.basis_vector(space, 2, 0) * ct.char_fn(space, [0]), tol)
-    b = hm.basis_vector(space, 2, 1)
-    with pytest.raises(CarrierMismatch):
-        ma.equivalence_partial_isometry(
-            hm.abelian_projection(a, tol), hm.abelian_projection(b, tol), tol
-        )
 
 
 def test_meet_of_abelian_projections_is_abelian(rng, tol):

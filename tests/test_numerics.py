@@ -1,17 +1,15 @@
-"""Projection geometry kernel: eigendecomposition, meets, joins, rank policy."""
+"""Projection geometry kernel: meets, joins, rank policy."""
 
 import numpy as np
 import pytest
 
 from stonework import center as ct
 from stonework import matrix_algebra as ma
-from stonework.errors import NotHermitian, NotProjection
+from stonework.errors import NotProjection
 from stonework.numerics import (
     Tolerance,
-    hermitian_eig,
     is_projection,
     max_abs,
-    projection_rank,
     stacked_join,
     stacked_meet,
 )
@@ -35,40 +33,6 @@ def test_tolerance_guard():
     with pytest.raises(ValueError):
         Tolerance(1e-2)
     Tolerance(0.0)
-
-
-def test_eig_identity():
-    w, v = hermitian_eig(np.eye(2, dtype=complex))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v @ np.conj(v.T), np.eye(2), atol=1e-12)
-
-
-def test_eig_diagonal():
-    w, v = hermitian_eig(np.diag([1.0, 2.0]).astype(complex))
-    assert w.tolist() == [1.0, 2.0]
-    # eigenvectors match e1, e2 up to phase
-    assert abs(abs(v[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(v[1, 1]) - 1.0) < 1e-12
-
-
-def test_eig_reconstruction_oracle(rng):
-    # 200 random Hermitian matrices, n <= 8: sum of lambda_i v_i v_i* rebuilds H
-    for _ in range(200):
-        n = rng.integer(2, 8)
-        h = rng.hermitian(n)
-        w, v = hermitian_eig(h)
-        rebuilt = (v * w) @ np.conj(v.T)
-        assert max_abs(rebuilt - h) <= 1e-9
-        assert max_abs(h @ v - v * w) <= 1e-6 * max(1.0, max_abs(h))
-        assert max_abs(np.conj(v.T) @ v - np.eye(n)) <= 1e-6
-        assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.zeros((2, 3), dtype=complex))
 
 
 def test_is_projection_examples():
@@ -111,7 +75,8 @@ def test_join_examples(rng):
         a = rng.projection(3, 1)
         b = rng.projection(3, 1)
         j = stacked_join(a, b)
-        assert projection_rank(j, Tolerance(1e-8)) == 2
+        assert is_projection(j, Tolerance(1e-8))
+        assert np.linalg.matrix_rank(j, tol=0.5) == 2
 
 
 def test_meet_is_greatest_lower_bound(rng, tol):
@@ -124,11 +89,11 @@ def test_meet_is_greatest_lower_bound(rng, tol):
         assert is_projection(r, Tolerance(1e-7))
         assert max_abs(r @ p - r) <= 1e-8
         assert max_abs(r @ q - r) <= 1e-8
-        assert joint_fixed_space_dim(p, q) == projection_rank(r, Tolerance(1e-7))
+        k = np.linalg.matrix_rank(r, tol=0.5)  # r is a projection: its eigenvalues near 0 or 1
+        assert joint_fixed_space_dim(p, q) == k
         # sub-range lower bound: compress the meet to a random subspace of it
-        k = projection_rank(r, Tolerance(1e-7))
         if k:
-            w, v = hermitian_eig(r)
+            w, v = np.linalg.eigh(r)
             sub = v[:, -1:]  # a line inside the meet
             low = sub @ np.conj(sub.T)
             assert max_abs(low @ r - low) <= 1e-8

@@ -45,6 +45,8 @@ def test_integer_bounds():
     vals = [g.integer(2, 5) for _ in range(200)]
     assert set(vals) <= {2, 3, 4, 5}
     assert len(set(vals)) == 4
+    with pytest.raises(ValueError, match="empty range"):
+        g.integer(3, 2)
 
 
 def test_unitary_and_projection_shapes(rng):

@@ -11,12 +11,10 @@ from stonework import lattice as lt
 from stonework import matrix_algebra as ma
 from stonework import spectrum as sp
 from stonework.errors import (
-    AlreadyMember,
     EmptyFilter,
     NotAbelian,
     NotMember,
     NotProjection,
-    NotSubordinate,
     NotUnitary,
 )
 from stonework.numerics import max_abs
@@ -105,31 +103,6 @@ def test_quasipoint_line_with_norm_out_of_range(line, scaled):
         sp.quasipoint(space, 0, [0, -0.0])
 
 
-def test_maximality_witness(tol):
-    space = ct.StoneSpace(2)
-    b = sp.quasipoint(space, 0, [1, 0])
-    p = diag_op(space, [0, 1], [0, 1])  # misses the line at the base point
-    q = sp.maximality_witness(b, p, tol)
-    assert sp.qp_contains(b, q, tol)
-    met = ma.fibered_meet(p, q, tol)
-    assert max_abs(met.values[0]) <= 1e-9
-    with pytest.raises(AlreadyMember):
-        sp.maximality_witness(b, ma.identity(space, 2), tol)
-
-
-def test_maximality_witness_random(rng, tol):
-    space = ct.StoneSpace(3)
-    for _ in range(50):
-        b = sp.quasipoint(space, rng.integer(0, 2), unit(rng, 3))
-        fibers = np.stack([rng.projection(3, rng.integer(0, 2)) for _ in space])
-        p = ma.FiberedOperator(space, fibers)
-        if sp.qp_contains(b, p, tol):
-            continue
-        q = sp.maximality_witness(b, p, tol)
-        assert sp.qp_contains(b, q, tol)
-        assert max_abs(ma.fibered_meet(p, q, tol).values[b.omega.omega]) <= 1e-8
-
-
 def test_zeta_examples(tol):
     space1 = ct.StoneSpace(1)
     assert sp.zeta(sp.quasipoint(space1, 0, [1, 1])).omega == 0
@@ -179,29 +152,6 @@ def test_unitary_act_membership_equivariance(rng, tol):
         assert sp.qp_contains(b, p, tol) == sp.qp_contains(moved, conj, tol)
 
 
-def test_partial_isometry_act(tol):
-    space = ct.StoneSpace(1)
-    e1 = hm.basis_vector(space, 2, 0)
-    e2 = hm.basis_vector(space, 2, 1)
-    b = sp.quasipoint(space, 0, [1, 0])
-    assert sp.partial_isometry_act(ma.identity(space, 2), b, tol) == b
-    theta = hm.ket_bra(e2, e1)
-    assert sp.partial_isometry_act(theta, b, tol) == sp.quasipoint(space, 0, [0, 1])
-    # initial projection misses the quasipoint: no action
-    b2 = sp.quasipoint(space, 0, [0, 1])
-    with pytest.raises(NotSubordinate):
-        sp.partial_isometry_act(theta, b2, tol)
-
-
-def test_partial_isometry_agrees_with_unitary(rng, tol):
-    space = ct.StoneSpace(2)
-    n = 3
-    for _ in range(20):
-        u = ma.FiberedOperator(space, rng.unitary(space.points, n))
-        b = sp.quasipoint(space, rng.integer(0, 1), unit(rng, n))
-        assert sp.partial_isometry_act(u, b, tol) == sp.unitary_act(u, b, tol)
-
-
 def test_trunk_transport(rng, tol):
     # members of the trunk below the initial projection map onto the trunk of
     # the transported quasipoint below the final projection
@@ -218,7 +168,7 @@ def test_trunk_transport(rng, tol):
         e = hm.abelian_projection(hm.normalize(a, tol), tol)
         u = ma.FiberedOperator(space, rng.unitary(space.points, n))
         theta = u @ e
-        moved = sp.partial_isometry_act(theta, b, tol)
+        moved = sp.Quasipoint(b.omega, theta.values[omega] @ b.line)
         final = theta @ ma.adjoint(theta)
         assert sp.qp_contains(moved, ma.FiberedOperator(space, final.values), tol)
         # sub-members of e are central multiples; their images follow the trunk
@@ -467,6 +417,6 @@ def test_membership_is_a_filter(rng, tol):
         if in_p:
             assert sp.qp_contains(b, joined, tol)  # upward closure to p v q
         if not in_p:
-            w = sp.maximality_witness(b, p, tol)
+            w = sp.line_projection(b)
             assert sp.qp_contains(b, w, tol)
             assert max_abs(ma.fibered_meet(p, w, tol).values[b.omega.omega]) <= 1e-7
