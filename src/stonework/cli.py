@@ -12,6 +12,7 @@ orbit, observable, germ, verify-all. Exit codes: 0 ok, 1 property failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -299,6 +300,25 @@ def run_command(cfg: AlgebraConfig, command: str, args, tol: Tolerance, seed: in
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with Python's cyclic garbage collector paused: the data
+    it builds (the config's JSON tree, numpy arrays, the report) hold no
+    reference cycles, yet a large config alone sets off hundreds of
+    collections. The caller's collector state comes back on every exit path.
+    The pause is process-wide, so main is not meant to be called from several
+    threads at once.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())

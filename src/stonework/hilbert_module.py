@@ -195,6 +195,9 @@ def _part_search(rows: np.ndarray) -> np.ndarray:
 #: numpy's ``add.reduce`` takes for fewer than 8 terms; from 8 terms on numpy
 #: sums in unrolled blocks, so longer rows stay on the numpy path.
 _ROW_MAX = 7
+#: Stacks of at most this many such rows take the Python-float search row by
+#: row; larger stacks, such as the eigenlines of many fibers, stay on numpy.
+_STACK_MAX = 4
 
 _F64, _U64 = struct.Struct("<d"), struct.Struct("<Q")
 _MASK64 = (1 << 64) - 1
@@ -291,16 +294,25 @@ def _unitize(rows: np.ndarray) -> np.ndarray:
     sqrt(norm^2) toward the gap, that stops at a hit, where the gap changes
     sign, or at 7 ulps; each keeps its first hit, else its smallest gap, and
     the part search closes the rows left off. The direction moves by ~1e-12.
-    A single row of at most ``_ROW_MAX`` entries with a finite nonzero norm^2
-    runs this search in Python floats, which skips numpy's per-call cost.
+    Up to ``_STACK_MAX`` rows of at most ``_ROW_MAX`` entries, each with a
+    finite nonzero norm^2, run this search row by row in Python floats, which
+    skips numpy's per-call cost; everything else takes ``_unitize_stack``.
     """
-    if rows.ndim <= 2 and rows.size == rows.shape[-1] <= _ROW_MAX:
-        p = rows.ravel().view(np.float64).tolist()
-        r = _row_norm2(p)
-        if r == 1.0:
-            return rows
-        if 0.0 < r < math.inf:
-            return np.array(_unitize_row(p, r)).view(np.complex128).reshape(rows.shape)
+    n = rows.shape[-1]
+    if 0 < rows.size <= _STACK_MAX * n and n <= _ROW_MAX:
+        flat = rows.ravel().view(np.float64).tolist()
+        ps = [flat[i : i + 2 * n] for i in range(0, len(flat), 2 * n)]
+        rs = [_row_norm2(p) for p in ps]
+        if all(0.0 < r < math.inf for r in rs):
+            if all(r == 1.0 for r in rs):
+                return rows
+            out = [p if r == 1.0 else _unitize_row(p, r) for p, r in zip(ps, rs)]
+            return np.array(out).view(np.complex128).reshape(rows.shape)
+    return _unitize_stack(rows)
+
+
+def _unitize_stack(rows: np.ndarray) -> np.ndarray:
+    """``_unitize`` on numpy arrays, every row at once."""
     flat = rows.reshape(-1, rows.shape[-1])
     r = _norm2(flat)
     todo = (r != 1.0).nonzero()[0]

@@ -1,10 +1,12 @@
 """CLI surface: config schema, command dispatch, report determinism, exit codes."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from stonework import cli
 from stonework.cli import main
 from stonework.config import load_config, parse_config
 from stonework.errors import ParseError, ValidationError
@@ -212,6 +214,24 @@ def test_observable_image_check_uses_both_neighbours(tmp_path, capsys, monkeypat
     monkeypatch.setattr(ob, "spectrum_values", lambda a, tol: np.array([1 + 1e-7, 3 + 1e-7]))
     code, out, _ = run_cli(argv, capsys)
     assert code == 1 and json.loads(out)["properties"][0]["passed"] is False
+
+
+@pytest.mark.parametrize("radius", [0.5, 100.0])
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_observable_image_check_boundary(tmp_path, capsys, monkeypatch, radius, inside):
+    """The image check passes when every image value lies within
+    1e-8 * max(1, spectral radius) of a spectrum value, and fails just outside."""
+    from stonework import observables as ob
+
+    diag = {"n": 2, "m": 1, "elements": {"A": [[[[0.25, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}}
+    path = write_config(tmp_path, diag)
+    shift = 1e-8 * max(1.0, radius) * (0.99 if inside else 1.01)
+    spectrum = np.array([-radius, 0.25 - shift, 0.5 + shift])
+    monkeypatch.setattr(ob, "spectrum_values", lambda a, tol: spectrum)
+    code, out, _ = run_cli(["observable", "--config", path, "--op", "A"], capsys)
+    payload = json.loads(out)
+    assert payload["results"]["image"] == [0.25, 0.5]
+    assert code == (0 if inside else 1) and payload["passed"] is inside
 
 
 def hermitian_config(gen, m, n, scale):
@@ -670,3 +690,92 @@ def test_text_format_shows_residuals():
     prop = {"name": "suite", "passed": True, "max_residual": 2.5e-13, "tolerance": 1e-9}
     text = render_text(Report(command="verify-all", eps=1e-9, seed=0, properties=[prop]))
     assert "  [pass] suite  residual=2.500e-13 tol=1.0e-09\n" in text
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector state a caller of main starts with; restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 0),
+        (["zeta", "--point", "omega=0,line=e1"], 0),
+        (["abelian-check", "--config", "{good}", "--op", "I"], 1),
+        (["normalize", "--config", "{bad}", "--vector", "a"], 2),
+        (["abelian-check", "--config", "{good}"], 3),
+        (["normalize", "--config", "{good}", "--vector", "missing"], 3),
+        (["no-such-command"], 4),
+        (["verify-all", "--config", "{missing}"], 5),
+    ],
+    ids=["usage-0", "zeta-0", "property-1", "parse-2", "flag-3", "validation-3", "unknown-4", "io-5"],
+)
+def test_main_restores_the_collector_state(tmp_path, capsys, collector, argv, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    good, missing = write_config(tmp_path, BASE_CONFIG), str(tmp_path / "no.json")
+    paths = {"good": good, "bad": str(bad), "missing": missing}
+    assert run_cli([arg.format(**paths) for arg in argv], capsys)[0] == code
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_state_when_a_handler_raises(capsys, monkeypatch, collector):
+    def bug(*args):
+        assert not gc.isenabled()
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "zeta", bug)
+    with pytest.raises(KeyError):
+        main(["zeta", "--point", "omega=0,line=e1"])
+    assert gc.isenabled() is collector
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch):
+    seen, real = [], cli._HANDLERS["zeta"]
+    monkeypatch.setitem(cli._HANDLERS, "zeta", lambda *a: seen.append(gc.isenabled()) or real(*a))
+    assert gc.isenabled()
+    code, out, _ = run_cli(["zeta", "--point", "omega=0,line=e1"], capsys)
+    assert code == 0 and json.loads(out)["results"]["omega"] == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def line_per_fiber_config(gen, m, n):
+    """Generator k is a random line projection on fiber k and zero elsewhere."""
+    u = gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    g = np.zeros((m, m, n, n), dtype=complex)
+    g[np.arange(m), np.arange(m)] = np.einsum("mi,mj->mij", u, u.conj())
+    pairs = np.stack([g.real, g.imag], axis=-1)
+    return {"n": n, "m": m, "elements": {f"G{k}": pairs[k].tolist() for k in range(m)}}
+
+
+@pytest.mark.parametrize("command", ["verify-all", "quasipoints", "observable"])
+def test_command_leaves_little_cyclic_garbage(tmp_path, capsys, command):
+    """The paused collector lets a command's reference cycles wait for the
+    next collection; every command leaves only a few dozen (argparse's parser)."""
+    if command == "verify-all":
+        argv = ["verify-all", "--seed", "0"]
+    elif command == "quasipoints":
+        path = write_config(tmp_path, line_per_fiber_config(np.random.default_rng(1), 6, 2))
+        argv = ["quasipoints", "--config", path]
+    else:
+        path = write_config(tmp_path, hermitian_config(np.random.default_rng(2), 1000, 4, 1.0))
+        argv = ["observable", "--config", path, "--op", "A"]
+    was = gc.isenabled()
+    gc.disable()  # no automatic collection between the command and the count
+    try:
+        gc.collect()
+        code = main(argv)
+        found = gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+    out = capsys.readouterr().out
+    assert code == 0
+    if command == "quasipoints":
+        assert json.loads(out)["results"]["size"] == 65
+    assert 0 < found < 200

@@ -361,6 +361,34 @@ def test_unitize_one_row_matches_reference():
     assert all(joint[n] > 0 for n in range(2, hm._ROW_MAX + 2))
 
 
+def test_unitize_small_stack_matches_the_numpy_path(monkeypatch):
+    """Stacks of 2 to ``_STACK_MAX`` rows of up to ``_ROW_MAX`` entries run
+    the Python-float search row by row, bit for bit as ``_unitize_stack``
+    (the numpy path, their oracle), with rows at norm^2 exactly 1 mixed in,
+    near an axis and at extreme scales; one entry more keeps the numpy path."""
+    gen = np.random.default_rng(5)
+    numpy_path, taken = hm._unitize_stack, Counter()
+    monkeypatch.setattr(hm, "_unitize_stack", lambda rows: taken.update([rows.shape[-1]]) or numpy_path(rows))
+    # only the joint search of the Python-float path steps with math.nextafter
+    nextafter, joint = math.nextafter, Counter()
+    monkeypatch.setattr(math, "nextafter", lambda x, y: joint.update([len(stack)]) or nextafter(x, y))
+    for k in range(2, hm._STACK_MAX + 1):
+        for n in range(1, hm._ROW_MAX + 2):
+            mixed = cnormal(gen, (100, k, n)) * 10.0 ** gen.integers(-3, 4, size=(100, k, 1))
+            at_one = numpy_path(cnormal(gen, (100 * k, n)))
+            assert np.mean(hm._norm2(at_one) == 1.0) > 0.9
+            spot = gen.random((100, k)) < 0.3
+            mixed[spot] = at_one[: spot.sum()]
+            extreme = cnormal(gen, (100, k, n)) * 10.0 ** gen.choice([-160, -150, 150, 153], size=(100, k, 1))
+            for stack in (*mixed, *near_axis_rows(gen, 100 * k, n).reshape(100, k, n), *extreme):
+                out, want = hm._unitize(stack), numpy_path(stack)
+                assert out.shape == stack.shape and out.tobytes() == want.tobytes()
+                if not (hm._norm2(stack) != 1.0).any():
+                    assert out is stack
+    assert set(taken) == {hm._ROW_MAX + 1} and taken[hm._ROW_MAX + 1] == (hm._STACK_MAX - 1) * 300
+    assert all(joint[k] > 0 for k in range(2, hm._STACK_MAX + 1))
+
+
 @pytest.mark.parametrize("n", range(1, hm._ROW_MAX + 1))
 def test_norm2_sums_left_to_right(n):
     """The one-row search sums norm^2 left to right in Python floats, and is

@@ -150,3 +150,16 @@ def test_unitary_equivariance(rng, tol):
         conj = u @ a @ ma.adjoint(u)
         lhs = ob.observable_value(conj, sp.unitary_act(u, b, tol), tol)
         assert abs(lhs - ob.observable_value(a, b, tol)) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-4])
+@pytest.mark.parametrize("above", [False, True], ids=["gap-below", "gap-above"])
+def test_cluster_rtol_boundary(eps, above):
+    """Eigenvalues less than CLUSTER_RTOL * max(1, scale) = 1e-7 apart share
+    one step of the spectral family at every eps: diag(0, g) has one step for
+    g just below 1e-7 and two for g just above."""
+    from stonework.numerics import Tolerance
+
+    g = 1e-7 * (1.0 + 1e-6 if above else 1.0 - 1e-6)
+    family = ob.spectral_family(op_from_fibers(np.diag([0.0, g])), Tolerance(eps))
+    assert family.values[0].tolist() == ([0.0, g] if above else [0.5 * g])

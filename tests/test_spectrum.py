@@ -420,3 +420,27 @@ def test_membership_is_a_filter(rng, tol):
             w = sp.line_projection(b)
             assert sp.qp_contains(b, w, tol)
             assert max_abs(ma.fibered_meet(p, w, tol).values[b.omega.omega]) <= 1e-7
+
+
+@pytest.mark.parametrize("gap, same", [(0.5e-10, True), (2e-10, False)], ids=["inside", "outside"])
+def test_same_line_boundary(gap, same):
+    """Two unit lines are the same when their overlap is at least 1 - LINE_EQ_TOL."""
+    space = ct.StoneSpace(1)
+    c = 1.0 - gap
+    b, b2 = sp.quasipoint(space, 0, [1.0, 0.0]), sp.quasipoint(space, 0, [c, np.sqrt(1.0 - c * c)])
+    assert abs(abs(np.vdot(b.line, b2.line)) - c) < 1e-15
+    assert b.same_line(b2) == same and (b == b2) == same
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above-floor", "below-floor"])
+def test_complete_to_unitary_norm_floor(above):
+    """A basis vector seeds the next column only when its residual against
+    the columns so far has norm above 1e-7. For x = (c, s, 0) the residual of
+    e1 has norm about s: above the floor e1 seeds about (s, -1, 0), below it
+    e1 is skipped and e2 seeds about (-s, 1, 0)."""
+    s = 1e-7 * (1.0 + 1e-3 if above else 1.0 - 1e-3)
+    x = np.array([np.sqrt(1.0 - s * s), s, 0.0], dtype=complex)
+    u = sp.complete_to_unitary(x)
+    assert max_abs(u.conj().T @ u - np.eye(3)) < 1e-12
+    assert np.array_equal(u[:, 0], x) and np.array_equal(u[:, 2], [0, 0, 1])
+    assert u[1, 1].real == pytest.approx(-1.0 if above else 1.0)
