@@ -23,7 +23,6 @@ from .hilbert_module import (
     Submodule,
     abelian_projection,
     basis_vector,
-    decompose,
     inner,
     ket_bra,
     module_norm,
@@ -43,7 +42,6 @@ from .lattice import (
 )
 from .matrix_algebra import (
     FiberedOperator,
-    abelian_generator,
     adjoint,
     central_carrier,
     central_operator,
@@ -93,7 +91,6 @@ __all__ = [
     "Submodule",
     "abelian_projection",
     "basis_vector",
-    "decompose",
     "inner",
     "ket_bra",
     "module_norm",
@@ -111,7 +108,6 @@ __all__ = [
     "trunk",
     # matrix_algebra
     "FiberedOperator",
-    "abelian_generator",
     "adjoint",
     "central_carrier",
     "central_operator",

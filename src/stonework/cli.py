@@ -307,12 +307,15 @@ def main(argv=None) -> int:
     reference cycles, yet a large config alone sets off hundreds of
     collections. The caller's collector state comes back on every exit path.
     The pause is process-wide, so main is not meant to be called from several
-    threads at once.
+    threads at once. Floating-point overflow and invalid operations raise no
+    numpy warnings: every verdict comes from an explicit ``isfinite`` check or
+    an ``<= eps`` comparison, which NaN fails.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(argv)
     finally:
         if enabled:
             gc.enable()

@@ -377,20 +377,6 @@ def abelian_projection(a: ModuleElement, tol: Tolerance = DEFAULT_TOL):
     return ket_bra(a, a)
 
 
-def decompose(b: ModuleElement, a: ModuleElement, tol: Tolerance = DEFAULT_TOL):
-    """Split b = a*alpha + rest with rest orthogonal to the line through a."""
-    b._check(a)
-    a_hat = normalize(a, tol)
-    gram = inner(a, a).values.real
-    supp = sorted(support(a, tol))
-    coeff = np.zeros(a.space.points, dtype=np.complex128)
-    proj_coeff = inner(a_hat, b).values
-    coeff[supp] = proj_coeff[supp] / np.sqrt(gram[supp])
-    alpha = CenterElement(a.space, coeff)
-    rest = b - a_hat * CenterElement(a.space, proj_coeff)
-    return alpha, rest
-
-
 @dataclass(frozen=True)
 class Submodule:
     """A finitely generated submodule, kept as its tuple of generators."""

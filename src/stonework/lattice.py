@@ -2,10 +2,13 @@
 
 A FiniteLattice is an explicit list of projections closed under meet and join,
 always containing the zero and identity operators, with the order relation and
-the meet/join tables precomputed. Quasipoints (maximal filter bases) of such a
-lattice are exactly the up-sets of its atoms, which turns the maximality
-clause of the filter-base definition into an exhaustively checkable statement:
-adding any non-member to an up-set of an atom forces a zero meet.
+the meet table precomputed. Filter bases are defined through meets alone, so
+no join table is kept: a finite family with a top in which every pair has a
+meet is a lattice, and the join of i and j is the meet of their common upper
+bounds. Quasipoints (maximal filter bases) of such a lattice are exactly the
+up-sets of its atoms, which turns the maximality clause of the filter-base
+definition into an exhaustively checkable statement: adding any non-member to
+an up-set of an atom forces a zero meet.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ _CHUNK = 1 << 20
 #: Up to this many compared entries (candidates x nodes x entries per node)
 #: _near compares every pair, which costs less than building its key window.
 _DENSE = 1 << 13
-#: Bytes the order and meet/join tables of a closure may take: two intp tables
-#: and one of bools, 17 k^2 bytes for k nodes on 64 bits (285 MB at k = 4096).
+#: Bytes the order and meet tables of a closure may take: one intp table and
+#: one of bools, 9 k^2 bytes for k nodes on 64 bits (151 MB at k = 4096).
 _TABLE_BUDGET = 1 << 29
 
 
@@ -59,7 +62,6 @@ class FiniteLattice:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
         self.meet_table = _extrema_table(self.leq)
-        self.join_table = _extrema_table(self.leq.T)
         # atoms: nonzero nodes with nothing but zero and themselves below them
         below = self.leq & ~np.eye(k, dtype=bool)
         below[self.zero_index] = False
@@ -192,7 +194,7 @@ def _below(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _extrema_table(leq: np.ndarray) -> np.ndarray:
-    """meet_table when fed the order, join_table when fed its transpose.
+    """The meet table of the order ``leq``, and the lattice check.
 
     The common lower bounds of i and j are exactly the nodes below their meet,
     so entry (i, j) is the node whose down-set (column of ``leq``) equals the
@@ -200,6 +202,9 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     bit rows and sorted once; each block of rows is intersected with every row
     and looked up with one binary search. An intersection that is no node's
     down-set, or two nodes with one down-set, mean the family is not a lattice.
+    When every pair has a meet and there is a top, every pair has a join too
+    (the meet of its common upper bounds), so the transpose needs no pass of
+    its own. Transitivity of ``leq`` is assumed, not checked.
     """
     k = len(leq)
     down = np.packbits(np.ascontiguousarray(leq.T), axis=1)  # row c: the nodes below c
@@ -372,7 +377,7 @@ def meet_closure(
 ) -> FiniteLattice:
     """Smallest family containing the generators, zero and one, closed under
     meet and join. Raises ClosureExplosion past ``cap``, or once the order and
-    meet/join tables of the nodes would outgrow _TABLE_BUDGET bytes.
+    meet tables of the nodes would outgrow _TABLE_BUDGET bytes.
 
     Nodes are numbered in discovery order: zero, one, the generators, then for
     each node i and each earlier node j in ascending order, meet(i, j) followed
@@ -394,7 +399,7 @@ def meet_closure(
 
     elems: list[FiberedOperator] = []
     stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
-    pair_bytes = 2 * np.dtype(np.intp).itemsize + 1  # one entry of each k x k table
+    pair_bytes = np.dtype(np.intp).itemsize + 1  # one entry of each k x k table
 
     def add(op: FiberedOperator):
         nonlocal stack

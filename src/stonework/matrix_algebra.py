@@ -14,12 +14,11 @@ import numpy as np
 from .center import CenterElement, StoneSpace
 from .errors import (
     DimensionMismatch,
-    NotAbelian,
     NotPartialIsometry,
     NotProjection,
     NotSubordinate,
 )
-from .hilbert_module import ModuleElement, _unitize
+from .hilbert_module import ModuleElement
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -185,22 +184,6 @@ def phase_fix(v: np.ndarray, eps: float = DEFAULT_TOL.eps) -> np.ndarray:
     r = np.take_along_axis(mod, first, axis=-1)
     found = r > eps
     return np.where(found, v * (np.conj(x) / np.where(found, r, 1.0)), v)
-
-
-def abelian_generator(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> ModuleElement:
-    """A module element generating the range of an abelian projection.
-
-    Per nonzero fiber this is the top eigenvector, phase-fixed so the first
-    component of modulus > eps is real positive, and adjusted to exact unit
-    norm; the self inner product then equals the central carrier exactly.
-    """
-    if not is_abelian_projection(p, tol):
-        raise NotAbelian("operator is not an abelian projection")
-    live = nonzero_fibers(p, tol)
-    out = np.zeros((p.space.points, p.n), dtype=np.complex128)
-    _, vecs = np.linalg.eigh(hermitize(p.values[live]))
-    out[live] = _unitize(phase_fix(vecs[..., -1], tol.eps))
-    return ModuleElement(p.space, out)
 
 
 def diagonal_sum_projection(coeffs: list[CenterElement]) -> FiberedOperator:

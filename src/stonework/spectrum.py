@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center import CenterElement, CenterQuasipoint, StoneSpace
+from .center import CenterElement, CenterQuasipoint, StoneSpace, gelfand_eval
 from .config import encode
 from .errors import (
     DimensionMismatch,
@@ -210,12 +210,6 @@ def germ_eval(a: ModuleElement, beta: CenterQuasipoint) -> GermVector:
     return GermVector(beta, value)
 
 
-def germ_scalar(alpha: CenterElement, beta: CenterQuasipoint) -> complex:
-    if alpha.space != beta.space:
-        raise DimensionMismatch("element and quasipoint live over different spaces")
-    return alpha(beta.omega)
-
-
 def germ_inverse(
     alpha: CenterElement, beta: CenterQuasipoint, tol: Tolerance = DEFAULT_TOL
 ) -> CenterElement:
@@ -224,7 +218,7 @@ def germ_inverse(
     Defined as the reciprocal on the neighbourhood where alpha stays away from
     zero and zero elsewhere; the product's germ at beta equals one.
     """
-    z = germ_scalar(alpha, beta)
+    z = gelfand_eval(alpha, beta)
     if abs(z) <= tol.eps:
         raise ZeroDivisionError("the germ vanishes at beta; no inverse germ")
     thr = tol.eps * max(1.0, alpha.sup_norm())
@@ -289,11 +283,6 @@ def common_central_reduction(
             "membership holds only marginally at the base point; fibers differ beyond eps"
         )
     return CenterElement(ea.space, flags)
-
-
-def abelian_member(b: Quasipoint) -> FiberedOperator:
-    """An abelian projection contained in the quasipoint (its line projection)."""
-    return line_projection(b)
 
 
 def quasipoint_to_dict(b: Quasipoint) -> dict:

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -324,7 +326,7 @@ def test_quasipoints_command(tmp_path, capsys):
 
 def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
     # the central projections of 4 points close to 16 nodes; a table budget
-    # of 100 bytes holds the tables of 2 nodes (17 bytes per node pair)
+    # of 50 bytes holds the tables of 2 nodes (9 bytes per node pair)
     from stonework import lattice
 
     units = np.eye(4).reshape(4, 4, 1, 1, 1) * [1, 0]
@@ -332,10 +334,10 @@ def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, {"n": 1, "m": 4, "elements": elements})
     code, out, _ = run_cli(["quasipoints", "--config", path], capsys)
     assert code == 0 and json.loads(out)["results"]["size"] == 16
-    monkeypatch.setattr(lattice, "_TABLE_BUDGET", 100)
+    monkeypatch.setattr(lattice, "_TABLE_BUDGET", 50)
     code, out, err = run_cli(["quasipoints", "--config", path], capsys)
     assert code == 3 and out == ""
-    assert "closure reached 3 nodes" in err and "table budget of 100 bytes" in err
+    assert "closure reached 3 nodes" in err and "table budget of 50 bytes" in err
 
 
 def test_config_past_operator_budget_exit_3(tmp_path, capsys):
@@ -450,6 +452,30 @@ def test_observable_eigenvalue_overflow_exit_3(tmp_path, capsys, rows):
     code, out, err = run_cli(["observable", "--config", path, "--op", "A"], capsys)
     assert code == 3 and out == ""
     assert "eigenvalues are not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["observable", "--op", "A"], 3, "operator eigenvalues are not finite in float64"),
+        (["observable", "--op", "A", "--point", "omega=0,line=e1"], 3,
+         "operator eigenvalues are not finite in float64"),
+        (["abelian-check", "--op", "A"], 1, None),
+        (["central-carrier", "--op", "A"], 3,
+         "operator is not a fiberwise projection at eps=1e-09"),
+        (["quasipoints"], 3, "no projection generators available for the lattice"),
+    ],
+    ids=["observable", "observable-point", "abelian-check", "central-carrier", "quasipoints"],
+)
+def test_huge_finite_config_prints_no_numpy_warning(tmp_path, argv, code, err):
+    # the entries are finite, but hermitize and p @ p overflow to inf and NaN;
+    # stderr holds the command's own message and nothing else
+    op = [[[[x, 0] for x in row] for row in [[1e308, 1e308], [1e308, -1e308]]]]
+    path = write_config(tmp_path, {"n": 2, "m": 1, "elements": {"A": op}})
+    cmd = [sys.executable, "-m", "stonework.cli", argv[0], "--config", path, *argv[1:]]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    assert run.returncode == code
+    assert run.stderr == ("" if err is None else f"stonework: {err}\n")
 
 
 @pytest.mark.parametrize(

@@ -183,37 +183,6 @@ def test_gram_projection_converse(rng, tol):
         assert not hm.ket_bra(a, a).is_projection(tol)
 
 
-def test_decompose_examples(tol):
-    space = ct.StoneSpace(1)
-    e1 = hm.basis_vector(space, 2, 0)
-    e2 = hm.basis_vector(space, 2, 1)
-    b = hm.ModuleElement(space, [[1, 1]])
-    alpha, rest = hm.decompose(b, e1, tol)
-    assert np.array_equal(alpha.values, np.array([1.0], dtype=complex))
-    assert max_abs(rest.values - e2.values) <= 1e-12
-
-    alpha2, rest2 = hm.decompose(e1, e1, tol)
-    assert max_abs((e1 * alpha2).values - e1.values) <= 1e-12
-    assert max_abs(rest2.values) <= 1e-12
-
-    alpha3, rest3 = hm.decompose(e2, e1, tol)
-    assert max_abs(alpha3.values) <= 1e-12
-    assert np.array_equal(rest3.values, e2.values)
-
-
-def test_decompose_properties(rng, tol):
-    for _ in range(100):
-        m = rng.integer(1, 4)
-        n = rng.integer(2, 5)
-        space = ct.StoneSpace(m)
-        a = hm.ModuleElement(space, rng.complex_normals(m, n))
-        b = hm.ModuleElement(space, rng.complex_normals(m, n))
-        alpha, rest = hm.decompose(b, a, tol)
-        recon = (a * alpha) + rest
-        assert max_abs(recon.values - b.values) <= 1e-6
-        assert hm.inner(rest, a).sup_norm() <= 1e-8
-
-
 def test_abelian_projection_invariants(rng, tol):
     for _ in range(200):
         m = rng.integer(1, 4)

@@ -90,18 +90,30 @@ def reference_near(cands, nodes, eps):
     return out
 
 
-def reference_extrema_table(leq):
-    """Oracle: the meet table of an order (the join table of its transpose) as
-    the unique maximum of the common lower bounds, for all pairs at once.
-    cands[c, i, j] says c <= i and c <= j; candidate c is the maximum when
-    no candidate d fails d <= c, which one uint32 tensordot counts."""
+def reference_maxima(leq):
+    """Oracle: is_max[c, i, j] says c is a maximum of the common lower bounds
+    of i and j, for all pairs at once. cands[c, i, j] says c <= i and c <= j;
+    candidate c is a maximum when no candidate d fails d <= c, which one
+    uint32 tensordot counts."""
     k = leq.shape[0]
     cands = leq[:, :, None] & leq[:, None, :]
     not_leq = (~leq).astype(np.uint32)
     counts = np.tensordot(not_leq, cands.astype(np.uint32).reshape(k, -1), axes=([0], [0]))
-    is_max = cands & ~(counts.reshape(k, k, k) > 0)
+    return cands & ~(counts.reshape(k, k, k) > 0)
+
+
+def reference_extrema_table(leq):
+    """Oracle: the meet table of an order (the join table of its transpose) as
+    the unique maximum of the common lower bounds."""
+    is_max = reference_maxima(leq)
     assert np.all(is_max.sum(axis=0) == 1)
     return np.argmax(is_max, axis=0)
+
+
+def reference_is_lattice(leq):
+    """Oracle: every pair has a unique meet and a unique join, the check of
+    one extrema pass over the order and one over its transpose."""
+    return all((reference_maxima(r).sum(axis=0) == 1).all() for r in (leq, leq.T))
 
 
 def reference_leq(stack, eps):
@@ -313,15 +325,65 @@ def test_meet_closure_matches_per_pair_scan(rng, monkeypatch, name, size):
     ["boolean", "two_lines", "line_per_fiber", "noncommuting_n3"]
     + [pytest.param(a, id=f"boolean_{2 ** a}_nodes") for a in range(1, 7)],
 )
-def test_extrema_tables_match_reference(rng, name):
-    # the closure-oracle families, then the Boolean lattices with 2..64 nodes
+def test_extrema_tables_match_reference(rng, monkeypatch, name):
+    # the closure-oracle families, then the Boolean lattices with 2..64 nodes;
+    # each lattice runs one extrema pass, over the order
     if isinstance(name, int):
         lat = boolean_lattice(name)
     else:
         lat = lt.meet_closure(closure_families(rng)[name], cap=256)
+    passes = []
+    real = lt._extrema_table
+    monkeypatch.setattr(lt, "_extrema_table", lambda leq: passes.append(leq) or real(leq))
+    lat = lt.FiniteLattice(lat.elements)
+    assert len(passes) == 1 and passes[0] is lat.leq
+    assert np.array_equal(lat.leq, reference_leq(lat._stack, lat.tol.eps))
     assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
-    assert np.array_equal(lat.join_table, reference_extrema_table(lat.leq.T))
     assert lat.atoms() == reference_atoms(lat)
+    assert (lat.zero_index, lat.one_index) == (0, 1)
+
+
+def check_lattice_verdict(nodes):
+    """FiniteLattice raises exactly when the order of ``nodes`` fails the
+    meet pass or the join pass of the oracle; True when it is a lattice."""
+    space = ct.StoneSpace(nodes.shape[1])
+    ops = [ma.FiberedOperator(space, v) for v in nodes]
+    leq = reference_leq(nodes, DEFAULT_TOL.eps)
+    if reference_is_lattice(leq):
+        assert np.array_equal(lt.FiniteLattice(ops).meet_table, reference_extrema_table(leq))
+        return True
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt.FiniteLattice(ops)
+    return False
+
+
+@pytest.mark.parametrize("atoms", [4, 5, 6])
+def test_meet_pass_rejects_what_both_passes_reject_on_sub_families(atoms):
+    # sub-families of the Boolean lattice with 16..64 nodes that keep zero
+    # and one: a family with a top whose pairs all have meets is a lattice
+    lat = boolean_lattice(atoms)
+    gen = np.random.default_rng(atoms)
+    verdicts = []
+    for _ in range(150):
+        keep = gen.random(len(lat)) < gen.uniform(0.1, 0.9)
+        keep[[lat.zero_index, lat.one_index]] = True
+        verdicts.append(check_lattice_verdict(lat._stack[keep]))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_meet_pass_rejects_what_both_passes_reject_on_random_posets():
+    # a random poset on 1..9 points plus a bottom and a top, each point x
+    # the central projection onto its down-set, whose order is inclusion
+    gen = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(300):
+        k = int(gen.integers(1, 10))
+        rel = np.triu(gen.random((k, k)) < gen.uniform(0.1, 0.6), 1) | np.eye(k, dtype=bool)
+        for mid in range(k):  # Warshall's transitive closure
+            rel |= rel[:, mid, None] & rel[mid]
+        downs = np.concatenate([np.zeros((1, k), bool), np.ones((1, k), bool), rel.T])
+        verdicts.append(check_lattice_verdict(downs.astype(complex).reshape(k + 2, k, 1, 1)))
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_tables_reject_non_lattice_family():
@@ -365,7 +427,7 @@ def test_nodes_match_within_tol_eps():
     lat = lt.meet_closure([p, q], cap=64, tol=Tolerance(1e-6))
     assert len(lat) == 4
     assert (lat.index_of(p), lat.index_of(q)) == (2, 3)
-    assert lat.meet_table[2, 3] == 2 and lat.join_table[2, 3] == 3
+    assert lat.meet_table[2, 3] == 2 and lat.leq[2, 3]  # so their join is q
 
 
 @pytest.fixture
@@ -693,7 +755,7 @@ def test_order_tests_each_distinct_fiber_pair_once(rng, monkeypatch):
 
 
 def test_meet_closure_fails_fast_past_table_budget(monkeypatch):
-    per_pair = 2 * np.dtype(np.intp).itemsize + 1  # two intp tables and the order
+    per_pair = np.dtype(np.intp).itemsize + 1  # the meet table and the order
     assert math.isqrt(lt._TABLE_BUDGET // per_pair) >= 4096  # the default cap fits
     gens = [ma.central_operator(ct.char_fn(ct.StoneSpace(4), [k]), 1) for k in range(4)]
     monkeypatch.setattr(lt, "_TABLE_BUDGET", per_pair * 16 ** 2)
@@ -872,7 +934,7 @@ def test_extrema_tables_past_256_nodes(rng):
     # the 2^8 sums of one line per fiber plus the identity: 257 nodes, so a
     # packed down-set ends in a partly filled byte. Node s (< 256) is the
     # sum over the fibers in bitmask s; the identity gets a ninth bit of its
-    # own, so meets and joins are bitmask intersections and unions.
+    # own, so the order is bitmask inclusion and meets are intersections.
     m = 8
     space = ct.StoneSpace(m)
     lines = np.stack([rng.projection(2, 1) for _ in range(m)])
@@ -886,7 +948,7 @@ def test_extrema_tables_past_256_nodes(rng):
     lat = lt.FiniteLattice(nodes)
     assert len(lat) == 257
     assert np.array_equal(masks[lat.meet_table], masks[:, None] & masks[None, :])
-    assert np.array_equal(masks[lat.join_table], masks[:, None] | masks[None, :])
+    assert np.array_equal(lat.leq, (masks[:, None] & ~masks[None, :]) == 0)
 
 
 def filter_layer_lattices(rng):

@@ -7,7 +7,6 @@ from stonework import center as ct
 from stonework import hilbert_module as hm
 from stonework import matrix_algebra as ma
 from stonework.errors import (
-    NotAbelian,
     NotPartialIsometry,
     NotProjection,
     NotSubordinate,
@@ -87,35 +86,6 @@ def test_is_abelian_projection_examples(rng, tol):
     fibers[1] = np.eye(2)
     mixed = ma.FiberedOperator(space2, fibers)
     assert not ma.is_abelian_projection(mixed, tol)
-
-
-def test_abelian_generator_examples(tol):
-    space = ct.StoneSpace(1)
-    p = ma.FiberedOperator(space, [np.diag([1.0, 0.0]).astype(complex)])
-    g = ma.abelian_generator(p, tol)
-    assert max_abs(g.values[0] - np.array([1.0, 0.0])) <= 1e-12
-
-    half = ma.FiberedOperator(space, [np.full((2, 2), 0.5, dtype=complex)])
-    g2 = ma.abelian_generator(half, tol)
-    expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert max_abs(g2.values[0] - expected) <= 1e-9
-    # phase convention: first sizeable component is real positive
-    assert g2.values[0, 0].imag == 0.0 and g2.values[0, 0].real > 0
-
-
-def test_abelian_generator_round_trip(rng, tol):
-    for _ in range(50):
-        m = rng.integer(1, 4)
-        n = rng.integer(2, 5)
-        space = ct.StoneSpace(m)
-        a = hm.normalize(hm.ModuleElement(space, rng.complex_normals(m, n)), tol)
-        e = hm.abelian_projection(a, tol)
-        g = ma.abelian_generator(e, tol)
-        rebuilt = hm.abelian_projection(g, tol)
-        assert rebuilt.allclose(e, 1e-9)
-        assert np.array_equal(hm.inner(g, g).values, ma.central_carrier(e, tol).values)
-    with pytest.raises(NotAbelian):
-        ma.abelian_generator(ma.identity(ct.StoneSpace(1), 2), tol)
 
 
 def test_diagonal_sum_examples(tol):

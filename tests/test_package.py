@@ -8,21 +8,23 @@ import stonework
 
 SRC = pathlib.Path(stonework.__file__).parent
 
-#: Exported names that no module of the package calls. The list may only
-#: shrink: a name here that gains a caller fails the test below too.
-UNCALLED_EXPORTS = {
+#: Functions, classes and methods defined in the package that no module of
+#: the package reads, as module.name or module.Class.method. The list may only
+#: shrink: a name here that gains a caller fails the tests below too.
+UNCALLED = {
     # test_lattice.reference_closure checks the joins of meet_closure, which
     # go through numerics.stacked_join, against it
-    "fibered_join",
+    "matrix_algebra.fibered_join",
     # the unit of the algebra: tests in five files build operators from it
-    "identity",
-    # the orthogonal split b = a*alpha + rest of the module; test_fiber_oracles
-    # checks its coefficients bit for bit against a per-fiber reference
-    "decompose",
-    # the generating line of an abelian projection, one of the batched
-    # per-fiber operations the README lists; test_fiber_oracles checks it
-    # bit for bit against a per-fiber reference
-    "abelian_generator",
+    "matrix_algebra.identity",
+    # the center element of one coordinate: test_hilbert_module and
+    # test_fiber_oracles read module elements coordinate by coordinate
+    "hilbert_module.ModuleElement.component",
+    # the per-fiber steps of a spectral family: the loop oracles of
+    # test_observables and test_fiber_oracles walk them fiber by fiber
+    "observables.SpectralFamily.cumulative",
+    # the node index of an operator: tests in three files look nodes up
+    "lattice.FiniteLattice.index_of",
 }
 
 
@@ -64,13 +66,39 @@ def test_all_names_resolve_and_are_not_modules():
         assert not isinstance(getattr(stonework, name), types.ModuleType), name
 
 
-def test_every_export_has_a_caller_in_the_package():
-    called = set().union(
+def _called():
+    return set().union(
         *(_references(tree) for stem, tree in _modules().items() if stem != "__init__")
     )
-    uncalled = set(stonework.__all__) - called
-    assert sorted(uncalled - UNCALLED_EXPORTS) == []
-    assert sorted(UNCALLED_EXPORTS - uncalled) == []
+
+
+def _definitions(stem, tree):
+    """module.name of each top-level function and class, and module.Class.name
+    of each method other than a dunder."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{stem}.{stmt.name}", stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{stem}.{stmt.name}.{item.name}", item.name
+
+
+def test_every_export_has_a_caller_in_the_package():
+    uncalled = set(stonework.__all__) - _called()
+    assert sorted(uncalled) == sorted(q.split(".")[1] for q in UNCALLED if q.count(".") == 1)
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    called = _called()
+    uncalled = {
+        qualified
+        for stem, tree in _modules().items()
+        for qualified, name in _definitions(stem, tree)
+        if name not in called
+    }
+    assert sorted(uncalled - UNCALLED) == []
+    assert sorted(UNCALLED - uncalled) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -27,7 +27,7 @@ FAULTS = [
      lambda original: lambda lat, trunk: None, "trunk roundtrip failed"),
     (vf.suite_quasipoint_axioms, lt, "stone_base_set",
      lambda original: lambda lat, i: frozenset({i}), "base sets failed"),
-    (vf.suite_all_quasipoints_abelian, sp, "abelian_member",
+    (vf.suite_all_quasipoints_abelian, sp, "line_projection",
      lambda original: lambda b: ma.identity(b.space, b.n), "no abelian member"),
     (vf.suite_orbit_parametrization, sp, "orbit_witness",
      lambda original: lambda b, b2, tol: None, "witness existence disagrees with the center map"),
