@@ -135,7 +135,7 @@ def _cmd_quasipoints(cfg, args, tol, seed):
     results = {
         "generators": names,
         "size": len(lat),
-        "elements": [encode(e.values) for e in lat.elements],
+        "elements": encode(lat.nodes),
         "leq": lat.leq.tolist(),
         "atoms": atoms,
         "quasipoints": [
@@ -170,10 +170,9 @@ def _cmd_orbit(cfg, args, tol, seed):
     if u is None:
         return results, [{"name": "orbit_separation", "passed": True}]
     moved = sp.unitary_act(u, b, tol)
-    agree = abs(np.vdot(moved.line, b2.line)) >= 1.0 - sp.LINE_EQ_TOL
     props = [
         {"name": "unitary_witness", "passed": bool(u.is_unitary(tol))},
-        {"name": "moves_line", "passed": bool(agree)},
+        {"name": "moves_line", "passed": bool(moved.same_line(b2))},
     ]
     return results, props
 

@@ -1,6 +1,6 @@
 """Finite meet-closed families of fibered projections and their filter machinery.
 
-A FiniteLattice is an explicit list of projections closed under meet and join,
+A FiniteLattice is an explicit array of projections closed under meet and join,
 always containing the zero and identity operators, with the order relation and
 the meet table precomputed. Filter bases are defined through meets alone, so
 no join table is kept: a finite family with a top in which every pair has a
@@ -18,15 +18,17 @@ import math
 
 import numpy as np
 
+from .center import StoneSpace
 from .errors import (
     Ambiguous,
     ClosureExplosion,
+    DimensionMismatch,
     EmptyFilter,
     NotMember,
     NotProjection,
     StoneworkError,
 )
-from .matrix_algebra import FiberedOperator, require_projection
+from .matrix_algebra import FiberedOperator
 from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_join, stacked_meet
 
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
@@ -42,48 +44,44 @@ _TABLE_BUDGET = 1 << 29
 
 
 class FiniteLattice:
-    """Explicit finite projection lattice with precomputed order and tables."""
+    """Explicit finite projection lattice with precomputed order and tables.
 
-    def __init__(self, elements: list[FiberedOperator], tol: Tolerance = DEFAULT_TOL):
-        self.elements = list(elements)
-        self.tol = tol
-        self._build_tables()
+    ``nodes`` holds the values of its k nodes as one read-only (k, m, n, n)
+    array, node i at ``nodes[i]``.
+    """
 
-    # -- construction ---------------------------------------------------
-
-    def _build_tables(self):
-        stack = np.stack([e.values for e in self.elements])  # (k, m, n, n)
-        _require_fibers(stack.shape[-1])
-        k = len(stack)
-        self._stack = stack
-        self.leq = _order(stack, self.tol.eps)
-        zero, one = _near(_bounds(stack.shape[1:]), stack, self.tol.eps)
+    def __init__(self, nodes: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+        nodes = np.array(nodes, dtype=np.complex128)
+        if nodes.ndim != 4 or nodes.shape[2] != nodes.shape[3]:
+            raise DimensionMismatch(f"expected nodes of shape (k, m, n, n), got {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise ValueError("node entries must be finite")
+        _require_fibers(nodes.shape[-1])
+        nodes.setflags(write=False)
+        self.nodes, self.tol = nodes, tol
+        self.space = StoneSpace(nodes.shape[1])
+        zero, one = _near(_bounds(nodes.shape[1:]), nodes, tol.eps)
         if min(zero, one) < 0:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
+        self.leq = _order(nodes, tol.eps)
         self.meet_table = _extrema_table(self.leq)
         # atoms: nonzero nodes with nothing but zero and themselves below them
-        below = self.leq & ~np.eye(k, dtype=bool)
+        below = self.leq & ~np.eye(len(nodes), dtype=bool)
         below[self.zero_index] = False
         atoms = np.flatnonzero(~below.any(axis=0))
         self._atoms = [int(i) for i in atoms if i != self.zero_index]
 
-    # -- queries ----------------------------------------------------------
-
     def __len__(self):
-        return len(self.elements)
-
-    @property
-    def space(self):
-        return self.elements[0].space
+        return len(self.nodes)
 
     @property
     def n(self):
-        return self.elements[0].n
+        return self.nodes.shape[-1]
 
     def index_of(self, op: FiberedOperator) -> int:
-        if op.values.shape == self._stack.shape[1:]:
-            i = _near(op.values[None], self._stack, self.tol.eps)[0]
+        if op.values.shape == self.nodes.shape[1:]:
+            i = _near(op.values[None], self.nodes, self.tol.eps)[0]
             if i >= 0:
                 return int(i)
         raise NotMember("operator is not a node of this lattice")
@@ -397,61 +395,58 @@ def meet_closure(
     if not is_projection(gens, tol):
         raise NotProjection(f"generator is not a fiberwise projection at eps={tol.eps}")
 
-    elems: list[FiberedOperator] = []
-    stack = np.empty((16, space.points, n, n), dtype=np.complex128)  # node values
+    nodes = np.empty((16, space.points, n, n), dtype=np.complex128)  # rows :k hold the nodes
+    k = 0
     pair_bytes = np.dtype(np.intp).itemsize + 1  # one entry of each k x k table
 
-    def add(op: FiberedOperator):
-        nonlocal stack
-        if len(elems) == len(stack):
-            stack = np.concatenate([stack, np.empty_like(stack)])
-        stack[len(elems)] = op.values
-        elems.append(op)
-        if len(elems) > cap:
-            raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
-        if len(elems) ** 2 * pair_bytes > _TABLE_BUDGET:
-            raise ClosureExplosion(f"closure reached {len(elems)} nodes, whose tables "
-                                   f"outgrow the table budget of {_TABLE_BUDGET} bytes")
-
-    def admit(cands: np.ndarray, make, what: str = ""):
-        """Append, in order, ``make(c)`` for each candidate c that no node is
-        within tol.eps of when its turn comes: one pass against the nodes so
-        far, then one against each node appended. A node appended as ``what``
-        must be a projection."""
-        todo = np.flatnonzero(_near(cands, stack[: len(elems)], tol.eps) < 0)
+    def admit(cands: np.ndarray):
+        """Append, in order, each candidate that no node is within tol.eps of
+        when its turn comes: one pass against the nodes so far, then one
+        against each node appended. The appended nodes must be projections;
+        one that outgrows ``cap`` or the table budget stops the closure, after
+        the check of the nodes appended before it."""
+        nonlocal nodes, k
+        start, over = k, False
+        todo = np.flatnonzero(_near(cands, nodes[:k], tol.eps) < 0)
         while len(todo):
-            op = make(todo[0])
-            add(op)
-            if what:
-                require_projection(op, tol, what)
+            if k == len(nodes):
+                nodes = np.concatenate([nodes, np.empty_like(nodes)])
+            nodes[k] = cands[todo[0]]
+            k += 1
+            if over := (k > cap or k * k * pair_bytes > _TABLE_BUDGET):
+                break
             todo = todo[1:]
             if len(todo):
-                todo = todo[_near(cands[todo], stack[len(elems) - 1 : len(elems)], tol.eps) < 0]
+                todo = todo[_near(cands[todo], nodes[k - 1 : k], tol.eps) < 0]
+        if not is_projection(nodes[start : k - over], tol):
+            raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
+        if k > cap:
+            raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
+        if over:
+            raise ClosureExplosion(f"closure reached {k} nodes, whose tables "
+                                   f"outgrow the table budget of {_TABLE_BUDGET} bytes")
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
     # against them and each other
-    for bound in _bounds(gens.shape[1:]):
-        add(FiberedOperator(space, bound))
-    admit(gens, generators.__getitem__)
+    admit(np.concatenate([_bounds(gens.shape[1:]), gens]))
     memo = _FiberMemo(space.points, n, tol)
 
     # Meets and joins with the bounds add nothing new, so node i pairs with
     # nodes 2..i-1. Each round takes the pairs from (i, j) on among the nodes
     # known now, up to ``step`` of them, solves what is new in one go and
     # then matches node by node, as if each node's pairs were done alone.
-    step = max(1, _CHUNK // stack[0].size)  # node pairs at once
+    step = max(1, _CHUNK // nodes[0].size)  # node pairs at once
     i, j = 3, 2
-    while i < len(elems):
-        known, left, blocks = len(elems), step, []
+    while i < k:
+        known, left, blocks = k, step, []
         while i < known and left:
             stop = min(i, j + left)
             blocks.append((i, j, stop))
             left -= stop - j
             i, j = (i + 1, 2) if stop == i else (i, stop)
-        for cands in memo.meet_join(stack, known, blocks):
-            cands = cands.reshape(-1, *stack.shape[1:])
-            admit(cands, lambda c: FiberedOperator(space, cands[c]), "closure node")
-    return FiniteLattice(elems, tol)
+        for cands in memo.meet_join(nodes, known, blocks):
+            admit(cands.reshape(-1, *nodes.shape[1:]))
+    return FiniteLattice(nodes[:k], tol)
 
 
 def enumerate_quasipoints(lattice: FiniteLattice) -> list[Filter]:

@@ -253,7 +253,7 @@ def extend_filter_to_quasipoint(
     """
     if not f.members:
         raise EmptyFilter("cannot extend an empty filter")
-    low = lattice.elements[f.min_member()]
+    low = FiberedOperator(lattice.space, lattice.nodes[f.min_member()])
     live = nonzero_fibers(low, tol)
     if not live.any():
         raise EmptyFilter("the filter contains the zero projection")

@@ -329,8 +329,7 @@ def suite_all_quasipoints_abelian(rng: SplitMix64, tol: Tolerance) -> SuiteResul
             checked += 1
             b = sp.extend_filter_to_quasipoint(lat, f, tol)
             for idx in f.members:
-                p = lat.elements[idx]
-                fib = p.values[b.omega.omega]
+                fib = lat.nodes[idx, b.omega.omega]
                 worst = max(worst, max_abs(fib @ b.line - b.line))
             member = sp.line_projection(b)
             if not (ma.is_abelian_projection(member, tol) and sp.qp_contains(b, member, tol)):

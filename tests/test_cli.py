@@ -324,6 +324,13 @@ def test_quasipoints_command(tmp_path, capsys):
         assert point["atom"] in point["members"]
 
 
+def test_quasipoints_without_projections_exit_3(tmp_path, capsys):
+    path = write_config(tmp_path, {**BASE_CONFIG, "elements": {"A": BASE_CONFIG["elements"]["A"]}})
+    code, out, err = run_cli(["quasipoints", "--config", path], capsys)
+    assert code == 3 and out == ""
+    assert "no projection generators available for the lattice" in err
+
+
 def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
     # the central projections of 4 points close to 16 nodes; a table budget
     # of 50 bytes holds the tables of 2 nodes (9 bytes per node pair)

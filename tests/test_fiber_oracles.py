@@ -399,7 +399,7 @@ def test_phase_fix_matches_scalar_abs(tol):
 
 
 @pytest.mark.parametrize("n", DIMS)
-def test_normalize_and_decompose_match_reference(n, tol):
+def test_normalize_matches_reference(n, tol):
     gen = np.random.default_rng(10 + n)
     space = StoneSpace(300)
     a = hm.ModuleElement(space, rows_with_zeros(gen, 300, n))
@@ -407,7 +407,7 @@ def test_normalize_and_decompose_match_reference(n, tol):
 
 
 @pytest.mark.parametrize("n", DIMS)
-def test_carrier_and_generator_match_reference(n, tol):
+def test_central_carrier_matches_reference(n, tol):
     gen = np.random.default_rng(20 + n)
     p = line_projections(gen, 300, n)
     assert np.array_equal(ma.central_carrier(p, tol).values, reference_central_carrier(p, tol))

@@ -46,7 +46,8 @@ def reference_closure(generators, tol=DEFAULT_TOL):
     """Oracle: the closure as a plain per-pair scan. Node i is paired with
     every earlier node j in ascending order, one fibered meet and then one
     fibered join per pair, and each candidate is compared with every node in
-    turn (``reference_near``), so the first node within tol.eps wins."""
+    turn (``reference_near``), so the first node within tol.eps wins. Returns
+    the nodes as one (k, m, n, n) stack."""
     space, n = generators[0].space, generators[0].n
     elems, values = [], np.empty((0, space.points, n, n), dtype=complex)
 
@@ -70,7 +71,7 @@ def reference_closure(generators, tol=DEFAULT_TOL):
             add(ma.fibered_meet(elems[i], elems[j], tol))
             add(ma.fibered_join(elems[i], elems[j], tol))
         i += 1
-    return elems
+    return values
 
 
 def reference_near(cands, nodes, eps):
@@ -138,6 +139,11 @@ def reference_atoms(lat):
         if i != lat.zero_index
         and not any(lat.leq[j, i] for j in range(k) if j not in (i, lat.zero_index))
     ]
+
+
+def node_stack(*ops):
+    """The values of fibered operators stacked as lattice nodes."""
+    return np.stack([op.values for op in ops])
 
 
 def diag_node(space, *diag):
@@ -226,16 +232,16 @@ def test_meet_closure_commuting_pair_is_boolean(rng):
     for bp in (p.values, eye - p.values):
         for bq in (q.values, eye - q.values):
             atoms.append(bp * bq)  # diagonal product = meet
-    for e in lat.elements:
+    for e in lat.nodes:
         # every lattice node is a sum of some of the four minimal atoms
         best = None
         for bits in range(16):
-            acc = np.zeros_like(e.values)
+            acc = np.zeros_like(e)
             for j in range(4):
                 if bits >> j & 1:
                     acc = acc + atoms[j]
             acc = np.clip(acc.real, 0, 1).astype(complex)
-            if max_abs(acc - e.values) <= 1e-9:
+            if max_abs(acc - e) <= 1e-9:
                 best = bits
                 break
         assert best is not None
@@ -315,8 +321,7 @@ def test_meet_closure_matches_per_pair_scan(rng, monkeypatch, name, size):
     assert keyed or size < 64  # the large families reach the key window
     ref = reference_closure(gens)
     assert len(lat) == len(ref) == size
-    for e, r in zip(lat.elements, ref):
-        assert np.array_equal(e.values, r.values)
+    assert np.array_equal(lat.nodes, ref)
     assert np.array_equal(lat.leq, lt.FiniteLattice(ref).leq)
 
 
@@ -335,9 +340,9 @@ def test_extrema_tables_match_reference(rng, monkeypatch, name):
     passes = []
     real = lt._extrema_table
     monkeypatch.setattr(lt, "_extrema_table", lambda leq: passes.append(leq) or real(leq))
-    lat = lt.FiniteLattice(lat.elements)
+    lat = lt.FiniteLattice(lat.nodes)
     assert len(passes) == 1 and passes[0] is lat.leq
-    assert np.array_equal(lat.leq, reference_leq(lat._stack, lat.tol.eps))
+    assert np.array_equal(lat.leq, reference_leq(lat.nodes, lat.tol.eps))
     assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     assert lat.atoms() == reference_atoms(lat)
     assert (lat.zero_index, lat.one_index) == (0, 1)
@@ -346,14 +351,12 @@ def test_extrema_tables_match_reference(rng, monkeypatch, name):
 def check_lattice_verdict(nodes):
     """FiniteLattice raises exactly when the order of ``nodes`` fails the
     meet pass or the join pass of the oracle; True when it is a lattice."""
-    space = ct.StoneSpace(nodes.shape[1])
-    ops = [ma.FiberedOperator(space, v) for v in nodes]
     leq = reference_leq(nodes, DEFAULT_TOL.eps)
     if reference_is_lattice(leq):
-        assert np.array_equal(lt.FiniteLattice(ops).meet_table, reference_extrema_table(leq))
+        assert np.array_equal(lt.FiniteLattice(nodes).meet_table, reference_extrema_table(leq))
         return True
     with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt.FiniteLattice(ops)
+        lt.FiniteLattice(nodes)
     return False
 
 
@@ -367,7 +370,7 @@ def test_meet_pass_rejects_what_both_passes_reject_on_sub_families(atoms):
     for _ in range(150):
         keep = gen.random(len(lat)) < gen.uniform(0.1, 0.9)
         keep[[lat.zero_index, lat.one_index]] = True
-        verdicts.append(check_lattice_verdict(lat._stack[keep]))
+        verdicts.append(check_lattice_verdict(lat.nodes[keep]))
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -392,14 +395,14 @@ def test_tables_reject_non_lattice_family():
     space = ct.StoneSpace(1)
     diags = [(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1)]
     with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt.FiniteLattice([diag_node(space, *d) for d in diags])
+        lt.FiniteLattice(node_stack(*(diag_node(space, *d) for d in diags)))
 
 
 def test_tables_reject_repeated_node():
     space = ct.StoneSpace(1)
     p = line_op(space, [1, 1])
     with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt.FiniteLattice([ma.zero_operator(space, 2), ma.identity(space, 2), p, p])
+        lt.FiniteLattice(node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), p, p))
 
 
 def test_node_lookup():
@@ -407,12 +410,16 @@ def test_node_lookup():
     p = line_op(space, [1, 0])
     lat = lt.meet_closure([p])
     assert (lat.zero_index, lat.one_index, lat.index_of(p)) == (0, 1, 2)
+    # one read-only (k, m, n, n) array; the caller's array stays writable
+    assert lat.nodes.shape == (3, 2, 2, 2) and not lat.nodes.flags.writeable
+    mine = lat.nodes.copy()
+    assert lt.FiniteLattice(mine).nodes is not mine and mine.flags.writeable
     with pytest.raises(NotMember):
         lat.index_of(line_op(space, [0, 1]))
     with pytest.raises(NotMember):
         lat.index_of(ma.identity(ct.StoneSpace(1), 2))
     with pytest.raises(StoneworkError, match="missing its zero or unit element"):
-        lt.FiniteLattice([p, ma.identity(space, 2)])
+        lt.FiniteLattice(node_stack(p, ma.identity(space, 2)))
 
 
 def test_nodes_match_within_tol_eps():
@@ -527,7 +534,7 @@ def test_near_chunk_boundaries(keyed, monkeypatch, chunk):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
 def test_near_non_finite_candidate(monkeypatch, bad):
     lat = boolean_lattice(3)
-    nodes = lat._stack
+    nodes = lat.nodes
     cand = nodes[5].copy()
     cand[1, 0, 0] = bad
     for dense in (0, lt._DENSE):
@@ -555,15 +562,14 @@ def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
         assert max(q.size for q in blocks) <= max(chunk, blocks[0][0].size)
         blocks.clear()
         assert len(lat) == len(want[name])
-        for e, r in zip(lat.elements, want[name].elements):
-            assert e.values.tobytes() == r.values.tobytes()
+        assert lat.nodes.tobytes() == want[name].nodes.tobytes()
         assert np.array_equal(lat.leq, want[name].leq)
 
 
 def distinct_fiber_pairs(lattice):
     """The distinct unordered pairs (bytes of p_f, bytes of q_f) over the node
     pairs a closure meets and joins: each node i >= 3 with nodes 2..i-1."""
-    fibers = [[f.tobytes() for f in e.values] for e in lattice.elements]
+    fibers = [[f.tobytes() for f in e] for e in lattice.nodes]
     return {
         tuple(sorted((fibers[i][f], fibers[j][f])))
         for i in range(3, len(fibers))
@@ -618,8 +624,7 @@ def test_meet_closure_keys_fibers_by_exact_bytes(monkeypatch):
     lat = lt.meet_closure(gens, cap=256)
     ref = reference_closure(gens)
     assert len(lat) == len(ref) > 8
-    for a, r in zip(lat.elements, ref):
-        assert a.values.tobytes() == r.values.tobytes()
+    assert lat.nodes.tobytes() == ref.tobytes()
     assert np.array_equal(lat.leq, lt.FiniteLattice(ref).leq)
     assert sum(solved) == len(distinct_fiber_pairs(lat))
 
@@ -729,7 +734,7 @@ def test_order_blocks_give_identical_order(rng, monkeypatch, chunk):
     # the pair tests and the gather of leq in many blocks
     lattices = [lt.meet_closure(g, cap=256) for g in closure_families(rng).values()]
     lattices.append(lt.meet_closure(lines_per_fiber(rng, 6), cap=256))
-    stacks = [(lat._stack, DEFAULT_TOL.eps) for lat in lattices]
+    stacks = [(lat.nodes, DEFAULT_TOL.eps) for lat in lattices]
     stacks += list(order_fuzz(np.random.default_rng(13), 30))
     monkeypatch.setattr(lt, "_CHUNK", chunk)
     pairs, blocked = count_order_pairs(monkeypatch), 0
@@ -744,13 +749,13 @@ def test_order_blocks_give_identical_order(rng, monkeypatch, chunk):
 
 def test_order_tests_each_distinct_fiber_pair_once(rng, monkeypatch):
     lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
-    k, m = len(lat), lat._stack.shape[1]
+    k, m = len(lat), lat.nodes.shape[1]
     pairs = count_order_pairs(monkeypatch)
-    rebuilt = lt.FiniteLattice(lat.elements)
-    assert np.array_equal(rebuilt.leq, reference_leq(lat._stack, DEFAULT_TOL.eps))
+    rebuilt = lt.FiniteLattice(lat.nodes)
+    assert np.array_equal(rebuilt.leq, reference_leq(lat.nodes, DEFAULT_TOL.eps))
     # 4 to 6 distinct values on each fiber: 152 pairs, against the 65 * 65 * 6
     # fiber products of the einsum over all node pairs
-    assert sum(pairs) == distinct_within_fiber_pairs(lat._stack) < 200
+    assert sum(pairs) == distinct_within_fiber_pairs(lat.nodes) < 200
     assert sum(pairs) * 100 < k * k * m
 
 
@@ -771,7 +776,7 @@ def test_zero_size_fibers_raise_stonework_error():
     with pytest.raises(StoneworkError, match="n = 0"):
         lt.meet_closure([ma.zero_operator(space, 0)])
     with pytest.raises(StoneworkError, match="n = 0"):
-        lt.FiniteLattice([ma.zero_operator(space, 0)])
+        lt.FiniteLattice(node_stack(ma.zero_operator(space, 0)))
 
 
 def test_meet_closure_checks_generators():
@@ -790,6 +795,26 @@ def test_meet_closure_rejects_non_projection_node(monkeypatch):
     monkeypatch.setattr(lt, "stacked_join", lambda p, q, tol: 0.5 * real_join(p, q, tol))
     with pytest.raises(NotProjection, match="closure node"):
         lt.meet_closure([diag_projection(space, [0], []), line_op(space, [1, 1])])
+
+
+@pytest.mark.parametrize("nodes, error", [(5, NotProjection), (4, ClosureExplosion)])
+@pytest.mark.parametrize("limit", ["cap", "budget"])
+def test_meet_closure_checks_nodes_in_order_up_to_the_cap(monkeypatch, limit, nodes, error):
+    # a halved meet is not idempotent. The first block of the closure appends
+    # the meet of its generators, diag(0, 1, 0, 0) halved, as node 4 and their
+    # join diag(1, 1, 1, 0) as node 5. With room for 5 nodes, node 4 fails its
+    # projection check before node 5 outgrows the cap or the table budget;
+    # with room for 4, node 4 outgrows them first and is never checked.
+    # (A halved join cannot show this: the first block ends with it.)
+    space = ct.StoneSpace(1)
+    real_meet = lt.stacked_meet
+    monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: 0.5 * real_meet(p, q, tol))
+    cap = nodes if limit == "cap" else 4096
+    if limit == "budget":
+        monkeypatch.setattr(lt, "_TABLE_BUDGET", (np.dtype(np.intp).itemsize + 1) * nodes ** 2)
+    match = {NotProjection: "closure node", ClosureExplosion: limit}[error]
+    with pytest.raises(error, match=match):
+        lt.meet_closure([diag_node(space, 1, 1, 0, 0), diag_node(space, 0, 1, 1, 0)], cap=cap)
 
 
 def test_meet_closure_cap():
@@ -941,8 +966,8 @@ def test_extrema_tables_past_256_nodes(rng):
     nodes = []
     for s in range(2 ** m):
         picked = np.array([s >> k & 1 for k in range(m)], dtype=complex)
-        nodes.append(ma.FiberedOperator(space, lines * picked[:, None, None]))
-    nodes.append(ma.identity(space, 2))
+        nodes.append(lines * picked[:, None, None])
+    nodes.append(ma.identity(space, 2).values)
     masks = np.arange(2 ** m + 1)
     masks[-1] = 2 ** (m + 1) - 1
     lat = lt.FiniteLattice(nodes)

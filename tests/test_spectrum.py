@@ -353,7 +353,7 @@ def test_extend_filter_random_lattice(rng, tol):
         for f in lt.enumerate_quasipoints(lat):
             b = sp.extend_filter_to_quasipoint(lat, f, tol)
             for idx in f.members:
-                assert sp.qp_contains(b, lat.elements[idx], tol)
+                assert sp.qp_contains(b, ma.FiberedOperator(space, lat.nodes[idx]), tol)
             member = sp.line_projection(b)
             assert ma.is_abelian_projection(member, tol)
             assert sp.qp_contains(b, member, tol)
