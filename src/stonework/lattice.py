@@ -79,6 +79,11 @@ class FiniteLattice:
     def n(self):
         return self.nodes.shape[-1]
 
+    @property
+    def elements(self) -> list[FiberedOperator]:
+        """The nodes as operators, node i at ``elements[i]``; the benchmark's tracer reads these."""
+        return [FiberedOperator(self.space, v) for v in self.nodes]
+
     def index_of(self, op: FiberedOperator) -> int:
         if op.values.shape == self.nodes.shape[1:]:
             i = _near(op.values[None], self.nodes, self.tol.eps)[0]

@@ -414,6 +414,9 @@ def test_node_lookup():
     assert lat.nodes.shape == (3, 2, 2, 2) and not lat.nodes.flags.writeable
     mine = lat.nodes.copy()
     assert lt.FiniteLattice(mine).nodes is not mine and mine.flags.writeable
+    # elements wraps the same rows as operators, in node order
+    assert [lat.index_of(e) for e in lat.elements] == [0, 1, 2]
+    assert all(e.space == space and np.array_equal(e.values, v) for e, v in zip(lat.elements, lat.nodes))
     with pytest.raises(NotMember):
         lat.index_of(line_op(space, [0, 1]))
     with pytest.raises(NotMember):
