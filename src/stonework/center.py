@@ -16,7 +16,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, NotProjection
-from .numerics import DEFAULT_TOL
 
 
 def cmul(x, y):
@@ -84,10 +83,6 @@ class CenterElement:
         self._check(other)
         return CenterElement(self.space, self.values + other.values)
 
-    def __sub__(self, other):
-        self._check(other)
-        return CenterElement(self.space, self.values - other.values)
-
     def __mul__(self, other):
         if isinstance(other, CenterElement):
             self._check(other)
@@ -104,10 +99,6 @@ class CenterElement:
 
     def __call__(self, omega: int) -> complex:
         return complex(self.values[omega])
-
-    def allclose(self, other: "CenterElement", eps: float = DEFAULT_TOL.eps) -> bool:
-        self._check(other)
-        return float(np.max(np.abs(self.values - other.values))) <= eps
 
     # -- Boolean layer ------------------------------------------------------
 

@@ -66,9 +66,6 @@ class FiberedOperator:
         self._check(other)
         return FiberedOperator(self.space, self.values - other.values)
 
-    def __neg__(self):
-        return FiberedOperator(self.space, -self.values)
-
     def __matmul__(self, other):
         self._check(other)
         return FiberedOperator(self.space, self.values @ other.values)

@@ -34,7 +34,7 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ LINE_EQ_TOL = 1e-10
 class Quasipoint:
     """A quasipoint of the fibered algebra: a base point and a line in C^n."""
 
-    __slots__ = ("omega", "line")
+    __slots__ = ("omega", "line", "_frame")
 
     def __init__(self, omega: CenterQuasipoint, line):
         vec = np.array(line, dtype=np.complex128).reshape(-1)
@@ -65,9 +65,19 @@ class Quasipoint:
         vec.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "line", vec)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quasipoint is immutable")
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The unitary ``complete_to_unitary(self.line)``, computed at first use."""
+        if self._frame is None:
+            u = complete_to_unitary(self.line)
+            u.setflags(write=False)
+            object.__setattr__(self, "_frame", u)
+        return self._frame
 
     @property
     def space(self) -> StoneSpace:
@@ -187,9 +197,7 @@ def orbit_witness(
         np.eye(b.n, dtype=np.complex128), (b.space.points, b.n, b.n)
     ).copy()
     if not b.same_line(b2):
-        bx = complete_to_unitary(b.line)
-        by = complete_to_unitary(b2.line)
-        fibers[b.omega.omega] = by @ np.conj(bx.T)
+        fibers[b.omega.omega] = b2.frame @ np.conj(b.frame.T)
     return FiberedOperator(b.space, fibers)
 
 

@@ -307,11 +307,10 @@ def suite_quasipoint_axioms(rng: SplitMix64, tol: Tolerance) -> SuiteResult:
             for e in b.members:
                 if lt.extend_trunk(lat, lt.trunk(b, e)) != b:
                     return fail("trunk roundtrip failed")
+        base = [lt.stone_base_set(lat, i) for i in range(len(lat))]
         for i in range(len(lat)):
             for j in range(len(lat)):
-                lhs = lt.stone_base_set(lat, lat.meet_table[i, j])
-                rhs = lt.stone_base_set(lat, i) & lt.stone_base_set(lat, j)
-                if lhs != rhs:
+                if base[lat.meet_table[i, j]] != base[i] & base[j]:
                     return fail("base sets failed")
     return SuiteResult("quasipoint_axioms", True, checked, 0.0, 0.0)
 

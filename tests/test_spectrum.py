@@ -10,6 +10,7 @@ from stonework import hilbert_module as hm
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
 from stonework import spectrum as sp
+from stonework import verify as vf
 from stonework.errors import (
     EmptyFilter,
     NotAbelian,
@@ -18,6 +19,7 @@ from stonework.errors import (
     NotUnitary,
 )
 from stonework.numerics import max_abs
+from stonework.rng import SplitMix64
 
 
 def unit(rng, n):
@@ -207,6 +209,44 @@ def test_orbit_witness_random(rng, tol):
             assert abs(np.vdot(moved.line, b2.line)) >= 1.0 - 1e-10
         else:
             assert u is None
+
+
+def test_orbit_witness_reads_each_frame(rng, tol):
+    """At the shared point the witness is the second line's frame times the
+    adjoint of the first's, both exactly as complete_to_unitary builds them;
+    a quasipoint keeps its frame, read-only."""
+    space = ct.StoneSpace(2)
+    for _ in range(20):
+        b = sp.quasipoint(space, 1, unit(rng, 3))
+        b2 = sp.quasipoint(space, 1, unit(rng, 3))
+        u = sp.orbit_witness(b, b2, tol)
+        frame = sp.complete_to_unitary(b.line)
+        assert np.array_equal(u.values[1], sp.complete_to_unitary(b2.line) @ frame.conj().T)
+        assert np.array_equal(b.frame, frame) and b.frame is b.frame
+        assert not b.frame.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_orbit_suite_completes_each_line_once(monkeypatch, tol, seed):
+    """suite_orbit_parametrization, on the stream run_all forks for it, runs
+    Gram-Schmidt at most once per drawn quasipoint (50 of them), and counting
+    the calls leaves its result as it was."""
+    suite = vf.suite_orbit_parametrization
+
+    def run():
+        return suite(SplitMix64(seed).fork(vf.ALL_SUITES.index(suite) + 1), tol)
+
+    expected = run()
+    calls = []
+    original = sp.complete_to_unitary
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(sp, "complete_to_unitary", counted)
+    assert run() == expected and expected.passed
+    assert 0 < len(calls) <= 50
 
 
 def test_germ_eval_examples():

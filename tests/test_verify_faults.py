@@ -52,3 +52,21 @@ def test_suite_fails_with_its_detail(monkeypatch, tol, suite, module, name, wron
     assert (result.name, result.passed, result.detail) == (
         suite.__name__.removeprefix("suite_"), False, detail
     )
+
+
+def test_quasipoint_axioms_builds_each_base_set_once(monkeypatch, tol):
+    """suite_quasipoint_axioms asks stone_base_set for each node of a lattice
+    at most once, and counting the calls leaves its result as it was."""
+    suite = vf.suite_quasipoint_axioms
+    expected = run_suite(suite, tol)
+    calls = {}
+    original = lt.stone_base_set
+
+    def counted(lat, a):
+        calls.setdefault(id(lat), [lat, 0])[1] += 1
+        return original(lat, a)
+
+    monkeypatch.setattr(lt, "stone_base_set", counted)
+    assert run_suite(suite, tol) == expected and expected.passed
+    assert len(calls) == 104  # 4 Boolean algebras and 100 random lattices
+    assert all(count <= len(lat) for lat, count in calls.values())
