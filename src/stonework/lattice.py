@@ -33,11 +33,25 @@ from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_join, stack
 
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
-#: Array entries per temporary in every blocked loop of this module.
+#: Array entries per temporary in the blocked loops of this module, but for
+#: _near's exact test (_PAIR_BLOCK).
 _CHUNK = 1 << 20
+#: Candidate entries (2 m n^2 per node pair) per round of meet_closure.
+#: Against admission one node at a time, on a 2-CPU VM: 2^14 takes 0.80,
+#: 0.95, 0.59 and 0.86 of the time of `quasipoints` on 65, 129, 256 and 513
+#: nodes and adds 0.16 MB to the peak RSS of the 65-node one. 2^13 adds as
+#: much but takes 1.01 and 0.99 on 129 and 513 nodes; 2^15 takes 0.91 and
+#: 0.79 there but adds 0.47 MB, and 2^16 0.86 MB.
+_ROUND = _CHUNK >> 6
 #: Up to this many compared entries (candidates x nodes x entries per node)
 #: _near compares every pair, which costs less than building its key window.
 _DENSE = 1 << 13
+#: Compared entries per block of _near's exact test on the pairs in its key
+#: windows. A round of meet_closure sends hundreds of candidates through one
+#: _near call. In blocks of _CHUNK entries its temporaries reached 256 KiB
+#: on the 65-node closure benchmark, whose peak RSS rose by 0.28 MB; in
+#: blocks of 2^12 entries (64 KiB temporaries) it rose by 0.08 MB.
+_PAIR_BLOCK = 1 << 12
 #: Bytes the order and meet tables of a closure may take: one intp table and
 #: one of bools, 9 k^2 bytes for k nodes on 64 bits (151 MB at k = 4096).
 _TABLE_BUDGET = 1 << 29
@@ -260,7 +274,7 @@ def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     gamma_L) + u R, under the spare 0.9 rho since gamma_L >= 2u. Identical
     rows need not get identical keys, so the pad stays at eps = 0. Only the
     pairs inside windows get the exact max-abs test, in blocks of at most
-    _CHUNK entries, and the lowest passing node index wins. Up to _DENSE
+    _PAIR_BLOCK entries, and the lowest passing node index wins. Up to _DENSE
     compared entries, and when the radius is not finite, every candidate is
     tested against every node instead.
     """
@@ -298,7 +312,7 @@ def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarra
     total = int(ends[-1])
     shift = hi - ends  # pair p of candidate i sits at sorted position p + shift[i]
     best = np.full(c, k, dtype=np.intp)
-    step = max(1, _CHUNK // size)
+    step = max(1, _PAIR_BLOCK // size)
     for s in range(0, total, step):
         pair = np.arange(s, min(s + step, total))
         ci = np.searchsorted(ends, pair, "right")
@@ -306,6 +320,48 @@ def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarra
         hit = np.abs(flat_c[ci] - flat_x[xi]).max(axis=1, initial=0.0) <= eps
         np.minimum.at(best, ci, np.where(hit, xi, k))
     return np.where(best < k, best, -1)
+
+
+def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
+    """The candidates, by ascending index, that a scan in candidate order
+    appends to ``nodes``: each candidate that no node and no candidate
+    appended before it lies within eps of (max-abs) when its turn comes.
+
+    One _near pass against ``nodes`` leaves the survivors. Of these, a later
+    byte-identical copy is dropped; a row with a non-finite entry matches
+    nothing, not even its own copy, and stays. One _near pass of the
+    survivors against each other then settles most of them: a survivor whose
+    first match is itself (or nothing) is appended, and one whose first
+    match is an appended survivor is dropped. The rest sit in chains a ~ b ~
+    c with a !~ c. Each of them that an appended survivor before it matches
+    is dropped, and the others take the same pass again among themselves;
+    the first of them is always appended, so the passes end.
+    """
+    todo = np.flatnonzero(_near(cands, nodes, eps) < 0)
+    if len(todo) < 2:
+        return todo
+    rows = cands[todo].reshape(len(todo), -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    copy = np.zeros(len(todo), dtype=bool)
+    copy[order[1:]] = keys[1:] == keys[:-1]
+    if copy.any():
+        copy &= np.isfinite(rows).all(axis=1)
+        todo, rows = todo[~copy], rows[~copy]
+    appended = np.zeros(len(todo), dtype=bool)
+    rest = np.arange(len(todo))  # survivors not yet settled
+    while len(rest):
+        part = rows[rest]
+        first = _near(part, part, eps)  # positions in rest
+        new = (first < 0) | (first == np.arange(len(rest)))
+        chained = ~new & ~new[first]
+        appended[rest[new]] = True
+        rest, added = rest[chained], rest[new]
+        if len(rest):
+            hit = _near(rows[rest], rows[added], eps)
+            rest = rest[(hit < 0) | (added[hit] > rest)]
+    return todo[appended]
 
 
 class _FiberMemo:
@@ -318,40 +374,57 @@ class _FiberMemo:
     keys the row of ``solved`` that holds its meet and join.
     ``stacked_meet`` and ``stacked_join`` solve one matrix at a time and give
     the same bits with their arguments swapped, so a remembered fiber is bit
-    for bit what a fresh solve gives. Both tables are dicts over the distinct
-    fiber values and pairs, filled and read a whole block at a time.
+    for bit what a fresh solve gives. The distinct fiber values and the pair
+    keys are kept as sorted arrays: a round of node pairs builds its keys in
+    one expression and looks them up with one binary search. One sort finds
+    the distinct keys not seen before; once they are solved and merged in, a
+    second search and one index gather the round's meets and joins.
     """
 
     def __init__(self, m: int, n: int, tol: Tolerance):
         self.tol = tol
         self._void = np.dtype((np.void, 16 * n * n))  # a fiber's bytes as one key
-        self._first: dict[bytes, int] = {}  # fiber bytes -> id
+        self._values = np.empty(0, dtype=self._void)  # distinct fiber bytes, sorted
+        self._value_ids = np.empty(0, dtype=np.intp)  # the id of each
         self.node_ids = np.empty((0, m), dtype=np.intp)  # per node fiber
-        # pair key lo << 32 | hi -> row; ids are flat positions in the node
-        # stack, below 2**31 for any stack that fits in memory
-        self._rows: dict[int, int] = {}
+        # pair keys lo << 32 | hi, sorted, and the row of ``solved`` of each.
+        # ids are flat positions in the node stack, below 2**31 for any stack
+        # that fits in memory, so the sentinel key at the end exceeds them all
+        # and a binary search never runs past it
+        self._keys = np.array([_SENTINEL], dtype=np.intp)
+        self._at = np.array([-1], dtype=np.intp)
         self.solved = np.empty((0, 2, n, n), dtype=np.complex128)  # meet, join
 
-    def meet_join(self, stack: np.ndarray, known: int, blocks):
-        """For each block (i, lo, hi) of node pairs (i, j), lo <= j < hi <= i
-        < known, the meet and the join (axis 1) of each of their fibers (axis
-        2), as (hi - lo, 2, m, n, n) arrays, where ``stack`` holds the nodes.
-        Pairs not seen before are solved in blocks of at most _CHUNK entries."""
+    def _number(self, fibers: np.ndarray, start: int, stop: int):
+        """Ids for the fibers at flat positions start..stop-1 of ``fibers``.
+        A stable sort puts the known values first in each run of equal bytes,
+        and the new ones after them in position order."""
+        new = fibers[start:stop].reshape(stop - start, -1).view(self._void)[:, 0]
+        values = np.concatenate([self._values, new])
+        ids = np.concatenate([self._value_ids, np.arange(start, stop)])
+        order = np.argsort(values, kind="stable")
+        first = np.ones(len(order), dtype=bool)  # of its run of equal bytes
+        first[1:] = values[order[1:]] != values[order[:-1]]
+        self._values, self._value_ids = values[order[first]], ids[order[first]]
+        ids[order] = self._value_ids[first.cumsum() - 1]
+        return ids[len(ids) - len(new) :]
+
+    def meet_join(self, stack: np.ndarray, known: int, i: np.ndarray, j: np.ndarray):
+        """The meet and the join of each node pair (i[p], j[p]) of ``stack``,
+        both below ``known``, at rows 2p and 2p + 1 of one (2 len(i), m, n, n)
+        array. Pairs not seen before are solved in blocks of at most _CHUNK
+        entries."""
         m, n = stack.shape[1:3]
         fibers = stack.reshape(-1, n, n)
         if len(self.node_ids) < known:  # number the fibers of the new nodes
-            start = len(self.node_ids)
-            new = fibers[start * m : known * m].reshape(-1, n * n).view(self._void)[:, 0].tolist()
-            ids = map(self._first.setdefault, new, range(start * m, known * m))
-            ids = np.fromiter(ids, dtype=np.intp, count=len(new)).reshape(-1, m)
-            self.node_ids = np.concatenate([self.node_ids, ids])
-        keys = []
-        for i, lo, hi in blocks:
-            a, b = self.node_ids[i], self.node_ids[lo:hi]
-            keys.append(np.minimum(a, b) << 32 | np.maximum(a, b))
-        flat = np.concatenate(keys, axis=None).tolist()
-        if fresh := set(flat).difference(self._rows):
-            fresh = np.array(sorted(fresh))
+            ids = self._number(fibers, len(self.node_ids) * m, known * m)
+            self.node_ids = np.concatenate([self.node_ids, ids.reshape(-1, m)])
+        a, b = self.node_ids[i], self.node_ids[j]
+        keys = np.minimum(a, b) << 32 | np.maximum(a, b)
+        at = self._keys.searchsorted(keys)
+        if (miss := self._keys[at] != keys).any():
+            fresh = np.sort(keys[miss], kind="stable")
+            fresh = fresh[np.concatenate([[True], fresh[1:] != fresh[:-1]])]
             step = max(1, _CHUNK // fibers[0].size)
             solved = [self.solved]
             for s in range(0, len(fresh), step):
@@ -360,17 +433,19 @@ class _FiberMemo:
                 solved.append(np.empty((len(pair), *self.solved.shape[1:]), dtype=np.complex128))
                 solved[-1][:, 0] = stacked_meet(p, q, self.tol)
                 solved[-1][:, 1] = stacked_join(p, q, self.tol)
-            self._rows.update(zip(fresh.tolist(), range(len(self.solved), len(self.solved) + len(fresh))))
+            self._keys = np.concatenate([self._keys, fresh])
+            order = self._keys.argsort(kind="stable")
+            rows = np.arange(len(self.solved), len(self.solved) + len(fresh))
+            self._keys, self._at = self._keys[order], np.concatenate([self._at, rows])[order]
             self.solved = np.concatenate(solved)
-        rows = np.fromiter(map(self._rows.__getitem__, flat), dtype=np.intp, count=len(flat))
-        at = 0
-        for k in keys:
-            yield self.solved[rows[at : at + k.size].reshape(k.shape)[:, None], _MEET_JOIN]
-            at += k.size
+            at = self._keys.searchsorted(keys)
+        return self.solved[self._at[at][:, None], _MEET_JOIN].reshape(-1, m, n, n)
 
 
 #: Picks the meet (row 0) and the join (row 1) of each solved pair.
 _MEET_JOIN = np.array([[0], [1]])
+#: Ends the sorted pair keys of a _FiberMemo, above every key.
+_SENTINEL = np.iinfo(np.intp).max
 
 
 def meet_closure(
@@ -387,7 +462,10 @@ def meet_closure(
     by join(i, j). A candidate within tol.eps (max-abs) of a node already
     present is that node and is dropped, so the lowest-index match wins.
     Meets and joins come from a _FiberMemo, which eigensolves each distinct
-    pair of fiber values once; the bytes of every node stay unchanged.
+    pair of fiber values once; the bytes of every node stay unchanged. The
+    pairs go in rounds: a run of consecutive pairs among the nodes known at
+    the start of the round, at most _ROUND candidate entries, whose meets
+    and joins are gathered and then admitted (_admitted) at once.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -402,28 +480,27 @@ def meet_closure(
 
     nodes = np.empty((16, space.points, n, n), dtype=np.complex128)  # rows :k hold the nodes
     k = 0
-    pair_bytes = np.dtype(np.intp).itemsize + 1  # one entry of each k x k table
+    # the most nodes within the cap whose tables fit the budget: one intp and
+    # one bool entry of a k x k table per node pair
+    limit = min(cap, math.isqrt(_TABLE_BUDGET // (np.dtype(np.intp).itemsize + 1)))
 
-    def admit(cands: np.ndarray):
-        """Append, in order, each candidate that no node is within tol.eps of
-        when its turn comes: one pass against the nodes so far, then one
-        against each node appended. The appended nodes must be projections;
-        one that outgrows ``cap`` or the table budget stops the closure, after
-        the check of the nodes appended before it."""
+    def admit(cands: np.ndarray, checked: bool = False):
+        """Append, in order, the candidates that no node and no candidate
+        appended before them is within tol.eps of. The appended nodes must be
+        projections (unless ``checked`` says they are); the one that outgrows
+        ``cap`` or the table budget stops the closure, after the check of the
+        nodes appended before it."""
         nonlocal nodes, k
-        start, over = k, False
-        todo = np.flatnonzero(_near(cands, nodes[:k], tol.eps) < 0)
-        while len(todo):
-            if k == len(nodes):
-                nodes = np.concatenate([nodes, np.empty_like(nodes)])
-            nodes[k] = cands[todo[0]]
-            k += 1
-            if over := (k > cap or k * k * pair_bytes > _TABLE_BUDGET):
-                break
-            todo = todo[1:]
-            if len(todo):
-                todo = todo[_near(cands[todo], nodes[k - 1 : k], tol.eps) < 0]
-        if not is_projection(nodes[start : k - over], tol):
+        new = _admitted(cands, nodes[:k], tol.eps)[: limit - k + 1]
+        if not len(new):
+            return
+        if k + len(new) > len(nodes):
+            grow = max(len(nodes), len(new))
+            nodes = np.concatenate([nodes, np.empty((grow, *nodes.shape[1:]), dtype=nodes.dtype)])
+        start, k = k, k + len(new)
+        nodes[start:k] = cands[new]
+        over = k > limit
+        if not checked and k - over > start and not is_projection(nodes[start : k - over], tol):
             raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
         if k > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
@@ -432,25 +509,24 @@ def meet_closure(
                                    f"outgrow the table budget of {_TABLE_BUDGET} bytes")
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
-    # against them and each other
-    admit(np.concatenate([_bounds(gens.shape[1:]), gens]))
+    # against them and each other, and all of them are projections
+    admit(np.concatenate([_bounds(gens.shape[1:]), gens]), checked=True)
     memo = _FiberMemo(space.points, n, tol)
 
     # Meets and joins with the bounds add nothing new, so node i pairs with
-    # nodes 2..i-1. Each round takes the pairs from (i, j) on among the nodes
-    # known now, up to ``step`` of them, solves what is new in one go and
-    # then matches node by node, as if each node's pairs were done alone.
-    step = max(1, _CHUNK // nodes[0].size)  # node pairs at once
-    i, j = 3, 2
-    while i < k:
-        known, left, blocks = k, step, []
-        while i < known and left:
-            stop = min(i, j + left)
-            blocks.append((i, j, stop))
-            left -= stop - j
-            i, j = (i + 1, 2) if stop == i else (i, stop)
-        for cands in memo.meet_join(nodes, known, blocks):
-            admit(cands.reshape(-1, *nodes.shape[1:]))
+    # nodes 2..i-1, and pair (i, j) comes at index (i - 2)(i - 3)/2 + j - 2 of
+    # the closure order. Each round takes the next pairs in that order among
+    # the nodes known at its start, so its meets and joins are the candidates
+    # a scan pair by pair would meet next, in the same order.
+    per_round = max(1, _ROUND // (2 * nodes[0].size))  # node pairs
+    done = 0
+    while (left := (k - 2) * (k - 3) // 2 - done) > 0:
+        t = np.arange(done, done + min(left, per_round))
+        u = np.arange(k - 2)
+        first = u * (u - 1) // 2  # index of pair (u + 2, 2)
+        i = np.searchsorted(first, t, "right") - 1
+        admit(memo.meet_join(nodes, k, i + 2, t - first[i] + 2))
+        done += len(t)
     return FiniteLattice(nodes[:k], tol)
 
 

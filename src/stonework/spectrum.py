@@ -106,22 +106,12 @@ def quasipoint(space: StoneSpace, omega: int, line) -> Quasipoint:
     return Quasipoint(CenterQuasipoint(space, omega), line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GermVector:
     """The germ of a module element at a center quasipoint: its value there."""
 
     beta: CenterQuasipoint
     value: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GermVector)
-            and self.beta == other.beta
-            and np.array_equal(self.value, other.value)
-        )
-
-    def __hash__(self):
-        return hash((self.beta, self.value.tobytes()))
 
 
 def _check_point(b: Quasipoint, p: FiberedOperator):

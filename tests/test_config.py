@@ -166,6 +166,20 @@ def test_fast_path_declines_what_the_walk_rejects(leaf):
         _walk(payload, (2, 1), "v")
 
 
+def test_fast_path_declines_nesting_numpy_cannot_lay_out():
+    # arrays of two shapes side by side: numpy raises on the object array,
+    # the fast path declines, and the walk names the first entry
+    payload = [np.zeros((2, 2)), np.zeros((2, 3))]
+    with pytest.raises(ValueError):
+        np.array(payload, dtype=object)
+    assert _fast_parts(payload, (2, 2)) is None
+    with pytest.raises(ValidationError) as err:
+        parse_config({"n": 2, "m": 2, "elements": {"A": payload}})
+    assert str(err.value) == (
+        "elements[A][0]: expected a list of 2, got array([[0., 0.],\n       [0., 0.]])"
+    )
+
+
 def test_fast_path_builds_no_string_array():
     # the default dtype would give 10k entries of 4000 bytes each
     payload = [[[1.0, 0.0]] * 5000, [["x" * 1000, 0.0]] * 5000]

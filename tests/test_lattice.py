@@ -514,8 +514,8 @@ def test_near_colliding_keys(keyed, monkeypatch):
     nodes = np.stack(diags)[:, None]  # (16, 1, 4, 4)
     gen = np.random.default_rng(2)
     cands = nodes[gen.integers(0, 16, size=50)]
-    for chunk in (1, 5, lt._CHUNK):
-        monkeypatch.setattr(lt, "_CHUNK", chunk)
+    for chunk in (1, 5, lt._PAIR_BLOCK):
+        monkeypatch.setattr(lt, "_PAIR_BLOCK", chunk)
         got = check_near(cands, nodes, 1e-9)
         assert np.array_equal(nodes[got], cands)
         check_near(cands + 2e-9, nodes, 1e-9)
@@ -529,7 +529,7 @@ def test_near_chunk_boundaries(keyed, monkeypatch, chunk):
     centers = complex_rows(gen, 12, 4)
     nodes = np.repeat(centers, 4, axis=0) + 1e-10 * complex_rows(gen, 48, 4)
     cands = np.concatenate([nodes[gen.permutation(48)], complex_rows(gen, 8, 4)])
-    monkeypatch.setattr(lt, "_CHUNK", chunk)
+    monkeypatch.setattr(lt, "_PAIR_BLOCK", chunk)
     got = check_near(cands, nodes, 1e-9)
     assert np.all(got[:48] % 4 == 0) and np.all(got[48:] == -1)
 
@@ -550,14 +550,159 @@ def test_near_non_finite_candidate(monkeypatch, bad):
     assert check_near(huge[-1:], huge, 0.0)[0] == len(nodes)
 
 
+def reference_admitted(cands, nodes, eps):
+    """Oracle: the candidates a scan appends one at a time, each compared
+    (``reference_near``) with the nodes and the candidates appended before it."""
+    kept = []
+    for c in range(len(cands)):
+        if reference_near(cands[c : c + 1], np.concatenate([nodes, cands[kept]]), eps)[0] < 0:
+            kept.append(c)
+    return kept
+
+
+def check_admitted(cands, nodes, eps):
+    got = lt._admitted(cands, nodes, eps)
+    assert got.tolist() == reference_admitted(cands, nodes, eps)
+    return got.tolist()
+
+
+def count_near_calls(monkeypatch):
+    real, calls = lt._near, []
+    monkeypatch.setattr(lt, "_near", lambda c, x, eps: calls.append(1) or real(c, x, eps))
+    return calls
+
+
+@pytest.mark.parametrize("dense", [0, lt._DENSE])
+def test_admitted_keeps_the_first_of_exact_duplicates(monkeypatch, dense):
+    # byte-identical copies among the survivors and of the nodes, in shuffled
+    # order; -0.0 next to 0.0 is no byte copy but lies at distance 0
+    monkeypatch.setattr(lt, "_DENSE", dense)
+    gen = np.random.default_rng(3)
+    rows = complex_rows(gen, 12, 8).reshape(12, 2, 2, 2)
+    nodes = rows[:4]
+    cands = rows[gen.integers(0, 12, size=60)]
+    signed = np.zeros((1, 2, 2, 2), dtype=complex)
+    zero = np.full((1, 2, 2, 2), complex(-0.0, -0.0))
+    cands = np.concatenate([cands, zero, signed, zero])
+    first = {}
+    for c, row in enumerate(cands[:60]):
+        first.setdefault(row.tobytes(), c)
+    known = {r.tobytes() for r in nodes}
+    # each drawn row that is no node at its first copy, then the -0.0 row,
+    # whose 0.0 twin and copy drop
+    want = sorted(c for b, c in first.items() if b not in known) + [60]
+    for eps in (0.0, 1e-9):
+        assert check_admitted(cands, nodes, eps) == want
+
+
+def test_admitted_settles_eps_chains():
+    # on a line, with eps 1: b ~ a drops b; c is far from a and b; u ~ b
+    # has b (dropped) as its first match and c (appended) before it, so the
+    # second step drops it; v and w ~ b match no appended survivor, so they
+    # take a second pass, where v is appended and w ~ v drops
+    eps = 1.0
+    line = np.array([0.0, 0.9, 2.5, 1.6, 1.4, 1.45]) + 0j
+    cands = line.reshape(-1, 1, 1, 1)
+    assert check_admitted(cands, cands[:0], eps) == [0, 2, 4]
+    # appended a, c and v against the nodes: all match, nothing is appended
+    assert check_admitted(cands, cands[[0, 2, 4]], eps) == []
+
+
+def test_admitted_matches_scan_on_fuzz(monkeypatch):
+    # clustered points on a line and in C^2, eps 1, against a few nodes:
+    # chains of every length, and every pass of the resolution
+    gen = np.random.default_rng(17)
+    calls = count_near_calls(monkeypatch)
+    passes = set()
+    for case in range(300):
+        size = 1 + case % 2
+        count = int(gen.integers(2, 40))
+        points = np.round(gen.uniform(0, count / 3, size=(count, size)) * 4) / 4
+        cands = (points + 0j).reshape(count, 1, 1, size)
+        nodes = cands[gen.integers(0, count, size=int(gen.integers(0, 3)))] + 0.5
+        calls.clear()
+        check_admitted(cands, nodes, 1.0)
+        passes.add(len(calls))
+    # one pass against the nodes, then 1, 2 or 3 passes among the survivors,
+    # each after the first following a check against the appended ones
+    assert {1, 2, 4, 6} <= passes
+
+
+def test_admitted_keeps_non_finite_rows_and_their_copies():
+    # a row with a NaN or an infinite entry matches nothing, not even a copy
+    # of itself, so each copy is appended
+    row = np.array([[[1, 0], [0, 0]]], dtype=complex)
+    nan, inf = row.copy(), row.copy()
+    nan[0, 0, 1] = np.nan
+    inf[0, 1, 1] = np.inf
+    cands = np.stack([row, nan, nan, row, inf, inf, nan])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert check_admitted(cands, cands[:0], 1e-9) == [0, 1, 2, 4, 5, 6]
+        assert check_admitted(cands, cands[[1, 3]], 0.0) == [1, 2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("cap", [9, 20, 40, 64])
+def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
+    # one line per fiber on six fibers: 8 first nodes, 15 joins in the first
+    # round and the rest after. Whatever round the cap falls in, the nodes up
+    # to it are the per-pair scan's and are checked, in order and once each;
+    # the node past it is not checked
+    gens = pruning_families(rng)["line_per_fiber_6"]
+    ref = reference_closure(gens)
+    real, checked = lt.is_projection, []
+    monkeypatch.setattr(lt, "is_projection", lambda p, tol: checked.append(p.copy()) or real(p, tol))
+    with pytest.raises(ClosureExplosion, match=f"cap of {cap} elements"):
+        lt.meet_closure(gens, cap=cap)
+    assert np.array_equal(checked[0], np.stack([g.values for g in gens]))  # the generators
+    assert np.array_equal(np.concatenate(checked[1:]), ref[8:cap])
+    assert len(lt.meet_closure(gens, cap=65)) == 65
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 37])
+def test_meet_closure_rounds_split_mid_node(rng, monkeypatch, pairs):
+    # rounds of a few node pairs, which start and end inside the run of
+    # pairs of one node: the pairs go in closure order, among the nodes known
+    # at the start of each round; the nodes and the order are the per-pair
+    # scan's, and each distinct unordered pair of fiber values is solved once
+    gens = pruning_families(rng)["line_per_fiber_6"]
+    monkeypatch.setattr(lt, "_ROUND", pairs * 2 * gens[0].values.size)
+    real_round, rounds = lt._FiberMemo.meet_join, []
+
+    def recording(self, stack, known, i, j):
+        rounds.append((i.copy(), j.copy(), known))
+        return real_round(self, stack, known, i, j)
+
+    monkeypatch.setattr(lt._FiberMemo, "meet_join", recording)
+    real_meet, solved = lt.stacked_meet, []
+
+    def counting(p, q, tol):
+        solved.extend(tuple(sorted((a.tobytes(), b.tobytes()))) for a, b in zip(p, q))
+        return real_meet(p, q, tol)
+
+    monkeypatch.setattr(lt, "stacked_meet", counting)
+    lat = lt.meet_closure(gens, cap=256)
+    ref = reference_closure(gens)
+    assert len(lat) == len(ref) == 65
+    assert lat.nodes.tobytes() == ref.tobytes()
+    assert np.array_equal(lat.leq, reference_leq(ref, DEFAULT_TOL.eps))
+    assert max(len(i) for i, _, _ in rounds) == pairs
+    assert all(i.max() < known for i, _, known in rounds)
+    if pairs > 1:
+        assert any(j[0] > 2 and j[-1] < i[-1] - 1 for i, j, _ in rounds)
+    i, j = (np.concatenate(x).tolist() for x in list(zip(*rounds))[:2])
+    assert list(zip(i, j)) == [(a, b) for a in range(3, 65) for b in range(2, a)]
+    assert len(solved) == len(set(solved)) and set(solved) == distinct_fiber_pairs(lat)
+
+
 @pytest.mark.parametrize("chunk", [1, 50])
 def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
-    # meets and joins in blocks of one or two earlier nodes, and every other
+    # rounds of one node pair (or of one or two at chunk 50) and every other
     # blocked loop at its smallest blocks: the same nodes, bit for bit
     families = {**closure_families(rng), **pruning_families(rng)}
     families.pop("boolean_7")
     want = {name: lt.meet_closure(g, cap=256) for name, g in families.items()}
-    monkeypatch.setattr(lt, "_CHUNK", chunk)
+    for name in ("_CHUNK", "_PAIR_BLOCK", "_ROUND"):
+        monkeypatch.setattr(lt, name, chunk)
     real_meet, blocks = lt.stacked_meet, []
     monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: blocks.append(q) or real_meet(p, q, tol))
     for name, gens in families.items():
@@ -803,12 +948,12 @@ def test_meet_closure_rejects_non_projection_node(monkeypatch):
 @pytest.mark.parametrize("nodes, error", [(5, NotProjection), (4, ClosureExplosion)])
 @pytest.mark.parametrize("limit", ["cap", "budget"])
 def test_meet_closure_checks_nodes_in_order_up_to_the_cap(monkeypatch, limit, nodes, error):
-    # a halved meet is not idempotent. The first block of the closure appends
+    # a halved meet is not idempotent. The first round of the closure appends
     # the meet of its generators, diag(0, 1, 0, 0) halved, as node 4 and their
     # join diag(1, 1, 1, 0) as node 5. With room for 5 nodes, node 4 fails its
     # projection check before node 5 outgrows the cap or the table budget;
     # with room for 4, node 4 outgrows them first and is never checked.
-    # (A halved join cannot show this: the first block ends with it.)
+    # (A halved join cannot show this: the first round ends with it.)
     space = ct.StoneSpace(1)
     real_meet = lt.stacked_meet
     monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: 0.5 * real_meet(p, q, tol))

@@ -43,6 +43,18 @@ def test_is_projection_examples():
     assert not is_projection(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+def test_is_projection_rejects_non_square():
+    # no square matrix, so no projection, whatever its entries
+    assert is_projection(np.zeros((2, 3))) is False
+    assert is_projection(np.zeros((4, 2, 3), dtype=complex)) is False
+
+
+def test_empty_stack_is_a_projection():
+    # no entries: the largest magnitude is 0, so every check passes
+    assert max_abs(np.empty((0, 2, 2), dtype=complex)) == 0.0
+    assert is_projection(np.empty((0, 2, 2), dtype=complex))
+
+
 def test_meet_idempotent_and_orthogonal_lines():
     p = line_projector([1, 0])
     q = line_projector([0, 1])

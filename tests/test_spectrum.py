@@ -373,8 +373,12 @@ def test_extend_filter_examples(tol):
     b2 = sp.extend_filter_to_quasipoint(lat2, f, tol)
     assert b2 == sp.quasipoint(space, 0, [1, 0])
 
-    with pytest.raises(EmptyFilter):
+    with pytest.raises(EmptyFilter, match="^cannot extend an empty filter$"):
         sp.extend_filter_to_quasipoint(lat, lt.Filter(lat, set()), tol)
+    # a member set holding zero has zero as its minimum, which fixes no line
+    with_zero = lt.Filter(lat, {lat.zero_index, lat.one_index})
+    with pytest.raises(EmptyFilter, match="^the filter contains the zero projection$"):
+        sp.extend_filter_to_quasipoint(lat, with_zero, tol)
 
 
 def test_extend_filter_random_lattice(rng, tol):
