@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, NotProjection
+from .numerics import DEFAULT_TOL, max_abs
 
 
 def cmul(x, y):
@@ -57,42 +58,67 @@ class CenterQuasipoint:
             raise ValueError(f"point index {self.omega} outside space of {self.space.points}")
 
 
-class CenterElement:
-    """A complex-valued function on the space, one value per point."""
+class FiberedValue:
+    """One complex value per point of the space: a scalar, an n-vector or an
+    n x n matrix, as the subclass's ``_axes`` is 0, 1 or 2.
+
+    The values are a read-only copy, checked for shape and finiteness, and the
+    object is immutable. Sums, differences and comparisons need operands of
+    the same space and shape. Each subclass defines its own ``__mul__`` and
+    names its errors: ``_not_finite`` for a NaN or infinite value and
+    ``_mismatch`` for operands of another space or shape.
+    """
 
     __slots__ = ("space", "values")
 
     def __init__(self, space: StoneSpace, values):
-        arr = np.array(values, dtype=np.complex128).reshape(space.points)
+        arr = np.array(values, dtype=np.complex128)
+        axes = self._axes
+        if arr.ndim != axes + 1 or arr.shape[0] != space.points or arr.shape[1:] != arr.shape[1:2] * axes:
+            shape = str((space.points,) + ("n",) * axes).replace("'", "")
+            raise DimensionMismatch(f"expected shape {shape}, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("center element values must be finite")
+            raise ValueError(self._not_finite)
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CenterElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- algebra ------------------------------------------------------------
-
-    def _check(self, other: "CenterElement"):
-        if self.space != other.space:
-            raise DimensionMismatch("center elements live over different spaces")
+    def _check(self, other: "FiberedValue"):
+        if self.space != other.space or self.values.shape != other.values.shape:
+            raise DimensionMismatch(self._mismatch)
 
     def __add__(self, other):
         self._check(other)
-        return CenterElement(self.space, self.values + other.values)
+        return type(self)(self.space, self.values + other.values)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.space, self.values - other.values)
+
+    def __rmul__(self, other):
+        return self * other
+
+    def allclose(self, other: "FiberedValue", eps: float = DEFAULT_TOL.eps) -> bool:
+        self._check(other)
+        return max_abs(self.values - other.values) <= eps
+
+
+class CenterElement(FiberedValue):
+    """A complex-valued function on the space, one value per point."""
+
+    __slots__ = ()
+    _axes = 0
+    _not_finite = "center element values must be finite"
+    _mismatch = "center elements live over different spaces"
 
     def __mul__(self, other):
         if isinstance(other, CenterElement):
             self._check(other)
             return CenterElement(self.space, cmul(self.values, other.values))
         return CenterElement(self.space, cmul(self.values, complex(other)))
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CenterElement":
-        return CenterElement(self.space, np.conj(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -114,9 +140,6 @@ class CenterElement:
 
     def support_set(self) -> frozenset:
         return frozenset(int(k) for k in np.nonzero(self.values != 0.0)[0])
-
-    def __repr__(self):
-        return f"CenterElement({self.values.tolist()!r})"
 
 
 def zero(space: StoneSpace) -> CenterElement:

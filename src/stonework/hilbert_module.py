@@ -15,49 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center import CenterElement, StoneSpace, cmul
+from .center import CenterElement, FiberedValue, StoneSpace, cmul
 from .errors import DimensionMismatch, NotNormalized
-from .numerics import DEFAULT_TOL, Tolerance, max_abs, projector_onto_columns, range_basis
+from .numerics import DEFAULT_TOL, Tolerance, projector_onto_columns, range_basis
 
 
-class ModuleElement:
+class ModuleElement(FiberedValue):
     """One complex n-vector per point of the space."""
 
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: StoneSpace, values):
-        arr = np.array(values, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != space.points:
-            raise DimensionMismatch(
-                f"expected shape ({space.points}, n), got {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("module element values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleElement is immutable")
+    __slots__ = ()
+    _axes = 1
+    _not_finite = "module element values must be finite"
+    _mismatch = "module elements have different shapes"
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def component(self, k: int) -> CenterElement:
-        return CenterElement(self.space, self.values[:, k])
-
-    def _check(self, other: "ModuleElement"):
-        if self.space != other.space or self.n != other.n:
-            raise DimensionMismatch("module elements have different shapes")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleElement(self.space, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModuleElement(self.space, self.values - other.values)
 
     def __mul__(self, alpha):
         """Right action by a center element (fiberwise scaling) or a scalar."""
@@ -66,15 +39,6 @@ class ModuleElement:
                 raise DimensionMismatch("scalar lives over a different space")
             return ModuleElement(self.space, cmul(self.values, alpha.values[:, None]))
         return ModuleElement(self.space, cmul(self.values, complex(alpha)))
-
-    __rmul__ = __mul__
-
-    def allclose(self, other: "ModuleElement", eps: float = DEFAULT_TOL.eps) -> bool:
-        self._check(other)
-        return max_abs(self.values - other.values) <= eps
-
-    def __repr__(self):
-        return f"ModuleElement({self.values.tolist()!r})"
 
 
 def basis_vector(space: StoneSpace, n: int, k: int) -> ModuleElement:

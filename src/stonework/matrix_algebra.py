@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .center import CenterElement, StoneSpace
+from .center import CenterElement, FiberedValue, StoneSpace
 from .errors import (
     DimensionMismatch,
     NotPartialIsometry,
@@ -30,41 +30,17 @@ from .numerics import (
 )
 
 
-class FiberedOperator:
+class FiberedOperator(FiberedValue):
     """One square complex matrix per point of the space."""
 
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: StoneSpace, values):
-        arr = np.array(values, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[0] != space.points or arr.shape[1] != arr.shape[2]:
-            raise DimensionMismatch(
-                f"expected shape ({space.points}, n, n), got {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberedOperator is immutable")
+    __slots__ = ()
+    _axes = 2
+    _not_finite = "operator entries must be finite"
+    _mismatch = "operators have different shapes"
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def _check(self, other: "FiberedOperator"):
-        if self.space != other.space or self.n != other.n:
-            raise DimensionMismatch("operators have different shapes")
-
-    def __add__(self, other):
-        self._check(other)
-        return FiberedOperator(self.space, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FiberedOperator(self.space, self.values - other.values)
 
     def __matmul__(self, other):
         self._check(other)
@@ -77,8 +53,6 @@ class FiberedOperator:
                 raise DimensionMismatch("center element lives over a different space")
             return FiberedOperator(self.space, self.values * alpha.values[:, None, None])
         return FiberedOperator(self.space, self.values * alpha)
-
-    __rmul__ = __mul__
 
     def apply(self, a: ModuleElement) -> ModuleElement:
         if a.space != self.space or a.n != self.n:
@@ -94,15 +68,8 @@ class FiberedOperator:
         vh = np.conj(np.swapaxes(v, 1, 2))
         return max_abs(vh @ v - eye) <= tol.eps and max_abs(v @ vh - eye) <= tol.eps
 
-    def allclose(self, other: "FiberedOperator", eps: float = DEFAULT_TOL.eps) -> bool:
-        self._check(other)
-        return max_abs(self.values - other.values) <= eps
-
     def norm_max(self) -> float:
         return max_abs(self.values)
-
-    def __repr__(self):
-        return f"FiberedOperator(points={self.space.points}, n={self.n})"
 
 
 def identity(space: StoneSpace, n: int) -> FiberedOperator:

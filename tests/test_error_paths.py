@@ -68,6 +68,14 @@ CASES = {
         lambda: ma.diagonal_sum_projection([ct.unit(S2), ct.unit(S3)]),
         DimensionMismatch, "coefficients live over different spaces",
     ),
+    "center-element-shape": (
+        lambda: ct.CenterElement(S2, [1, 2, 3]),
+        DimensionMismatch, r"expected shape \(2,\), got \(3,\)",
+    ),
+    "center-element-finite": (
+        lambda: ct.CenterElement(S2, [NAN, 0]),
+        ValueError, "center element values must be finite",
+    ),
     "center-point-index": (
         lambda: ct.CenterQuasipoint(S2, 2),
         ValueError, "point index 2 outside space of 2",
@@ -125,3 +133,11 @@ def test_value_types_reject_bad_input(name):
     with pytest.raises(error, match=message) as caught:
         call()
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("value", [
+    ct.unit(S2), vec(S2), op(S2), sp.quasipoint(S2, 0, [1, 0]),
+], ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable(value):
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        value.space = S3

@@ -17,9 +17,6 @@ UNCALLED = {
     "matrix_algebra.fibered_join",
     # the unit of the algebra: tests in five files build operators from it
     "matrix_algebra.identity",
-    # the center element of one coordinate: test_hilbert_module and
-    # test_fiber_oracles read module elements coordinate by coordinate
-    "hilbert_module.ModuleElement.component",
     # the per-fiber steps of a spectral family: the loop oracles of
     # test_observables and test_fiber_oracles walk them fiber by fiber
     "observables.SpectralFamily.cumulative",
@@ -32,22 +29,34 @@ def _modules():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _references(tree):
-    """Names a module reads, bare or as an attribute, outside the top-level
-    definition that binds each name."""
+def _module_names(tree):
+    """Names a module binds to modules: ``np``, ``math``, ``ma``, ..."""
+    stems = {path.stem for path in SRC.glob("*.py")}
     out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            out.update(a.asname or a.name for a in node.names if a.name in stems)
+    return out
+
+
+def _references(tree):
+    """Names a module reads outside the top-level definition that binds each
+    name: every name read bare or as an attribute, and apart, the attribute
+    reads on something other than a module, which alone can read a method."""
+    names, attributes = set(), set()
+    modules = _module_names(tree)
     for stmt in tree.body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                out.add(name)
-    return out
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                names.add(node.attr)
+                if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                    attributes.add(node.attr)
+    return names, attributes
 
 
 def _exported(tree):
@@ -67,35 +76,36 @@ def test_all_names_resolve_and_are_not_modules():
 
 
 def _called():
-    return set().union(
-        *(_references(tree) for stem, tree in _modules().items() if stem != "__init__")
-    )
+    """Names read anywhere in the package, and the attribute reads among them
+    (see ``_references``)."""
+    refs = [_references(tree) for stem, tree in _modules().items() if stem != "__init__"]
+    return set().union(*(n for n, _ in refs)), set().union(*(a for _, a in refs))
 
 
 def _definitions(stem, tree):
     """module.name of each top-level function and class, and module.Class.name
-    of each method other than a dunder."""
+    of each method other than a dunder, with whether it is a method."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{stem}.{stmt.name}", stmt.name
+            yield f"{stem}.{stmt.name}", stmt.name, False
         if isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield f"{stem}.{stmt.name}.{item.name}", item.name
+                    yield f"{stem}.{stmt.name}.{item.name}", item.name, True
 
 
 def test_every_export_has_a_caller_in_the_package():
-    uncalled = set(stonework.__all__) - _called()
+    uncalled = set(stonework.__all__) - _called()[0]
     assert sorted(uncalled) == sorted(q.split(".")[1] for q in UNCALLED if q.count(".") == 1)
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    called = _called()
+    names, attributes = _called()
     uncalled = {
         qualified
         for stem, tree in _modules().items()
-        for qualified, name in _definitions(stem, tree)
-        if name not in called
+        for qualified, name, method in _definitions(stem, tree)
+        if name not in (attributes if method else names)
     }
     assert sorted(uncalled - UNCALLED) == []
     assert sorted(UNCALLED - uncalled) == []
