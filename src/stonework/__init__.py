@@ -61,7 +61,6 @@ from .observables import (
 )
 from .rng import SplitMix64
 from .spectrum import (
-    GermVector,
     Quasipoint,
     common_central_reduction,
     extend_filter_to_quasipoint,
@@ -128,7 +127,6 @@ __all__ = [
     # rng
     "SplitMix64",
     # spectrum
-    "GermVector",
     "Quasipoint",
     "common_central_reduction",
     "extend_filter_to_quasipoint",

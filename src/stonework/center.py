@@ -118,6 +118,8 @@ class CenterElement(FiberedValue):
         if isinstance(other, CenterElement):
             self._check(other)
             return CenterElement(self.space, cmul(self.values, other.values))
+        if isinstance(other, FiberedValue):  # a module element or an operator acts on the right
+            return NotImplemented
         return CenterElement(self.space, cmul(self.values, complex(other)))
 
     def sup_norm(self) -> float:
@@ -140,10 +142,6 @@ class CenterElement(FiberedValue):
 
     def support_set(self) -> frozenset:
         return frozenset(int(k) for k in np.nonzero(self.values != 0.0)[0])
-
-
-def zero(space: StoneSpace) -> CenterElement:
-    return CenterElement(space, np.zeros(space.points))
 
 
 def unit(space: StoneSpace) -> CenterElement:

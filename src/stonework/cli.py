@@ -206,14 +206,14 @@ def _cmd_germ(cfg, args, tol, seed):
     beta = ct.CenterQuasipoint(cfg.space, args.beta)
     germ = sp.germ_eval(a, beta)
     basis = [
-        sp.germ_eval(hm.basis_vector(cfg.space, cfg.n, k), beta).value
+        sp.germ_eval(hm.basis_vector(cfg.space, cfg.n, k), beta)
         for k in range(cfg.n)
     ]
     spans = bool(np.array_equal(np.stack(basis), np.eye(cfg.n, dtype=complex)))
     results = {
         "vector": args.vector,
         "beta": int(args.beta),
-        "germ": encode(germ.value),
+        "germ": encode(germ),
     }
     return results, [{"name": "basis_germs_standard", "passed": spans}]
 

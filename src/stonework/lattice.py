@@ -221,7 +221,10 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     down-set, or two nodes with one down-set, mean the family is not a lattice.
     When every pair has a meet and there is a top, every pair has a join too
     (the meet of its common upper bounds), so the transpose needs no pass of
-    its own. Transitivity of ``leq`` is assumed, not checked.
+    its own. ``leq`` is transitive exactly when i <= j puts the down-set of i
+    inside that of j, that is, when i is the meet of i and j; an i <= j with
+    another meet means the order tables are inconsistent too. This finds
+    every i <= j <= l with i !<= l, as ``(leq @ leq > 0) & ~leq`` would.
     """
     k = len(leq)
     down = np.packbits(np.ascontiguousarray(leq.T), axis=1)  # row c: the nodes below c
@@ -234,11 +237,13 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     for s in range(0, k, step):
         inter = (down[s : s + step, None] & down[None]).view(void)[..., 0]
         pos = np.minimum(np.searchsorted(keys, inter), k - 1)
-        if shared or not (keys[pos] == inter).all():
+        meet = order[pos]
+        broken = leq[s : s + step] & (meet != np.arange(s, s + len(meet))[:, None])
+        if shared or not (keys[pos] == inter).all() or broken.any():
             raise StoneworkError(
                 "order tables are inconsistent; the element family is not closed"
             )
-        table[s : s + step] = order[pos]
+        table[s : s + step] = meet
     return table
 
 
@@ -341,11 +346,8 @@ def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     if len(todo) < 2:
         return todo
     rows = cands[todo].reshape(len(todo), -1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    copy = np.zeros(len(todo), dtype=bool)
-    copy[order[1:]] = keys[1:] == keys[:-1]
+    first = {}  # the first survivor with each row's bytes
+    copy = np.array([first.setdefault(r.tobytes(), p) != p for p, r in enumerate(rows)])
     if copy.any():
         copy &= np.isfinite(rows).all(axis=1)
         todo, rows = todo[~copy], rows[~copy]
@@ -370,22 +372,18 @@ class _FiberMemo:
     The projection lattice of a direct sum of matrix algebras is the product
     of its fiber lattices: a fibered meet or join is the meet or join of each
     fiber pair on its own. Each node fiber gets as id the flat position of
-    the first node fiber with the same bytes, and the unordered pair of ids
-    keys the row of ``solved`` that holds its meet and join.
-    ``stacked_meet`` and ``stacked_join`` solve one matrix at a time and give
-    the same bits with their arguments swapped, so a remembered fiber is bit
-    for bit what a fresh solve gives. The distinct fiber values and the pair
-    keys are kept as sorted arrays: a round of node pairs builds its keys in
-    one expression and looks them up with one binary search. One sort finds
-    the distinct keys not seen before; once they are solved and merged in, a
-    second search and one index gather the round's meets and joins.
+    the first node fiber with the same bytes (one dict maps bytes to ids),
+    and the unordered pair of ids keys the row of ``solved`` that holds its
+    meet and join. ``stacked_meet`` and ``stacked_join`` solve
+    one matrix at a time and give the same bits with their arguments
+    swapped, so a remembered fiber is bit for bit what a fresh solve gives.
+    The pair keys are kept as one sorted array: a round of node pairs builds
+    its keys in one expression and looks them up with one binary search.
     """
 
     def __init__(self, m: int, n: int, tol: Tolerance):
         self.tol = tol
-        self._void = np.dtype((np.void, 16 * n * n))  # a fiber's bytes as one key
-        self._values = np.empty(0, dtype=self._void)  # distinct fiber bytes, sorted
-        self._value_ids = np.empty(0, dtype=np.intp)  # the id of each
+        self._ids = {}  # fiber bytes -> id
         self.node_ids = np.empty((0, m), dtype=np.intp)  # per node fiber
         # pair keys lo << 32 | hi, sorted, and the row of ``solved`` of each.
         # ids are flat positions in the node stack, below 2**31 for any stack
@@ -395,49 +393,33 @@ class _FiberMemo:
         self._at = np.array([-1], dtype=np.intp)
         self.solved = np.empty((0, 2, n, n), dtype=np.complex128)  # meet, join
 
-    def _number(self, fibers: np.ndarray, start: int, stop: int):
-        """Ids for the fibers at flat positions start..stop-1 of ``fibers``.
-        A stable sort puts the known values first in each run of equal bytes,
-        and the new ones after them in position order."""
-        new = fibers[start:stop].reshape(stop - start, -1).view(self._void)[:, 0]
-        values = np.concatenate([self._values, new])
-        ids = np.concatenate([self._value_ids, np.arange(start, stop)])
-        order = np.argsort(values, kind="stable")
-        first = np.ones(len(order), dtype=bool)  # of its run of equal bytes
-        first[1:] = values[order[1:]] != values[order[:-1]]
-        self._values, self._value_ids = values[order[first]], ids[order[first]]
-        ids[order] = self._value_ids[first.cumsum() - 1]
-        return ids[len(ids) - len(new) :]
-
     def meet_join(self, stack: np.ndarray, known: int, i: np.ndarray, j: np.ndarray):
         """The meet and the join of each node pair (i[p], j[p]) of ``stack``,
         both below ``known``, at rows 2p and 2p + 1 of one (2 len(i), m, n, n)
-        array. Pairs not seen before are solved in blocks of at most _CHUNK
-        entries."""
+        array. The distinct pairs not seen before are solved in one
+        ``stacked_meet`` and one ``stacked_join`` call: at most m per node
+        pair, so no more entries than the meets and joins returned."""
         m, n = stack.shape[1:3]
         fibers = stack.reshape(-1, n, n)
         if len(self.node_ids) < known:  # number the fibers of the new nodes
-            ids = self._number(fibers, len(self.node_ids) * m, known * m)
-            self.node_ids = np.concatenate([self.node_ids, ids.reshape(-1, m)])
+            start = len(self.node_ids) * m
+            new = enumerate(fibers[start : known * m], start)
+            ids = [self._ids.setdefault(f.tobytes(), p) for p, f in new]
+            self.node_ids = np.concatenate([self.node_ids, np.reshape(ids, (-1, m))])
         a, b = self.node_ids[i], self.node_ids[j]
         keys = np.minimum(a, b) << 32 | np.maximum(a, b)
         at = self._keys.searchsorted(keys)
         if (miss := self._keys[at] != keys).any():
-            fresh = np.sort(keys[miss], kind="stable")
+            fresh = np.sort(keys[miss])
             fresh = fresh[np.concatenate([[True], fresh[1:] != fresh[:-1]])]
-            step = max(1, _CHUNK // fibers[0].size)
-            solved = [self.solved]
-            for s in range(0, len(fresh), step):
-                pair = fresh[s : s + step]
-                p, q = fibers[pair >> 32], fibers[pair & 0xFFFFFFFF]
-                solved.append(np.empty((len(pair), *self.solved.shape[1:]), dtype=np.complex128))
-                solved[-1][:, 0] = stacked_meet(p, q, self.tol)
-                solved[-1][:, 1] = stacked_join(p, q, self.tol)
+            p, q = fibers[fresh >> 32], fibers[fresh & 0xFFFFFFFF]
+            solved = np.empty((len(fresh), 2, n, n), dtype=np.complex128)
+            solved[:, 0], solved[:, 1] = stacked_meet(p, q, self.tol), stacked_join(p, q, self.tol)
             self._keys = np.concatenate([self._keys, fresh])
             order = self._keys.argsort(kind="stable")
             rows = np.arange(len(self.solved), len(self.solved) + len(fresh))
             self._keys, self._at = self._keys[order], np.concatenate([self._at, rows])[order]
-            self.solved = np.concatenate(solved)
+            self.solved = np.concatenate([self.solved, solved])
             at = self._keys.searchsorted(keys)
         return self.solved[self._at[at][:, None], _MEET_JOIN].reshape(-1, m, n, n)
 

@@ -11,7 +11,6 @@ extend to such parametrized quasipoints constructively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,14 +105,6 @@ def quasipoint(space: StoneSpace, omega: int, line) -> Quasipoint:
     return Quasipoint(CenterQuasipoint(space, omega), line)
 
 
-@dataclass(frozen=True, eq=False)
-class GermVector:
-    """The germ of a module element at a center quasipoint: its value there."""
-
-    beta: CenterQuasipoint
-    value: np.ndarray
-
-
 def _check_point(b: Quasipoint, p: FiberedOperator):
     if b.space != p.space or b.n != p.n:
         raise DimensionMismatch("quasipoint and operator have different shapes")
@@ -194,8 +185,9 @@ def orbit_witness(
 # -- germs ---------------------------------------------------------------
 
 
-def germ_eval(a: ModuleElement, beta: CenterQuasipoint) -> GermVector:
-    """The germ of a module element at a center quasipoint: evaluation there.
+def germ_eval(a: ModuleElement, beta: CenterQuasipoint) -> np.ndarray:
+    """The germ of a module element at a center quasipoint: evaluation there,
+    as a read-only n-vector.
 
     Two elements share a germ exactly when some central projection in the
     filter at beta equalizes them, which over a finite space means agreement
@@ -203,9 +195,7 @@ def germ_eval(a: ModuleElement, beta: CenterQuasipoint) -> GermVector:
     """
     if a.space != beta.space:
         raise DimensionMismatch("element and quasipoint live over different spaces")
-    value = a.values[beta.omega].copy()
-    value.setflags(write=False)
-    return GermVector(beta, value)
+    return a.values[beta.omega]
 
 
 def germ_inverse(

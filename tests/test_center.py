@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from stonework import center as ct
+from stonework import hilbert_module as hm
+from stonework import matrix_algebra as ma
 from stonework.errors import NotProjection
 
 
@@ -124,12 +126,25 @@ def test_gelfand_multiplicativity_exact(rng):
             assert lhs == rhs
 
 
+def test_center_element_on_the_left_acts_as_on_the_right(rng):
+    # alpha * x leaves the product to x, so it is x * alpha bit for bit
+    space = ct.StoneSpace(3)
+    alpha = ct.CenterElement(space, rng.complex_normals(3))
+    for x in (
+        hm.ModuleElement(space, rng.complex_normals(3, 2)),
+        ma.FiberedOperator(space, rng.complex_normals(3, 2, 2)),
+    ):
+        left, right = alpha * x, x * alpha
+        assert type(left) is type(x)
+        assert left.values.tobytes() == right.values.tobytes()
+
+
 def test_membership_examples_and_errors():
     space = ct.StoneSpace(2)
     betas = ct.center_quasipoints(space)
     for beta in betas:
         assert ct.center_membership(ct.unit(space), beta)
-        assert not ct.center_membership(ct.zero(space), beta)
+        assert not ct.center_membership(ct.char_fn(space, []), beta)
     with pytest.raises(NotProjection):
         ct.center_membership(ct.CenterElement(space, [0.5, 1.0]), betas[0])
 

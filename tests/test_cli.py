@@ -2,6 +2,7 @@
 
 import gc
 import json
+import runpy
 import subprocess
 import sys
 
@@ -755,6 +756,17 @@ def test_main_restores_the_collector_state(tmp_path, capsys, collector, argv, co
     paths = {"good": good, "bad": str(bad), "missing": missing}
     assert run_cli([arg.format(**paths) for arg in argv], capsys)[0] == code
     assert gc.isenabled() is collector
+
+
+def test_module_run_as_a_script_exits_with_the_code_of_main(capsys, monkeypatch):
+    argv = ["zeta", "--point", "omega=0,line=e1"]
+    want = run_cli(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["stonework.cli", *argv])
+    # runpy warns that the module it runs as __main__ is imported already
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as done:
+        runpy.run_module("stonework.cli", run_name="__main__")
+    out = capsys.readouterr()
+    assert (done.value.code, out.out, out.err) == want
 
 
 def test_main_restores_the_collector_state_when_a_handler_raises(capsys, monkeypatch, collector):

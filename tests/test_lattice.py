@@ -405,6 +405,19 @@ def test_tables_reject_repeated_node():
         lt.FiniteLattice(node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), p, p))
 
 
+def test_tables_reject_non_transitive_order():
+    # nodes 0 (bottom), 1 (top), a, b, c, m with a <= b <= c, b <= m <= b and
+    # m <= c, but not a <= c: every pair of down-sets meets in a down-set and
+    # no two nodes share one, so only the transitivity test can reject it
+    bottom, top, a, b, c, m = range(6)
+    downs = [{bottom}, set(range(6)), {bottom, a}, {bottom, a, b, m}, {bottom, b, c, m}, {bottom, b, m}]
+    assert all(x & y in downs for x in downs for y in downs)
+    assert len({frozenset(d) for d in downs}) == len(downs)
+    leq = np.array([[i in d for d in downs] for i in range(6)])
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt._extrema_table(leq)
+
+
 def test_node_lookup():
     space = ct.StoneSpace(2)
     p = line_op(space, [1, 0])
@@ -707,7 +720,9 @@ def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
     monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: blocks.append(q) or real_meet(p, q, tol))
     for name, gens in families.items():
         lat = lt.meet_closure(gens, cap=256)
-        assert max(q.size for q in blocks) <= max(chunk, blocks[0][0].size)
+        # one solve per round, of at most m fresh fiber pairs per node pair
+        m, size = gens[0].values.shape[0], gens[0].values.size
+        assert max(len(q) for q in blocks) <= m * max(1, chunk // (2 * size))
         blocks.clear()
         assert len(lat) == len(want[name])
         assert lat.nodes.tobytes() == want[name].nodes.tobytes()

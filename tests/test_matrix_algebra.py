@@ -93,7 +93,7 @@ def test_diagonal_sum_examples(tol):
     all_one = ma.diagonal_sum_projection([ct.unit(space), ct.unit(space)])
     assert all_one.allclose(ma.identity(space, 2), 0.0)
 
-    op = ma.diagonal_sum_projection([ct.char_fn(space, [0]), ct.zero(space)])
+    op = ma.diagonal_sum_projection([ct.char_fn(space, [0]), ct.char_fn(space, [])])
     assert op.is_projection(tol)
     assert np.array_equal(ma.central_carrier(op, tol).values, np.array([1, 0], dtype=complex))
 

@@ -30,32 +30,43 @@ def _modules():
 
 
 def _module_names(tree):
-    """Names a module binds to modules: ``np``, ``math``, ``ma``, ..."""
+    """Names a module binds to modules (``np``, ``math``, ``ma``, ...), and
+    what the names it imports from the package's modules stand for: a module
+    alias its module (``ct``: ``center``), any other name ``module.name``."""
     stems = {path.stem for path in SRC.glob("*.py")}
-    out = set()
+    out, package = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             out.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
-            out.update(a.asname or a.name for a in node.names if a.name in stems)
-    return out
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                local = a.asname or a.name
+                if node.module:
+                    package[local] = f"{node.module}.{a.name}"
+                elif a.name in stems:
+                    out.add(local)
+                    package[local] = a.name
+    return out, package
 
 
-def _references(tree):
-    """Names a module reads outside the top-level definition that binds each
-    name: every name read bare or as an attribute, and apart, the attribute
-    reads on something other than a module, which alone can read a method."""
+def _references(stem, tree):
+    """What a module reads outside the top-level definition that binds each
+    name: the top-level definitions each read resolves to, as module.name (a
+    bare name is an import or a definition of the module itself, and
+    ``ct.zero`` is center.zero), and apart, the names of the attribute reads
+    on something other than a module, which alone can read a method."""
     names, attributes = set(), set()
-    modules = _module_names(tree)
+    modules, package = _module_names(tree)
     for stmt in tree.body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and node.id != own:
-                names.add(node.id)
+                names.add(package.get(node.id, f"{stem}.{node.id}"))
             elif isinstance(node, ast.Attribute) and node.attr != own:
-                names.add(node.attr)
                 if not (isinstance(node.value, ast.Name) and node.value.id in modules):
                     attributes.add(node.attr)
+                elif node.value.id in package:
+                    names.add(f"{package[node.value.id]}.{node.attr}")
     return names, attributes
 
 
@@ -76,9 +87,9 @@ def test_all_names_resolve_and_are_not_modules():
 
 
 def _called():
-    """Names read anywhere in the package, and the attribute reads among them
-    (see ``_references``)."""
-    refs = [_references(tree) for stem, tree in _modules().items() if stem != "__init__"]
+    """Top-level definitions read anywhere in the package, as module.name, and
+    the names of the attribute reads (see ``_references``)."""
+    refs = [_references(stem, tree) for stem, tree in _modules().items() if stem != "__init__"]
     return set().union(*(n for n, _ in refs)), set().union(*(a for _, a in refs))
 
 
@@ -95,8 +106,9 @@ def _definitions(stem, tree):
 
 
 def test_every_export_has_a_caller_in_the_package():
-    uncalled = set(stonework.__all__) - _called()[0]
-    assert sorted(uncalled) == sorted(q.split(".")[1] for q in UNCALLED if q.count(".") == 1)
+    source = _module_names(_modules()["__init__"])[1]  # export -> module.name
+    uncalled = {source[name] for name in stonework.__all__} - _called()[0]
+    assert sorted(uncalled) == sorted(q for q in UNCALLED if q.count(".") == 1)
 
 
 def test_every_definition_has_a_caller_in_the_package():
@@ -105,7 +117,7 @@ def test_every_definition_has_a_caller_in_the_package():
         qualified
         for stem, tree in _modules().items()
         for qualified, name, method in _definitions(stem, tree)
-        if name not in (attributes if method else names)
+        if not (name in attributes if method else qualified in names)
     }
     assert sorted(uncalled - UNCALLED) == []
     assert sorted(UNCALLED - uncalled) == []

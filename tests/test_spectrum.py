@@ -254,13 +254,13 @@ def test_germ_eval_examples():
     beta0 = ct.CenterQuasipoint(space, 0)
     for k in range(3):
         g = sp.germ_eval(hm.basis_vector(space, 3, k), beta0)
-        assert np.array_equal(g.value, np.eye(3, dtype=complex)[k])
+        assert np.array_equal(g, np.eye(3, dtype=complex)[k]) and not g.flags.writeable
     # an element supported away from the point has zero germ: some projection
     # in the filter at the point kills it
     a = hm.basis_vector(space, 2, 0) * ct.char_fn(space, [1])
     killer = ct.char_fn(space, [0])
     assert max_abs((a * killer).values) == 0.0
-    assert np.array_equal(sp.germ_eval(a, beta0).value, np.zeros(2, dtype=complex))
+    assert np.array_equal(sp.germ_eval(a, beta0), np.zeros(2, dtype=complex))
 
 
 def test_germ_equivalence_via_killing_projection():
@@ -270,7 +270,7 @@ def test_germ_equivalence_via_killing_projection():
     beta0 = ct.CenterQuasipoint(space, 0)
     a = hm.ModuleElement(space, [[1, 2], [5, 6]])
     b = hm.ModuleElement(space, [[1, 2], [7, 8]])
-    assert np.array_equal(sp.germ_eval(a, beta0).value, sp.germ_eval(b, beta0).value)
+    assert np.array_equal(sp.germ_eval(a, beta0), sp.germ_eval(b, beta0))
     p = ct.char_fn(space, [0])
     assert max_abs(((a - b) * p).values) == 0.0
 
@@ -293,12 +293,12 @@ def test_germ_linearity_exact(rng, tol):
         b = hm.ModuleElement(space, rng.complex_normals(3, 3))
         alpha = ct.CenterElement(space, rng.complex_normals(3))
         assert np.array_equal(
-            sp.germ_eval(a + b, beta).value,
-            sp.germ_eval(a, beta).value + sp.germ_eval(b, beta).value,
+            sp.germ_eval(a + b, beta),
+            sp.germ_eval(a, beta) + sp.germ_eval(b, beta),
         )
         assert np.array_equal(
-            sp.germ_eval(a * alpha, beta).value,
-            ct.cmul(sp.germ_eval(a, beta).value, ct.gelfand_eval(alpha, beta)),
+            sp.germ_eval(a * alpha, beta),
+            ct.cmul(sp.germ_eval(a, beta), ct.gelfand_eval(alpha, beta)),
         )
 
 
@@ -429,6 +429,26 @@ def test_common_central_reduction_examples(rng, tol):
     )
     with pytest.raises(NotMember):
         sp.common_central_reduction(ea, misses, b, tol)
+
+
+def test_common_central_reduction_refuses_marginal_membership(tol):
+    # one fiber: eb's line is x turned by 1.2e-9 toward y, so both lines fix x
+    # within eps, but their projections differ there by more than eps
+    space = ct.StoneSpace(1)
+    x, y = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    turned = np.cos(1.2e-9) * x + np.sin(1.2e-9) * y
+    ea, eb = (ma.FiberedOperator(space, np.outer(v, v)[None]) for v in (x, turned))
+    b = sp.quasipoint(space, 0, x)
+    assert sp.qp_contains(b, ea, tol) and sp.qp_contains(b, eb, tol)
+    with pytest.raises(NotMember, match="membership holds only marginally"):
+        sp.common_central_reduction(ea, eb, b, tol)
+
+
+def test_filter_and_quasipoint_reprs():
+    space = ct.StoneSpace(1)
+    lat = lt.meet_closure([ma.FiberedOperator(space, np.diag([1.0, 0.0])[None])])
+    assert repr(lt.Filter(lat, {2, 1})) == "Filter([1, 2])"
+    assert repr(sp.quasipoint(ct.StoneSpace(2), 1, [0, 1j])) == "Quasipoint(omega=1, line=[0j, 1j])"
 
 
 def test_quasipoint_serialization():
