@@ -209,24 +209,15 @@ def _row_try_part(p: list, j: int):
 
 
 def _row_part_search(p: list) -> list:
-    """``_part_search`` on one row, in the same order."""
+    """The single-part stage of ``_part_search`` on one row, in the same order;
+    a row that no single part closes goes to ``_part_search`` itself."""
     size = [abs(x) for x in p]
     order = sorted((j for j in range(len(p)) if size[j] >= _RESOLVE_FLOOR), key=size.__getitem__)
     for j in order:
         hit = _row_try_part(p, j)
         if hit is not None:
             return hit
-    if len(order) >= 2:
-        work, up = p.copy(), (math.inf if _row_norm2(p) < 1.0 else -math.inf)
-        for _ in range(12):
-            work[order[-1]] = math.nextafter(work[order[-1]], up)
-            if _row_norm2(work) == 1.0:
-                return work
-            for j in order[:-1]:
-                hit = _row_try_part(work, j)
-                if hit is not None:
-                    return hit
-    return p
+    return _part_search(np.array([p]).view(np.complex128))[0].view(np.float64).tolist()
 
 
 def _unitize_row(p: list, r: float) -> list:
@@ -259,8 +250,8 @@ def _unitize(rows: np.ndarray) -> np.ndarray:
     sign, or at 7 ulps; each keeps its first hit, else its smallest gap, and
     the part search closes the rows left off. The direction moves by ~1e-12.
     Up to ``_STACK_MAX`` rows of at most ``_ROW_MAX`` entries, each with a
-    finite nonzero norm^2, run this search row by row in Python floats, which
-    skips numpy's per-call cost; everything else takes ``_unitize_stack``.
+    finite nonzero norm^2, run this search but its joint stage row by row in
+    Python floats, skipping numpy's per-call cost; the rest takes ``_unitize_stack``.
     """
     n = rows.shape[-1]
     if 0 < rows.size <= _STACK_MAX * n and n <= _ROW_MAX:

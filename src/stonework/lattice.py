@@ -71,6 +71,8 @@ class FiniteLattice:
         if not np.isfinite(nodes).all():
             raise ValueError("node entries must be finite")
         _require_fibers(nodes.shape[-1])
+        if len(nodes) > _node_limit():
+            raise StoneworkError(f"{len(nodes)} nodes outgrow the table budget of {_TABLE_BUDGET} bytes")
         nodes.setflags(write=False)
         self.nodes, self.tol = nodes, tol
         self.space = StoneSpace(nodes.shape[1])
@@ -110,6 +112,8 @@ class FiniteLattice:
         return list(self._atoms)
 
     def up_set(self, i: int) -> frozenset:
+        if not 0 <= i < len(self.nodes):
+            raise NotMember(f"no lattice node {i}")
         return frozenset(int(j) for j in np.nonzero(self.leq[i])[0])
 
 
@@ -153,6 +157,11 @@ def _bounds(shape) -> np.ndarray:
     bounds = np.zeros((2, *shape), dtype=np.complex128)
     bounds[1] = np.eye(shape[-1])
     return bounds
+
+
+def _node_limit() -> int:
+    """The most nodes whose order and meet tables fit in _TABLE_BUDGET bytes."""
+    return math.isqrt(_TABLE_BUDGET // (np.dtype(np.intp).itemsize + 1))
 
 
 def _require_fibers(n: int):
@@ -462,9 +471,7 @@ def meet_closure(
 
     nodes = np.empty((16, space.points, n, n), dtype=np.complex128)  # rows :k hold the nodes
     k = 0
-    # the most nodes within the cap whose tables fit the budget: one intp and
-    # one bool entry of a k x k table per node pair
-    limit = min(cap, math.isqrt(_TABLE_BUDGET // (np.dtype(np.intp).itemsize + 1)))
+    limit = min(cap, _node_limit())
 
     def admit(cands: np.ndarray, checked: bool = False):
         """Append, in order, the candidates that no node and no candidate
@@ -473,7 +480,7 @@ def meet_closure(
         ``cap`` or the table budget stops the closure, after the check of the
         nodes appended before it."""
         nonlocal nodes, k
-        new = _admitted(cands, nodes[:k], tol.eps)[: limit - k + 1]
+        new = _admitted(cands, nodes[:k], tol.eps)[: max(limit - k + 1, 1)]
         if not len(new):
             return
         if k + len(new) > len(nodes):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .center import CenterElement, CenterQuasipoint, StoneSpace, gelfand_eval
+from .center import CenterElement, CenterQuasipoint, StoneSpace, center_membership, gelfand_eval
 from .config import encode
 from .errors import (
     DimensionMismatch,
@@ -28,6 +28,7 @@ from .hilbert_module import ModuleElement, Submodule, _unitize
 from .lattice import FiniteLattice, Filter
 from .matrix_algebra import (
     FiberedOperator,
+    central_operator,
     is_abelian_projection,
     nonzero_fibers,
     phase_fix,
@@ -286,7 +287,4 @@ def central_membership_consistent(
 ) -> bool:
     """Check that central projections embed consistently: the identity-scaled
     projection belongs to b exactly when p takes the value one under zeta(b)."""
-    from .center import center_membership
-    from .matrix_algebra import central_operator
-
     return qp_contains(b, central_operator(p, b.n), tol) == center_membership(p, zeta(b))

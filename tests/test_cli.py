@@ -348,6 +348,13 @@ def test_closure_past_table_budget_exit_3(tmp_path, capsys, monkeypatch):
     assert "closure reached 3 nodes" in err and "table budget of 50 bytes" in err
 
 
+@pytest.mark.parametrize("cap", [-9, -1, 0])
+def test_closure_cap_below_one_exit_3(tmp_path, capsys, cap):
+    path = write_config(tmp_path, BASE_CONFIG)
+    code, out, err = run_cli(["quasipoints", "--config", path, "--ops", "P", "--cap", str(cap)], capsys)
+    assert (code, out, err) == (3, "", f"stonework: closure exceeded cap of {cap} elements\n")
+
+
 def test_config_past_operator_budget_exit_3(tmp_path, capsys):
     # one operator would take 16 m n^2 = 32 TB; the check runs before np.eye(n) for the point
     path = write_config(tmp_path, {"n": 1000000, "m": 2})

@@ -349,9 +349,16 @@ def test_unitize_small_stack_matches_the_numpy_path(monkeypatch):
     gen = np.random.default_rng(5)
     numpy_path, taken = hm._unitize_stack, Counter()
     monkeypatch.setattr(hm, "_unitize_stack", lambda rows: taken.update([rows.shape[-1]]) or numpy_path(rows))
-    # only the joint search of the Python-float path steps with math.nextafter
-    nextafter, joint = math.nextafter, Counter()
-    monkeypatch.setattr(math, "nextafter", lambda x, y: joint.update([len(stack)]) or nextafter(x, y))
+    # the Python-float path hands each row that no single part closes to
+    # _part_search; count those with two sizeable parts, which its joint
+    # search steps
+    search, handed, joint = hm._part_search, [0], Counter()
+
+    def hand_off(rows):
+        handed[0] += int((np.abs(rows.view(np.float64)) >= hm._RESOLVE_FLOOR).sum() >= 2)
+        return search(rows)
+
+    monkeypatch.setattr(hm, "_part_search", hand_off)
     for k in range(2, hm._STACK_MAX + 1):
         for n in range(1, hm._ROW_MAX + 2):
             mixed = cnormal(gen, (100, k, n)) * 10.0 ** gen.integers(-3, 4, size=(100, k, 1))
@@ -361,7 +368,11 @@ def test_unitize_small_stack_matches_the_numpy_path(monkeypatch):
             mixed[spot] = at_one[: spot.sum()]
             extreme = cnormal(gen, (100, k, n)) * 10.0 ** gen.choice([-160, -150, 150, 153], size=(100, k, 1))
             for stack in (*mixed, *near_axis_rows(gen, 100 * k, n).reshape(100, k, n), *extreme):
-                out, want = hm._unitize(stack), numpy_path(stack)
+                before = handed[0]
+                out = hm._unitize(stack)
+                if n <= hm._ROW_MAX:  # the Python-float path
+                    joint[k] += handed[0] - before
+                want = numpy_path(stack)
                 assert out.shape == stack.shape and out.tobytes() == want.tobytes()
                 if not (hm._norm2(stack) != 1.0).any():
                     assert out is stack

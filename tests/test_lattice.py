@@ -434,6 +434,9 @@ def test_node_lookup():
         lat.index_of(line_op(space, [0, 1]))
     with pytest.raises(NotMember):
         lat.index_of(ma.identity(ct.StoneSpace(1), 2))
+    for i in (-1, 3):
+        with pytest.raises(NotMember, match=f"no lattice node {i}"):
+            lat.up_set(i)
     with pytest.raises(StoneworkError, match="missing its zero or unit element"):
         lt.FiniteLattice(node_stack(p, ma.identity(space, 2)))
 
@@ -927,11 +930,16 @@ def test_meet_closure_fails_fast_past_table_budget(monkeypatch):
     assert math.isqrt(lt._TABLE_BUDGET // per_pair) >= 4096  # the default cap fits
     gens = [ma.central_operator(ct.char_fn(ct.StoneSpace(4), [k]), 1) for k in range(4)]
     monkeypatch.setattr(lt, "_TABLE_BUDGET", per_pair * 16 ** 2)
-    assert len(lt.meet_closure(gens)) == 16
+    nodes = lt.meet_closure(gens).nodes
+    assert len(nodes) == 16 and len(lt.FiniteLattice(nodes)) == 16
     monkeypatch.setattr(lt, "_TABLE_BUDGET", per_pair * 16 ** 2 - 1)
     budget = f"table budget of {per_pair * 16 ** 2 - 1} bytes"
     with pytest.raises(ClosureExplosion, match=f"closure reached 16 nodes.*{budget}"):
         lt.meet_closure(gens)
+    # the constructor checks the same budget before it builds any table
+    monkeypatch.setattr(lt, "_order", lambda *args: pytest.fail("a table was built past the budget"))
+    with pytest.raises(StoneworkError, match=f"16 nodes outgrow the {budget}"):
+        lt.FiniteLattice(nodes)
 
 
 def test_zero_size_fibers_raise_stonework_error():
@@ -986,6 +994,14 @@ def test_meet_closure_cap():
             ma.central_operator(ct.char_fn(ct.StoneSpace(4), [k]), 1) for k in range(4)
         ]
         lt.meet_closure(boolean, cap=5)
+
+
+@pytest.mark.parametrize("cap", [-9, -1, 0])
+def test_meet_closure_cap_below_one(cap):
+    # the first admission appends the zero node, which is past any cap below 1
+    boolean = [ma.central_operator(ct.char_fn(ct.StoneSpace(4), [k]), 1) for k in range(4)]
+    with pytest.raises(ClosureExplosion, match=f"closure exceeded cap of {cap} elements"):
+        lt.meet_closure(boolean, cap=cap)
 
 
 def test_quasipoints_of_boolean_algebras():

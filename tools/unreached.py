@@ -1,22 +1,19 @@
-"""Lines of ``src/stonework`` that the tier-1 tests never run, against a list.
+"""Lines of ``src/stonework`` that the tier-1 tests never run.
 
 Runs the tier-1 suite in this process under a ``sys.settrace`` line counter
 (standard library only) and collects every executable line of
-``src/stonework`` that no test reaches. A line is keyed by its file and its
-stripped source text, so the list survives edits that only move lines.
-Only this process is traced: a line that only the tests' child processes run
-(``python -m stonework.cli``) counts as unreached.
+``src/stonework`` that no test reaches. Only this process is traced: a line
+that only the tests' child processes run (``python -m stonework.cli``) counts
+as unreached.
 
-The run fails when a line is unreached that ``tools/unreached.txt`` does not
-list, and when the list names a line that now runs: the list may only shrink.
-Each mismatch is printed in the list's own format, ``file: text``.
+The run fails when the traced tier-1 run fails or leaves any line unreached,
+and prints each such line as its file and stripped source text.
 
     PYTHONPATH=src python tools/unreached.py
 """
 
 from __future__ import annotations
 
-import collections
 import os
 import pathlib
 import sys
@@ -26,7 +23,6 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stonework"
-ALLOWED = ROOT / "tools" / "unreached.txt"
 
 #: Under a line tracer, gc.collect() after a command finds far more than the
 #: 200 objects the collector test allows, so only the untraced tier-1 run
@@ -84,29 +80,16 @@ def main() -> int:
     if code != 0:
         print(f"the traced tier-1 run failed with exit code {code}")
         return 1
-    unreached = collections.Counter()
-    total = 0
+    unreached, total = [], 0
     for path in files:
         text = path.read_text().splitlines()
         lines = executable_lines(path)
         total += len(lines)
-        for line in lines - hits[str(path)]:
-            unreached[f"{path.name}: {text[line - 1].strip()}"] += 1
-    allowed = collections.Counter(
-        row for row in ALLOWED.read_text().splitlines() if row.strip() and not row.startswith("#")
-    )
-    print(f"{sum(unreached.values())} of {total} executable lines in src/stonework unreached")
-    status = 0
-    for title, extra in (
-        ("unreached, not in tools/unreached.txt:", unreached - allowed),
-        ("in tools/unreached.txt, now reached (delete them from the list):", allowed - unreached),
-    ):
-        if extra:
-            status = 1
-            print(title)
-            for row in sorted(extra.elements()):
-                print(row)
-    return status
+        unreached += [f"{path.name}: {text[line - 1].strip()}" for line in lines - hits[str(path)]]
+    print(f"{len(unreached)} of {total} executable lines in src/stonework unreached")
+    for row in sorted(unreached):
+        print(row)
+    return int(bool(unreached))
 
 
 if __name__ == "__main__":
