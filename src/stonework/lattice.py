@@ -34,23 +34,26 @@ from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_join, stack
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
 #: Array entries per temporary in the blocked loops of this module, but for
-#: _near's exact test (_PAIR_BLOCK).
+#: the exact test on the pairs in the key windows (_PAIR_BLOCK).
 _CHUNK = 1 << 20
-#: Candidate entries (2 m n^2 per node pair) per round of meet_closure.
-#: Against admission one node at a time, on a 2-CPU VM: 2^14 takes 0.80,
-#: 0.95, 0.59 and 0.86 of the time of `quasipoints` on 65, 129, 256 and 513
-#: nodes and adds 0.16 MB to the peak RSS of the 65-node one. 2^13 adds as
-#: much but takes 1.01 and 0.99 on 129 and 513 nodes; 2^15 takes 0.91 and
-#: 0.79 there but adds 0.47 MB, and 2^16 0.86 MB.
-_ROUND = _CHUNK >> 6
-#: Up to this many compared entries (candidates x nodes x entries per node)
-#: _near compares every pair, which costs less than building its key window.
+#: Candidate entries (2 m n^2 per node pair) per round of meet_closure. A
+#: round's temporaries hold ints, m per candidate, and only rounds admitted
+#: through _admitted copy their candidates' values out. On a 2-CPU VM, 2^16
+#: takes 0.92, 0.93 and 0.88 of the time of 2^14 on the 65-, 513- and
+#: 1,025-node closures of one line per fiber and 0.95 on the Boolean m = 10;
+#: 2^18 takes 0.93, 0.94, 0.81 and 0.96 but adds 5.9 MB to the peak RSS of
+#: `quasipoints` on the Boolean m = 8, where 2^16 adds 0.1 MB.
+_ROUND = _CHUNK >> 4
+#: Up to this many compared entries (candidates x rows x entries per row)
+#: _near and _eps_classes compare every pair, which costs less than building
+#: the key windows.
 _DENSE = 1 << 13
-#: Compared entries per block of _near's exact test on the pairs in its key
-#: windows. A round of meet_closure sends hundreds of candidates through one
-#: _near call. In blocks of _CHUNK entries its temporaries reached 256 KiB
-#: on the 65-node closure benchmark, whose peak RSS rose by 0.28 MB; in
-#: blocks of 2^12 entries (64 KiB temporaries) it rose by 0.08 MB.
+#: Compared entries per block of the exact test on the pairs in the key
+#: windows (_window_pairs), which _near and _eps_classes run. Blocks of 2^12
+#: (64 KiB temporaries), 2^14 and 2^16 entries gave the same closure times,
+#: within 6%, and the same `quasipoints` peak RSS, within 0.3 MB, on the
+#: 65-node closure and on P, Q over 400 fibers of size 4, whose 3,803 fiber
+#: values are classed through the key windows.
 _PAIR_BLOCK = 1 << 12
 #: Bytes the order and meet tables of a closure may take: one intp table and
 #: one of bools, 9 k^2 bytes for k nodes on 64 bits (151 MB at k = 4096).
@@ -310,8 +313,20 @@ def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
 def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarray | None:
     """_near through the key window of each candidate; None when the radius
     is not finite."""
-    c, k, size = len(flat_c), len(flat_x), flat_c.shape[1]
-    w, wsum, gamma_wsum, tiny = _key_weights(2 * size)
+    if (windows := _key_windows(flat_c, flat_x, eps)) is None:
+        return None
+    c, k = len(flat_c), len(flat_x)
+    best = np.full(c, k, dtype=np.intp)
+    for ci, xi, hit in _window_pairs(flat_c, flat_x, windows, eps):
+        np.minimum.at(best, ci, np.where(hit, xi, k))
+    return np.where(best < k, best, -1)
+
+
+def _key_windows(flat_c: np.ndarray, flat_x: np.ndarray, eps: float):
+    """The key window of each candidate row among the rows of ``flat_x`` (see
+    _near): the sorted order of the row keys, and the start and the end of
+    each window in it. None when the radius is not finite."""
+    w, wsum, gamma_wsum, tiny = _key_weights(2 * flat_c.shape[1])
     rc, rx = flat_c.view(np.float64), flat_x.view(np.float64)
     bound = sum(abs(float(v)) for v in (rc.max(), rc.min(), rx.max(), rx.min()))
     radius = 2 * (eps * wsum + gamma_wsum * bound + tiny)
@@ -321,19 +336,66 @@ def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarra
     order = np.argsort(key_x, kind="stable")
     keys, key_c = key_x[order], rc @ w
     lo = np.searchsorted(keys, key_c - radius, "left")
-    hi = np.searchsorted(keys, key_c + radius, "right")
+    return order, lo, np.searchsorted(keys, key_c + radius, "right")
+
+
+def _window_pairs(flat_c: np.ndarray, flat_x: np.ndarray, windows, eps: float):
+    """The pairs (candidate ci, row xi) inside the key windows, with the exact
+    test ``hit`` of each, in blocks of at most _PAIR_BLOCK compared entries."""
+    order, lo, hi = windows
     ends = (hi - lo).cumsum()
     total = int(ends[-1])
     shift = hi - ends  # pair p of candidate i sits at sorted position p + shift[i]
-    best = np.full(c, k, dtype=np.intp)
-    step = max(1, _PAIR_BLOCK // size)
+    step = max(1, _PAIR_BLOCK // flat_c.shape[1])
     for s in range(0, total, step):
         pair = np.arange(s, min(s + step, total))
         ci = np.searchsorted(ends, pair, "right")
         xi = order[pair + shift[ci]]
-        hit = np.abs(flat_c[ci] - flat_x[xi]).max(axis=1, initial=0.0) <= eps
-        np.minimum.at(best, ci, np.where(hit, xi, k))
-    return np.where(best < k, best, -1)
+        yield ci, xi, np.abs(flat_c[ci] - flat_x[xi]).max(axis=1, initial=0.0) <= eps
+
+
+def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarray | None:
+    """The eps class of each of the stacked ``values``, given ``known``, the
+    classes of its first len(known) values; None when no classes fit, or when
+    the keys of the windows below would overflow.
+
+    The classes fit when two values lie within eps of each other (max-abs)
+    exactly when they share a class: each class is a clique, and no value
+    lies within eps of a value of another class. A non-finite value, which
+    is within eps of nothing, not even itself, and an eps chain a ~ b ~ c
+    with a !~ c, leave no classes that fit. Each new value takes the class
+    of the lowest value within eps of it, or a new class when that is
+    itself, and the test of each new value against every value then checks
+    the classes: all at once up to _DENSE compared entries, else through
+    _near's key windows, where a new value must lie within eps of as many
+    values as its class holds, all of them in its class (a second pass).
+    """
+    s, v = len(known), len(values)
+    flat = values.reshape(v, -1)
+    new = flat[s:]
+    if dense := len(new) * v * flat.shape[1] <= _DENSE:
+        near = np.abs(new[:, None] - flat[None]).max(axis=2) <= eps
+        low = near.argmax(axis=1)
+    elif (windows := _key_windows(new, flat, eps)) is None:  # not finite
+        return None
+    else:
+        low, count = np.arange(s, v), np.zeros(v - s, dtype=np.intp)
+        for ci, xi, hit in _window_pairs(new, flat, windows, eps):
+            np.minimum.at(low, ci[hit], xi[hit])
+            count += np.bincount(ci[hit], minlength=v - s)
+    # a class is named by its lowest value, and a new value that is its own
+    # lowest match names a new one; the checks below reject the names that
+    # any other lowest match leaves wrong
+    cls = np.concatenate([known, low])
+    cls[s:] = cls[low]
+    if dense:
+        return cls if (near == (cls[s:, None] == cls)).all() else None
+    if (np.bincount(cls)[cls[s:]] != count).any():
+        return None
+    for ci, xi, hit in _window_pairs(new, flat, windows, eps):
+        if (cls[xi[hit]] != cls[s + ci[hit]]).any():
+            return None
+    return cls
 
 
 def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
@@ -376,65 +438,104 @@ def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
 
 
 class _FiberMemo:
-    """Meets and joins of single fibers, each distinct pair eigensolved once.
+    """The fiber values of a closure, each meet and join of two of them
+    eigensolved once, and the eps classes that admit candidates by lookup.
 
     The projection lattice of a direct sum of matrix algebras is the product
     of its fiber lattices: a fibered meet or join is the meet or join of each
-    fiber pair on its own. Each node fiber gets as id the flat position of
-    the first node fiber with the same bytes (one dict maps bytes to ids),
-    and the unordered pair of ids keys the row of ``solved`` that holds its
-    meet and join. ``stacked_meet`` and ``stacked_join`` solve
-    one matrix at a time and give the same bits with their arguments
-    swapped, so a remembered fiber is bit for bit what a fresh solve gives.
-    The pair keys are kept as one sorted array: a round of node pairs builds
-    its keys in one expression and looks them up with one binary search.
+    fiber pair on its own. Each distinct fiber value, of a generator, zero,
+    one or a solved meet or join, gets as id its row of ``values`` through
+    one dict from its bytes, and its eps class (_eps_classes) when it first
+    appears. A candidate is the row of its m fiber ids, and ``node_ids``
+    holds those of the nodes. The unordered pair of ids keys the ids of its
+    meet and join. ``stacked_meet`` and ``stacked_join`` solve one matrix at
+    a time and give the same bits with their arguments swapped, so a
+    remembered fiber is bit for bit what a fresh solve gives. The pair keys
+    are kept as one sorted array: a round of node pairs builds its keys in
+    one expression and looks them up with one binary search.
+
+    Node distance is a max over fibers, so while the classes fit, a
+    candidate lies within eps of a node exactly when each of its fibers has
+    the class of the node's: ``admitted`` looks the candidates' rows of
+    classes up among the nodes' sorted rows. Once an eps chain or a
+    non-finite value leaves no classes that fit (``cls`` is None), it runs
+    _admitted on the candidates' values instead.
     """
 
     def __init__(self, m: int, n: int, tol: Tolerance):
         self.tol = tol
         self._ids = {}  # fiber bytes -> id
-        self.node_ids = np.empty((0, m), dtype=np.intp)  # per node fiber
-        # pair keys lo << 32 | hi, sorted, and the row of ``solved`` of each.
-        # ids are flat positions in the node stack, below 2**31 for any stack
+        self.values = np.empty((0, n, n), dtype=np.complex128)  # value of each id
+        self.cls = np.empty(0, dtype=np.intp)  # eps class of each id, or None
+        self.node_ids = np.empty((0, m), dtype=np.intp)
+        # the nodes' rows of classes as sorted keys, ended by a row of -1s:
+        # its bytes are all 0xff, above those of every row of classes
+        self._rows = np.full(m, -1, dtype=np.intp).view(f"V{m * self.cls.itemsize}")
+        # pair keys lo << 32 | hi, sorted, and the ids of the meet and the join
+        # of each. ids number distinct fiber values, below 2**31 for any table
         # that fits in memory, so the sentinel key at the end exceeds them all
         # and a binary search never runs past it
         self._keys = np.array([_SENTINEL], dtype=np.intp)
-        self._at = np.array([-1], dtype=np.intp)
-        self.solved = np.empty((0, 2, n, n), dtype=np.complex128)  # meet, join
+        self._meet = self._join = np.array([-1], dtype=np.intp)
 
-    def meet_join(self, stack: np.ndarray, known: int, i: np.ndarray, j: np.ndarray):
-        """The meet and the join of each node pair (i[p], j[p]) of ``stack``,
-        both below ``known``, at rows 2p and 2p + 1 of one (2 len(i), m, n, n)
-        array. The distinct pairs not seen before are solved in one
-        ``stacked_meet`` and one ``stacked_join`` call: at most m per node
-        pair, so no more entries than the meets and joins returned."""
-        m, n = stack.shape[1:3]
-        fibers = stack.reshape(-1, n, n)
-        if len(self.node_ids) < known:  # number the fibers of the new nodes
-            start = len(self.node_ids) * m
-            new = enumerate(fibers[start : known * m], start)
-            ids = [self._ids.setdefault(f.tobytes(), p) for p, f in new]
-            self.node_ids = np.concatenate([self.node_ids, np.reshape(ids, (-1, m))])
+    def number(self, fibers: np.ndarray) -> np.ndarray:
+        """The ids of the fibers of a (..., n, n) stack, as an array of shape
+        (...). New bytes get the next ids in order of first appearance; their
+        values join ``values`` and get their classes."""
+        start = len(self._ids)
+        flat = fibers.reshape(-1, *fibers.shape[-2:])
+        ids = [self._ids.setdefault(f.tobytes(), len(self._ids)) for f in flat]
+        if len(self._ids) > start:
+            at = {i: p for p, i in enumerate(ids) if i >= start}  # a position of each new id
+            self.values = np.concatenate([self.values, flat[list(at.values())]])
+            if self.cls is not None:
+                self.cls = _eps_classes(self.values, self.cls, self.tol.eps)
+        return np.array(ids, dtype=np.intp).reshape(fibers.shape[:-2])
+
+    def meet_join(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The fiber ids of the meet and the join of each node pair (i[p],
+        j[p]), at rows 2p and 2p + 1 of one (2 len(i), m) array. The distinct
+        fiber pairs not seen before are solved in one ``stacked_meet`` and one
+        ``stacked_join`` call: at most m per node pair."""
         a, b = self.node_ids[i], self.node_ids[j]
         keys = np.minimum(a, b) << 32 | np.maximum(a, b)
         at = self._keys.searchsorted(keys)
         if (miss := self._keys[at] != keys).any():
             fresh = np.sort(keys[miss])
             fresh = fresh[np.concatenate([[True], fresh[1:] != fresh[:-1]])]
-            p, q = fibers[fresh >> 32], fibers[fresh & 0xFFFFFFFF]
-            solved = np.empty((len(fresh), 2, n, n), dtype=np.complex128)
-            solved[:, 0], solved[:, 1] = stacked_meet(p, q, self.tol), stacked_join(p, q, self.tol)
+            p, q = self.values[fresh >> 32], self.values[fresh & 0xFFFFFFFF]
+            solved = np.concatenate([stacked_meet(p, q, self.tol), stacked_join(p, q, self.tol)])
+            meet, join = self.number(solved).reshape(2, -1)
             self._keys = np.concatenate([self._keys, fresh])
             order = self._keys.argsort(kind="stable")
-            rows = np.arange(len(self.solved), len(self.solved) + len(fresh))
-            self._keys, self._at = self._keys[order], np.concatenate([self._at, rows])[order]
-            self.solved = np.concatenate([self.solved, solved])
+            self._keys = self._keys[order]
+            self._meet = np.concatenate([self._meet, meet])[order]
+            self._join = np.concatenate([self._join, join])[order]
             at = self._keys.searchsorted(keys)
-        return self.solved[self._at[at][:, None], _MEET_JOIN].reshape(-1, m, n, n)
+        ids = np.empty((len(keys), 2, keys.shape[1]), dtype=np.intp)
+        ids[:, 0], ids[:, 1] = self._meet[at], self._join[at]
+        return ids.reshape(-1, keys.shape[1])
+
+    def admitted(self, ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The candidates, as rows of fiber ids, that a scan in candidate
+        order appends to ``nodes``, by ascending index, recorded as nodes:
+        while the classes fit, the first candidate with each row of classes
+        that no node has."""
+        if self.cls is None:
+            new = _admitted(self.values[ids], nodes, self.tol.eps)
+        else:
+            keys = np.ascontiguousarray(self.cls[ids]).view(self._rows.dtype).ravel()
+            new = (self._rows[self._rows.searchsorted(keys)] != keys).nonzero()[0]
+            if len(new) > 1:
+                first = {}  # the first candidate with each row of classes
+                new = np.array([p for p, row in zip(new.tolist(), keys[new].tolist())
+                                if first.setdefault(row, p) == p], dtype=np.intp)
+            if len(new):
+                self._rows = np.sort(np.concatenate([self._rows, keys[new]]))
+        self.node_ids = np.concatenate([self.node_ids, ids[new]])
+        return new
 
 
-#: Picks the meet (row 0) and the join (row 1) of each solved pair.
-_MEET_JOIN = np.array([[0], [1]])
 #: Ends the sorted pair keys of a _FiberMemo, above every key.
 _SENTINEL = np.iinfo(np.intp).max
 
@@ -455,8 +556,10 @@ def meet_closure(
     Meets and joins come from a _FiberMemo, which eigensolves each distinct
     pair of fiber values once; the bytes of every node stay unchanged. The
     pairs go in rounds: a run of consecutive pairs among the nodes known at
-    the start of the round, at most _ROUND candidate entries, whose meets
-    and joins are gathered and then admitted (_admitted) at once.
+    the start of the round, at most _ROUND candidate entries. The memo gives
+    a round's meets and joins as rows of fiber ids and admits them at once
+    through their eps classes, or, once no classes fit, through _admitted on
+    their values. Only the appended candidates are copied out as nodes.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -472,22 +575,23 @@ def meet_closure(
     nodes = np.empty((16, space.points, n, n), dtype=np.complex128)  # rows :k hold the nodes
     k = 0
     limit = min(cap, _node_limit())
+    memo = _FiberMemo(space.points, n, tol)
 
-    def admit(cands: np.ndarray, checked: bool = False):
-        """Append, in order, the candidates that no node and no candidate
-        appended before them is within tol.eps of. The appended nodes must be
-        projections (unless ``checked`` says they are); the one that outgrows
-        ``cap`` or the table budget stops the closure, after the check of the
-        nodes appended before it."""
+    def admit(ids: np.ndarray, checked: bool = False):
+        """Append, in order, the candidates (rows of fiber ids) that no node
+        and no candidate appended before them is within tol.eps of. The
+        appended nodes must be projections (unless ``checked`` says they
+        are); the one that outgrows ``cap`` or the table budget stops the
+        closure, after the check of the nodes appended before it."""
         nonlocal nodes, k
-        new = _admitted(cands, nodes[:k], tol.eps)[: max(limit - k + 1, 1)]
+        new = memo.admitted(ids, nodes[:k])[: max(limit - k + 1, 1)]
         if not len(new):
             return
         if k + len(new) > len(nodes):
             grow = max(len(nodes), len(new))
             nodes = np.concatenate([nodes, np.empty((grow, *nodes.shape[1:]), dtype=nodes.dtype)])
         start, k = k, k + len(new)
-        nodes[start:k] = cands[new]
+        nodes[start:k] = memo.values[ids[new]]
         over = k > limit
         if not checked and k - over > start and not is_projection(nodes[start : k - over], tol):
             raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
@@ -499,8 +603,7 @@ def meet_closure(
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
     # against them and each other, and all of them are projections
-    admit(np.concatenate([_bounds(gens.shape[1:]), gens]), checked=True)
-    memo = _FiberMemo(space.points, n, tol)
+    admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
 
     # Meets and joins with the bounds add nothing new, so node i pairs with
     # nodes 2..i-1, and pair (i, j) comes at index (i - 2)(i - 3)/2 + j - 2 of
@@ -514,7 +617,7 @@ def meet_closure(
         u = np.arange(k - 2)
         first = u * (u - 1) // 2  # index of pair (u + 2, 2)
         i = np.searchsorted(first, t, "right") - 1
-        admit(memo.meet_join(nodes, k, i + 2, t - first[i] + 2))
+        admit(memo.meet_join(i + 2, t - first[i] + 2))
         done += len(t)
     return FiniteLattice(nodes[:k], tol)
 

@@ -314,11 +314,8 @@ def pruning_families(rng):
 )
 def test_meet_closure_matches_per_pair_scan(rng, monkeypatch, name, size):
     gens = {**closure_families(rng), **pruning_families(rng)}[name]
-    keyed = []
-    real = lt._near_keyed
-    monkeypatch.setattr(lt, "_near_keyed", lambda *a: keyed.append(1) or real(*a))
+    monkeypatch.setattr(lt, "_admitted", lambda *args: pytest.fail("the eps classes did not fit"))
     lat = lt.meet_closure(gens, cap=256)
-    assert keyed or size < 64  # the large families reach the key window
     ref = reference_closure(gens)
     assert len(lat) == len(ref) == size
     assert np.array_equal(lat.nodes, ref)
@@ -657,6 +654,133 @@ def test_admitted_keeps_non_finite_rows_and_their_copies():
         assert check_admitted(cands, cands[[1, 3]], 0.0) == [1, 2, 4, 5, 6]
 
 
+def check_classes(values, eps, batches):
+    """_eps_classes over growing prefixes of ``values``, each call given the
+    classes of the one before, against the within-eps relation. Returns
+    whether the classes fit the whole stack: exactly when the relation is an
+    equivalence, and then two values share a class exactly when they lie
+    within eps of each other."""
+    near = np.abs(values[:, None] - values[None]).max(axis=(2, 3)) <= eps
+    cls = np.empty(0, dtype=np.intp)
+    for end in batches:
+        cls = lt._eps_classes(values[:end], cls, eps)
+        sub = near[:end, :end]
+        equivalence = sub.diagonal().all() and not (sub @ sub.astype(int) > 0)[~sub].any()
+        if cls is None:
+            assert not equivalence
+            return False
+        assert equivalence and np.array_equal(cls[:, None] == cls[None], sub)
+    return True
+
+
+@pytest.mark.parametrize("dense", [0, lt._DENSE])
+def test_eps_classes_fit_exactly_the_equivalences(monkeypatch, dense):
+    # clusters of points on a line and in C, eps 1, whose members lie within
+    # 0.9 of each other, added in one to three batches; now and then a point
+    # 1.3 from a cluster's center chains it to the members on its side
+    monkeypatch.setattr(lt, "_DENSE", dense)
+    gen = np.random.default_rng(23)
+    fits = set()
+    for case in range(200):
+        centers = 3 * gen.permutation(8)[: int(gen.integers(1, 5))] * (1 + 1j * (case % 2))
+        points = centers[gen.integers(0, len(centers), 12)] + gen.uniform(-0.45, 0.45, 12)
+        if case % 3 == 0:
+            points[gen.integers(0, 12)] = centers[0] + 1.3
+        values = points.reshape(-1, 1, 1)
+        cuts = np.sort(gen.integers(1, 12, int(gen.integers(0, 3))))
+        fits.add(check_classes(values, 1.0, [*cuts, 12]))
+    assert fits == {True, False}
+    # 1.5 lies within 1 of as many values as the class of 0.5 holds, 0.5
+    # twice, 0 and itself, but one of them is 2.5, of another class
+    chain = np.array([0.5, 2.5, 0.0, 0.5, 1.5], dtype=complex).reshape(-1, 1, 1)
+    assert not check_classes(chain, 1.0, [3, 5])
+
+
+@pytest.mark.parametrize("dense", [0, lt._DENSE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+def test_eps_classes_reject_values_they_cannot_key(monkeypatch, dense, bad):
+    # a NaN or infinite entry is within eps of nothing, not even itself; a
+    # huge finite one fits all at once but overflows the keys of the windows,
+    # so only the all-pairs test gives it a class
+    monkeypatch.setattr(lt, "_DENSE", dense)
+    values = np.array([0, 1, bad, 1], dtype=complex).reshape(-1, 1, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        classes = lt._eps_classes(values, np.array([0, 1]), 1e-9)
+    if bad == 1e308 and dense:
+        assert classes.tolist() == [0, 1, 2, 1]
+    else:
+        assert classes is None
+
+
+def line_at(angle):
+    """The projection onto the real line at ``angle`` in C^2."""
+    v = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
+    return np.outer(v, v)
+
+
+def check_closure_fallback(monkeypatch, gens, tol=DEFAULT_TOL):
+    """meet_closure against the per-pair scan, byte for byte, and the number
+    of admissions that went through _admitted, out of all of them."""
+    real, calls, rounds = lt._admitted, [], []
+    monkeypatch.setattr(lt, "_admitted", lambda c, x, eps: calls.append(c) or real(c, x, eps))
+    real_round = lt._FiberMemo.meet_join
+    monkeypatch.setattr(
+        lt._FiberMemo, "meet_join", lambda self, i, j: rounds.append(i) or real_round(self, i, j)
+    )
+    lat = lt.meet_closure(gens, cap=256, tol=tol)
+    ref = reference_closure(gens, tol)
+    assert lat.nodes.tobytes() == ref.tobytes()
+    assert np.array_equal(lat.leq, reference_leq(ref, tol.eps))
+    return len(calls), 1 + len(rounds)
+
+
+def test_meet_closure_falls_back_on_an_eps_chain(monkeypatch):
+    # fiber 0 of the three generators holds the lines at angles 0, t and 2t:
+    # each within eps of the next, the outer two apart; fiber 1 keeps the
+    # generators apart. No classes fit, so _admitted admits the generators
+    # and every round after them
+    t = 0.7e-9
+    a, b, c = (line_at(s * t) for s in range(3))
+    assert max_abs(a - b) <= 1e-9 and max_abs(b - c) <= 1e-9 < max_abs(a - c)
+    zero, one = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
+    space = ct.StoneSpace(2)
+    fibers = ([a, zero], [b, one], [c, line_at(1.0)])
+    gens = [ma.FiberedOperator(space, np.stack(f)) for f in fibers]
+    fallback, admissions = check_closure_fallback(monkeypatch, gens)
+    assert fallback == admissions > 1
+
+
+def test_meet_closure_falls_back_on_twin_generators(monkeypatch):
+    # g and its twin differ in bytes but lie within eps: the twin is the node
+    # g and is dropped, but its value stays in the memo. It lies within eps of
+    # h too, which is apart from g and is a node, so no classes fit
+    t = 0.9e-9
+    g, twin, h = (line_at(s * t) for s in range(3))
+    assert g.tobytes() != twin.tobytes() and max_abs(g - twin) <= 1e-9 < max_abs(g - h)
+    space = ct.StoneSpace(1)
+    gens = [ma.FiberedOperator(space, f[None]) for f in (g, twin, h, line_at(1.0))]
+    fallback, admissions = check_closure_fallback(monkeypatch, gens)
+    assert fallback == admissions > 1
+    assert len(lt.meet_closure(gens)) == len(lt.meet_closure([gens[0], *gens[2:]]))
+
+
+def test_meet_closure_classes_signed_zeros_by_value(monkeypatch):
+    # at eps 0, 0.0 and -0.0 at one position are different bytes but lie at
+    # distance 0: one class, so a generator that differs from another only
+    # there is that node, as in the per-pair scan, and no admission needs
+    # _admitted
+    signed = np.diag([1.0, -0.0]).astype(complex)
+    e, f = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    assert signed.tobytes() != e.tobytes() and np.array_equal(signed, e)
+    space = ct.StoneSpace(2)
+    fibers = ([e, f], [signed, f], [f, signed], [e, e])
+    gens = [ma.FiberedOperator(space, np.stack(v)) for v in fibers]
+    exact = Tolerance(0.0)
+    fallback, admissions = check_closure_fallback(monkeypatch, gens, exact)
+    assert fallback == 0 and admissions > 1
+    assert len(lt.meet_closure(gens, tol=exact)) == len(reference_closure(gens, exact)) > 5
+
+
 @pytest.mark.parametrize("cap", [9, 20, 40, 64])
 def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
     # one line per fiber on six fibers: 8 first nodes, 15 joins in the first
@@ -684,9 +808,9 @@ def test_meet_closure_rounds_split_mid_node(rng, monkeypatch, pairs):
     monkeypatch.setattr(lt, "_ROUND", pairs * 2 * gens[0].values.size)
     real_round, rounds = lt._FiberMemo.meet_join, []
 
-    def recording(self, stack, known, i, j):
-        rounds.append((i.copy(), j.copy(), known))
-        return real_round(self, stack, known, i, j)
+    def recording(self, i, j):
+        rounds.append((i.copy(), j.copy(), len(self.node_ids)))
+        return real_round(self, i, j)
 
     monkeypatch.setattr(lt._FiberMemo, "meet_join", recording)
     real_meet, solved = lt.stacked_meet, []
