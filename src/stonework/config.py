@@ -121,14 +121,14 @@ def parse_config(data: dict) -> AlgebraConfig:
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValidationError("config field 'seed' must be an integer in 0..2**64 - 1")
     for key in ("elements", "vectors"):
-        if not isinstance(data.get(key) or {}, dict):
+        if not isinstance(data.get(key, {}), dict):
             raise ValidationError(f"config field {key!r} must be a JSON object")
     cfg = AlgebraConfig(n=n, m=m, seed=seed)
     space = cfg.space
-    for name, payload in (data.get("elements") or {}).items():
+    for name, payload in data.get("elements", {}).items():
         values = _decode(payload, (m, n, n), f"elements[{name}]")
         cfg.elements[name] = FiberedOperator(space, values)
-    for name, payload in (data.get("vectors") or {}).items():
+    for name, payload in data.get("vectors", {}).items():
         values = _decode(payload, (m, n), f"vectors[{name}]")
         # finite entries can still overflow norm^2, which every vector operation takes
         with np.errstate(over="ignore"):

@@ -37,12 +37,13 @@ DEDUP_EPS = DEFAULT_TOL.eps
 #: the exact test on the pairs in the key windows (_PAIR_BLOCK).
 _CHUNK = 1 << 20
 #: Candidate entries (2 m n^2 per node pair) per round of meet_closure. A
-#: round's temporaries hold ints, m per candidate, and only rounds admitted
-#: through _admitted copy their candidates' values out. On a 2-CPU VM, 2^16
-#: takes 0.92, 0.93 and 0.88 of the time of 2^14 on the 65-, 513- and
+#: round's temporaries hold ints, m per candidate; only rounds admitted
+#: through _admitted gather values, of their candidates and of the nodes.
+#: On a 2-CPU VM, when the closure still kept its nodes' values as it went,
+#: 2^16 took 0.92, 0.93 and 0.88 of the time of 2^14 on the 65-, 513- and
 #: 1,025-node closures of one line per fiber and 0.95 on the Boolean m = 10;
-#: 2^18 takes 0.93, 0.94, 0.81 and 0.96 but adds 5.9 MB to the peak RSS of
-#: `quasipoints` on the Boolean m = 8, where 2^16 adds 0.1 MB.
+#: 2^18 took 0.93, 0.94, 0.81 and 0.96 but added 5.9 MB to the peak RSS of
+#: `quasipoints` on the Boolean m = 8, where 2^16 added 0.1 MB.
 _ROUND = _CHUNK >> 4
 #: Up to this many compared entries (candidates x rows x entries per row)
 #: _near and _eps_classes compare every pair, which costs less than building
@@ -367,8 +368,8 @@ def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarra
     of the lowest value within eps of it, or a new class when that is
     itself, and the test of each new value against every value then checks
     the classes: all at once up to _DENSE compared entries, else through
-    _near's key windows, where a new value must lie within eps of as many
-    values as its class holds, all of them in its class (a second pass).
+    _near's key windows, whose hits, kept from one walk, must be as many as
+    the new value's class holds and all of them in its class.
     """
     s, v = len(known), len(values)
     flat = values.reshape(v, -1)
@@ -379,10 +380,11 @@ def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarra
     elif (windows := _key_windows(new, flat, eps)) is None:  # not finite
         return None
     else:
-        low, count = np.arange(s, v), np.zeros(v - s, dtype=np.intp)
-        for ci, xi, hit in _window_pairs(new, flat, windows, eps):
-            np.minimum.at(low, ci[hit], xi[hit])
-            count += np.bincount(ci[hit], minlength=v - s)
+        # every finite value lies in its own window, so there is a hit
+        hits = [(ci[hit], xi[hit]) for ci, xi, hit in _window_pairs(new, flat, windows, eps)]
+        ci, xi = (np.concatenate(part) for part in zip(*hits))
+        low = np.arange(s, v)
+        np.minimum.at(low, ci, xi)
     # a class is named by its lowest value, and a new value that is its own
     # lowest match names a new one; the checks below reject the names that
     # any other lowest match leaves wrong
@@ -390,11 +392,8 @@ def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarra
     cls[s:] = cls[low]
     if dense:
         return cls if (near == (cls[s:, None] == cls)).all() else None
-    if (np.bincount(cls)[cls[s:]] != count).any():
+    if (cls[xi] != cls[s + ci]).any() or (np.bincount(cls)[cls[s:]] != np.bincount(ci, minlength=v - s)).any():
         return None
-    for ci, xi, hit in _window_pairs(new, flat, windows, eps):
-        if (cls[xi[hit]] != cls[s + ci[hit]]).any():
-            return None
     return cls
 
 
@@ -456,10 +455,10 @@ class _FiberMemo:
 
     Node distance is a max over fibers, so while the classes fit, a
     candidate lies within eps of a node exactly when each of its fibers has
-    the class of the node's: ``admitted`` looks the candidates' rows of
-    classes up among the nodes' sorted rows. Once an eps chain or a
-    non-finite value leaves no classes that fit (``cls`` is None), it runs
-    _admitted on the candidates' values instead.
+    the class of the node's: ``admitted`` appends a candidate when its row
+    of classes is not yet in the set of the nodes' rows. Once an eps chain
+    or a non-finite value leaves no classes that fit (``cls`` is None), it
+    runs _admitted on the values of the candidates and of the nodes instead.
     """
 
     def __init__(self, m: int, n: int, tol: Tolerance):
@@ -467,10 +466,8 @@ class _FiberMemo:
         self._ids = {}  # fiber bytes -> id
         self.values = np.empty((0, n, n), dtype=np.complex128)  # value of each id
         self.cls = np.empty(0, dtype=np.intp)  # eps class of each id, or None
-        self.node_ids = np.empty((0, m), dtype=np.intp)
-        # the nodes' rows of classes as sorted keys, ended by a row of -1s:
-        # its bytes are all 0xff, above those of every row of classes
-        self._rows = np.full(m, -1, dtype=np.intp).view(f"V{m * self.cls.itemsize}")
+        self.node_ids = np.empty((0, m), dtype=np.intp)  # the closure's nodes
+        self._rows = set()  # the bytes of the nodes' rows of classes
         # pair keys lo << 32 | hi, sorted, and the ids of the meet and the join
         # of each. ids number distinct fiber values, below 2**31 for any table
         # that fits in memory, so the sentinel key at the end exceeds them all
@@ -516,22 +513,20 @@ class _FiberMemo:
         ids[:, 0], ids[:, 1] = self._meet[at], self._join[at]
         return ids.reshape(-1, keys.shape[1])
 
-    def admitted(self, ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    def admitted(self, ids: np.ndarray) -> np.ndarray:
         """The candidates, as rows of fiber ids, that a scan in candidate
-        order appends to ``nodes``, by ascending index, recorded as nodes:
-        while the classes fit, the first candidate with each row of classes
-        that no node has."""
+        order appends to the nodes, by ascending index, recorded as nodes:
+        while the classes fit, each candidate whose row of classes no node
+        and no candidate before it has."""
         if self.cls is None:
-            new = _admitted(self.values[ids], nodes, self.tol.eps)
+            new = _admitted(self.values[ids], self.values[self.node_ids], self.tol.eps)
         else:
-            keys = np.ascontiguousarray(self.cls[ids]).view(self._rows.dtype).ravel()
-            new = (self._rows[self._rows.searchsorted(keys)] != keys).nonzero()[0]
-            if len(new) > 1:
-                first = {}  # the first candidate with each row of classes
-                new = np.array([p for p, row in zip(new.tolist(), keys[new].tolist())
-                                if first.setdefault(row, p) == p], dtype=np.intp)
-            if len(new):
-                self._rows = np.sort(np.concatenate([self._rows, keys[new]]))
+            rows, new = np.ascontiguousarray(self.cls[ids]), []
+            for p, row in enumerate(rows.view(f"V{rows[0].nbytes}").ravel().tolist()):
+                if row not in self._rows:
+                    self._rows.add(row)
+                    new.append(p)
+            new = np.array(new, dtype=np.intp)
         self.node_ids = np.concatenate([self.node_ids, ids[new]])
         return new
 
@@ -559,7 +554,8 @@ def meet_closure(
     the start of the round, at most _ROUND candidate entries. The memo gives
     a round's meets and joins as rows of fiber ids and admits them at once
     through their eps classes, or, once no classes fit, through _admitted on
-    their values. Only the appended candidates are copied out as nodes.
+    their values. The memo's rows of fiber ids are the only record of the
+    nodes; the lattice gathers their values once, at the end.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -572,8 +568,6 @@ def meet_closure(
     if not is_projection(gens, tol):
         raise NotProjection(f"generator is not a fiberwise projection at eps={tol.eps}")
 
-    nodes = np.empty((16, space.points, n, n), dtype=np.complex128)  # rows :k hold the nodes
-    k = 0
     limit = min(cap, _node_limit())
     memo = _FiberMemo(space.points, n, tol)
 
@@ -582,44 +576,40 @@ def meet_closure(
         and no candidate appended before them is within tol.eps of. The
         appended nodes must be projections (unless ``checked`` says they
         are); the one that outgrows ``cap`` or the table budget stops the
-        closure, after the check of the nodes appended before it."""
-        nonlocal nodes, k
-        new = memo.admitted(ids, nodes[:k])[: max(limit - k + 1, 1)]
-        if not len(new):
-            return
-        if k + len(new) > len(nodes):
-            grow = max(len(nodes), len(new))
-            nodes = np.concatenate([nodes, np.empty((grow, *nodes.shape[1:]), dtype=nodes.dtype)])
-        start, k = k, k + len(new)
-        nodes[start:k] = memo.values[ids[new]]
-        over = k > limit
-        if not checked and k - over > start and not is_projection(nodes[start : k - over], tol):
+        closure, after the check of the nodes appended before it. Returns
+        the number of nodes."""
+        start = len(memo.node_ids)
+        new = memo.admitted(ids)[: max(limit - start + 1, 1)]
+        k = start + len(new)
+        within = new[: len(new) - (k > limit)]
+        if not checked and len(within) and not is_projection(memo.values[ids[within]], tol):
             raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
         if k > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
-        if over:
+        if k > limit:
             raise ClosureExplosion(f"closure reached {k} nodes, whose tables "
                                    f"outgrow the table budget of {_TABLE_BUDGET} bytes")
+        return k
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
     # against them and each other, and all of them are projections
-    admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
+    k = admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
 
     # Meets and joins with the bounds add nothing new, so node i pairs with
     # nodes 2..i-1, and pair (i, j) comes at index (i - 2)(i - 3)/2 + j - 2 of
     # the closure order. Each round takes the next pairs in that order among
     # the nodes known at its start, so its meets and joins are the candidates
     # a scan pair by pair would meet next, in the same order.
-    per_round = max(1, _ROUND // (2 * nodes[0].size))  # node pairs
+    per_round = max(1, _ROUND // (2 * gens[0].size))  # node pairs
     done = 0
     while (left := (k - 2) * (k - 3) // 2 - done) > 0:
         t = np.arange(done, done + min(left, per_round))
         u = np.arange(k - 2)
         first = u * (u - 1) // 2  # index of pair (u + 2, 2)
         i = np.searchsorted(first, t, "right") - 1
-        admit(memo.meet_join(i + 2, t - first[i] + 2))
+        k = admit(memo.meet_join(i + 2, t - first[i] + 2))
         done += len(t)
-    return FiniteLattice(nodes[:k], tol)
+    return FiniteLattice(memo.values[memo.node_ids], tol)
 
 
 def enumerate_quasipoints(lattice: FiniteLattice) -> list[Filter]:

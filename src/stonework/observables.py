@@ -35,16 +35,6 @@ class SpectralFamily:
     first: np.ndarray        # shape (m,)
     vectors: np.ndarray      # shape (m, n, n): columns in ascending eigenvalue order
 
-    @property
-    def values(self) -> list[np.ndarray]:
-        """Per fiber, shape (r_k,)."""
-        return np.split(self.flat_values, self.first[1:])
-
-    @property
-    def cumulative(self) -> list[np.ndarray]:
-        """Per fiber, shape (r_k, n, n)."""
-        return np.split(self.flat_steps, self.first[1:])
-
 
 def require_self_adjoint(a: FiberedOperator, tol: Tolerance = DEFAULT_TOL):
     dev = max_abs(a.values - np.conj(np.swapaxes(a.values, 1, 2)))

@@ -204,14 +204,13 @@ def germ_inverse(
 ) -> CenterElement:
     """A center element whose germ at beta inverts the germ of alpha.
 
-    Defined as the reciprocal on the neighbourhood where alpha stays away from
-    zero and zero elsewhere; the product's germ at beta equals one.
+    Defined as the reciprocal wherever |alpha| > tol.eps and zero elsewhere.
+    One threshold decides both: |alpha(beta)| <= tol.eps is a vanishing germ
+    (ZeroDivisionError), and otherwise the product's germ at beta equals one.
     """
-    z = gelfand_eval(alpha, beta)
-    if abs(z) <= tol.eps:
+    if abs(gelfand_eval(alpha, beta)) <= tol.eps:
         raise ZeroDivisionError("the germ vanishes at beta; no inverse germ")
-    thr = tol.eps * max(1.0, alpha.sup_norm())
-    mask = np.abs(alpha.values) > thr
+    mask = np.abs(alpha.values) > tol.eps
     values = np.zeros(alpha.space.points, dtype=np.complex128)
     values[mask] = 1.0 / alpha.values[mask]
     return CenterElement(alpha.space, values)

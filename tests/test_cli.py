@@ -494,7 +494,11 @@ def test_huge_finite_config_prints_no_numpy_warning(tmp_path, argv, code, err):
 
 
 @pytest.mark.parametrize(
-    "key, section", [("elements", [1]), ("vectors", "abc")], ids=["elements-list", "vectors-str"]
+    "key, section",
+    # empty or false sections too: a section, when present, is a JSON object
+    [pytest.param("elements", [1], id="elements-list"), pytest.param("vectors", "abc", id="vectors-str"),
+     *(pytest.param(key, empty, id=f"{key}-{json.dumps(empty)}")
+       for key in ("elements", "vectors") for empty in ([], "", 0, False, None))],
 )
 def test_config_section_not_object_exit_3(tmp_path, capsys, key, section):
     with pytest.raises(ValidationError, match=f"config field '{key}' must be a JSON object"):

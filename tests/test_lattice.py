@@ -781,6 +781,40 @@ def test_meet_closure_classes_signed_zeros_by_value(monkeypatch):
     assert len(lt.meet_closure(gens, tol=exact)) == len(reference_closure(gens, exact)) > 5
 
 
+def complement_lines(rng, m):
+    """A random line at fiber k and its complement there, zero elsewhere, for
+    each k < m: their closure is the Boolean algebra on these 2m atoms, and
+    the eigensolver gives some of its meets and joins in new bytes."""
+    gens = []
+    for k in range(m):
+        line = rng.projection(2, 1)
+        for fiber in (line, np.eye(2) - line):
+            fibers = np.zeros((m, 2, 2), dtype=complex)
+            fibers[k] = fiber
+            gens.append(ma.FiberedOperator(ct.StoneSpace(m), fibers))
+    return gens
+
+
+@pytest.mark.parametrize("calls", [2, 3, 5])
+@pytest.mark.parametrize("name", ["line_per_fiber_6", "complement_lines_3"])
+def test_meet_closure_falls_back_mid_closure(rng, monkeypatch, name, calls):
+    # _eps_classes finds no classes that fit from its calls-th call on, so
+    # the admissions before that round go through the classes, and that
+    # round and the later ones through _admitted, on nodes the classes
+    # admitted
+    gens = {**pruning_families(rng), "complement_lines_3": complement_lines(rng, 3)}[name]
+    assert len(lt.meet_closure(gens)) == 2 ** 6 + (name == "line_per_fiber_6")
+    real, seen = lt._eps_classes, []
+
+    def failing(values, known, eps):
+        seen.append(1)
+        return None if len(seen) >= calls else real(values, known, eps)
+
+    monkeypatch.setattr(lt, "_eps_classes", failing)
+    fallback, admissions = check_closure_fallback(monkeypatch, gens)
+    assert len(seen) == calls and 0 < fallback < admissions
+
+
 @pytest.mark.parametrize("cap", [9, 20, 40, 64])
 def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
     # one line per fiber on six fibers: 8 first nodes, 15 joins in the first

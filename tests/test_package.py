@@ -17,9 +17,6 @@ UNCALLED = {
     "matrix_algebra.fibered_join",
     # the unit of the algebra: tests in five files build operators from it
     "matrix_algebra.identity",
-    # the per-fiber steps of a spectral family: the loop oracles of
-    # test_observables and test_fiber_oracles walk them fiber by fiber
-    "observables.SpectralFamily.cumulative",
     # the node index of an operator: tests in three files look nodes up
     "lattice.FiniteLattice.index_of",
 }

@@ -283,6 +283,11 @@ def test_germ_inverse(tol):
     assert ct.gelfand_eval(alpha * inv, beta0) == 1.0
     with pytest.raises(ZeroDivisionError):
         sp.germ_inverse(ct.char_fn(space, [1]), beta0, tol)
+    # |alpha| at beta lies above eps but below eps * sup|alpha|: one threshold,
+    # eps, decides both that the germ is invertible and where to invert
+    big = ct.CenterElement(space, [1e3, 5e-7])
+    inv = sp.germ_inverse(big, ct.CenterQuasipoint(space, 1), tol)
+    assert ct.gelfand_eval(big * inv, ct.CenterQuasipoint(space, 1)) == 1.0
 
 
 def test_germ_linearity_exact(rng, tol):
