@@ -121,7 +121,7 @@ def _cmd_normalize(cfg, args, tol, seed):
 
 
 def _cmd_quasipoints(cfg, args, tol, seed):
-    if args.ops:
+    if args.ops is not None:
         names = [s.strip() for s in args.ops.split(",") if s.strip()]
         gens = [_named(cfg.elements, "element", name) for name in names]
     else:

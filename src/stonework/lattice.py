@@ -29,7 +29,7 @@ from .errors import (
     StoneworkError,
 )
 from .matrix_algebra import FiberedOperator
-from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_join, stacked_meet
+from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_meet_join
 
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
@@ -65,10 +65,18 @@ class FiniteLattice:
     """Explicit finite projection lattice with precomputed order and tables.
 
     ``nodes`` holds the values of its k nodes as one read-only (k, m, n, n)
-    array, node i at ``nodes[i]``.
+    array, node i at ``nodes[i]``. ``meets``, which only meet_closure hands
+    over, holds the node that the meet of each pair (i, j), 2 <= j < i,
+    matched in the closure, in closure order (pair (i, j) at (i - 2)(i - 3)/2
+    + j - 2), with node 0 the zero and node 1 the identity. The meet table
+    built from it is kept when _recorded_table's check passes, which it does
+    exactly when _extrema_table would find that same table; without
+    ``meets``, or when the check fails, _extrema_table searches the table.
     """
 
-    def __init__(self, nodes: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    def __init__(
+        self, nodes: np.ndarray, tol: Tolerance = DEFAULT_TOL, meets: np.ndarray | None = None
+    ):
         nodes = np.array(nodes, dtype=np.complex128)
         if nodes.ndim != 4 or nodes.shape[2] != nodes.shape[3]:
             raise DimensionMismatch(f"expected nodes of shape (k, m, n, n), got {nodes.shape}")
@@ -85,7 +93,10 @@ class FiniteLattice:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
         self.leq = _order(nodes, tol.eps)
-        self.meet_table = _extrema_table(self.leq)
+        # built after _order returns, so the table and _order's temporaries
+        # are never held together
+        table = None if meets is None else _recorded_table(self.leq, meets)
+        self.meet_table = _extrema_table(self.leq) if table is None else table
         # atoms: nonzero nodes with nothing but zero and themselves below them
         below = self.leq & ~np.eye(len(nodes), dtype=bool)
         below[self.zero_index] = False
@@ -224,7 +235,8 @@ def _below(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _extrema_table(leq: np.ndarray) -> np.ndarray:
-    """The meet table of the order ``leq``, and the lattice check.
+    """The meet table of the order ``leq``, and the lattice check; the
+    search FiniteLattice runs when no recorded table passes _recorded_table.
 
     The common lower bounds of i and j are exactly the nodes below their meet,
     so entry (i, j) is the node whose down-set (column of ``leq``) equals the
@@ -240,7 +252,7 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
     every i <= j <= l with i !<= l, as ``(leq @ leq > 0) & ~leq`` would.
     """
     k = len(leq)
-    down = np.packbits(np.ascontiguousarray(leq.T), axis=1)  # row c: the nodes below c
+    down = _down_sets(leq)
     void = f"V{down.shape[1]}"  # a packed row as one sortable key
     order = np.argsort(down.view(void).ravel(), kind="stable")
     keys = down[order].view(void).ravel()
@@ -257,6 +269,55 @@ def _extrema_table(leq: np.ndarray) -> np.ndarray:
                 "order tables are inconsistent; the element family is not closed"
             )
         table[s : s + step] = meet
+    return table
+
+
+def _down_sets(leq: np.ndarray) -> np.ndarray:
+    """Row c: the nodes below c (column c of ``leq``) packed into bits, zero
+    padded to whole 64-bit words."""
+    k = len(leq)
+    down = np.zeros((k, -(-k // 64) * 8), dtype=np.uint8)
+    down[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(leq.T), axis=1)
+    return down
+
+
+def _recorded_table(leq: np.ndarray, meets: np.ndarray) -> np.ndarray | None:
+    """The meet table a closure recorded (see FiniteLattice), when it is the
+    table _extrema_table returns for ``leq``; None when it is not.
+
+    Zero meets every node in zero, the identity meets j in j and i meets
+    itself in i; ``meets`` gives the rest, so the table T is symmetric. The
+    check, in the search's blocks, asks what the search asks of the table it
+    finds:
+    - the down-set of T[i, j] is the intersection of those of i and j;
+    - leq[i, j] gives T[i, j] = i (the search's transitivity test);
+    - no two nodes share a down-set (the search's ``shared``). Two nodes
+      below themselves with one down-set lie below each other, and a
+      symmetric T fails the test above for them; the down-sets of the nodes
+      not below themselves are compared with every down-set.
+    When all three hold, the search finds T[i, j] for each pair, as the
+    only node with its down-set, and raises for none; when the search
+    returns T, all three hold.
+    """
+    k = len(leq)
+    table = np.empty((k, k), dtype=np.intp)
+    table[:, 1] = table[1] = np.arange(k)
+    table[:, 0] = table[0] = 0
+    sub = table[2:, 2:]
+    low = np.tri(k - 2, k=-1, dtype=bool)
+    sub[low] = sub.T[low] = meets
+    np.fill_diagonal(sub, np.arange(2, k))
+    del low
+    down = _down_sets(leq).view(np.uint64)
+    if any((down == down[i]).all(axis=1).sum() > 1 for i in np.flatnonzero(~leq.diagonal())):
+        return None
+    step = max(1, _CHUNK // down.nbytes)  # the search's blocks, of _CHUNK bytes
+    for s in range(0, k, step):
+        meet = table[s : s + step]
+        if (leq[s : s + step] & (meet != np.arange(s, s + len(meet))[:, None])).any():
+            return None
+        if not np.array_equal(down[meet], down[s : s + step, None] & down[None]):
+            return None
     return table
 
 
@@ -447,18 +508,21 @@ class _FiberMemo:
     one dict from its bytes, and its eps class (_eps_classes) when it first
     appears. A candidate is the row of its m fiber ids, and ``node_ids``
     holds those of the nodes. The unordered pair of ids keys the ids of its
-    meet and join. ``stacked_meet`` and ``stacked_join`` solve one matrix at
-    a time and give the same bits with their arguments swapped, so a
-    remembered fiber is bit for bit what a fresh solve gives. The pair keys
-    are kept as one sorted array: a round of node pairs builds its keys in
-    one expression and looks them up with one binary search.
+    meet and join. ``stacked_meet_join`` solves one matrix at a time and
+    gives the same bits with its arguments swapped, so a remembered fiber is
+    bit for bit what a fresh solve gives. The pair keys are kept as one
+    sorted array: a round of node pairs builds its keys in one expression
+    and looks them up with one binary search.
 
     Node distance is a max over fibers, so while the classes fit, a
     candidate lies within eps of a node exactly when each of its fibers has
-    the class of the node's: ``admitted`` appends a candidate when its row
-    of classes is not yet in the set of the nodes' rows. Once an eps chain
-    or a non-finite value leaves no classes that fit (``cls`` is None), it
-    runs _admitted on the values of the candidates and of the nodes instead.
+    the class of the node's: ``admitted`` keeps one dict from the nodes'
+    rows of classes to their indices, appends a candidate whose row is not
+    in it yet, and reports the node each candidate matched, which is how
+    meet_closure records the meet table. Once an eps chain or a non-finite
+    value leaves no classes that fit (``cls`` is None), it runs _admitted on
+    the values of the candidates and of the nodes instead, which reports no
+    matches.
     """
 
     def __init__(self, m: int, n: int, tol: Tolerance):
@@ -467,7 +531,8 @@ class _FiberMemo:
         self.values = np.empty((0, n, n), dtype=np.complex128)  # value of each id
         self.cls = np.empty(0, dtype=np.intp)  # eps class of each id, or None
         self.node_ids = np.empty((0, m), dtype=np.intp)  # the closure's nodes
-        self._rows = set()  # the bytes of the nodes' rows of classes
+        self._rows = {}  # the bytes of each node's row of classes -> node index
+        self._checked = np.empty(0, dtype=bool)  # of each id, whether unchecked() gave it
         # pair keys lo << 32 | hi, sorted, and the ids of the meet and the join
         # of each. ids number distinct fiber values, below 2**31 for any table
         # that fits in memory, so the sentinel key at the end exceeds them all
@@ -485,6 +550,7 @@ class _FiberMemo:
         if len(self._ids) > start:
             at = {i: p for p, i in enumerate(ids) if i >= start}  # a position of each new id
             self.values = np.concatenate([self.values, flat[list(at.values())]])
+            self._checked = np.concatenate([self._checked, np.zeros(len(at), dtype=bool)])
             if self.cls is not None:
                 self.cls = _eps_classes(self.values, self.cls, self.tol.eps)
         return np.array(ids, dtype=np.intp).reshape(fibers.shape[:-2])
@@ -492,8 +558,8 @@ class _FiberMemo:
     def meet_join(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The fiber ids of the meet and the join of each node pair (i[p],
         j[p]), at rows 2p and 2p + 1 of one (2 len(i), m) array. The distinct
-        fiber pairs not seen before are solved in one ``stacked_meet`` and one
-        ``stacked_join`` call: at most m per node pair."""
+        fiber pairs not seen before are solved in one ``stacked_meet_join``
+        call: at most m per node pair."""
         a, b = self.node_ids[i], self.node_ids[j]
         keys = np.minimum(a, b) << 32 | np.maximum(a, b)
         at = self._keys.searchsorted(keys)
@@ -501,8 +567,7 @@ class _FiberMemo:
             fresh = np.sort(keys[miss])
             fresh = fresh[np.concatenate([[True], fresh[1:] != fresh[:-1]])]
             p, q = self.values[fresh >> 32], self.values[fresh & 0xFFFFFFFF]
-            solved = np.concatenate([stacked_meet(p, q, self.tol), stacked_join(p, q, self.tol)])
-            meet, join = self.number(solved).reshape(2, -1)
+            meet, join = self.number(stacked_meet_join(p, q, self.tol)).reshape(2, -1)
             self._keys = np.concatenate([self._keys, fresh])
             order = self._keys.argsort(kind="stable")
             self._keys = self._keys[order]
@@ -513,22 +578,37 @@ class _FiberMemo:
         ids[:, 0], ids[:, 1] = self._meet[at], self._join[at]
         return ids.reshape(-1, keys.shape[1])
 
-    def admitted(self, ids: np.ndarray) -> np.ndarray:
+    def admitted(self, ids: np.ndarray):
         """The candidates, as rows of fiber ids, that a scan in candidate
-        order appends to the nodes, by ascending index, recorded as nodes:
-        while the classes fit, each candidate whose row of classes no node
-        and no candidate before it has."""
+        order appends to the nodes, by ascending index, recorded as nodes,
+        and the node index each candidate matched: while the classes fit,
+        each candidate whose row of classes no node and no candidate before
+        it has is appended, and a candidate matches the node with its row.
+        Through _admitted no match is reported (None)."""
         if self.cls is None:
             new = _admitted(self.values[ids], self.values[self.node_ids], self.tol.eps)
+            matched = None
         else:
-            rows, new = np.ascontiguousarray(self.cls[ids]), []
-            for p, row in enumerate(rows.view(f"V{rows[0].nbytes}").ravel().tolist()):
-                if row not in self._rows:
-                    self._rows.add(row)
-                    new.append(p)
-            new = np.array(new, dtype=np.intp)
+            index, rows = self._rows, np.ascontiguousarray(self.cls[ids])
+            start = len(index)
+            matched = np.array(
+                [index.setdefault(r, len(index)) for r in rows.view(f"V{rows[0].nbytes}").ravel().tolist()],
+                dtype=np.intp,
+            )
+            # nodes are numbered in order of appearance, so each appended
+            # candidate is where the running maximum first reaches its index
+            new = np.searchsorted(np.maximum.accumulate(matched), np.arange(start, len(index)))
         self.node_ids = np.concatenate([self.node_ids, ids[new]])
-        return new
+        return new, matched
+
+    def unchecked(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct values of ``ids`` that no earlier call gave, in id
+        order."""
+        fresh = np.zeros_like(self._checked)
+        fresh[ids] = True
+        fresh &= ~self._checked
+        self._checked |= fresh
+        return self.values[fresh]
 
 
 #: Ends the sorted pair keys of a _FiberMemo, above every key.
@@ -555,7 +635,12 @@ def meet_closure(
     a round's meets and joins as rows of fiber ids and admits them at once
     through their eps classes, or, once no classes fit, through _admitted on
     their values. The memo's rows of fiber ids are the only record of the
-    nodes; the lattice gathers their values once, at the end.
+    nodes; the lattice gathers their values once, at the end. Each fiber
+    value is checked for being a projection once, with the first node that
+    holds it. While every admission goes through the classes, the closure
+    keeps the node that each pair's meet matched, as int32 in pair order,
+    and hands them to the lattice, which checks them in place of searching
+    its meet table (FiniteLattice, _recorded_table).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -574,26 +659,31 @@ def meet_closure(
     def admit(ids: np.ndarray, checked: bool = False):
         """Append, in order, the candidates (rows of fiber ids) that no node
         and no candidate appended before them is within tol.eps of. The
-        appended nodes must be projections (unless ``checked`` says they
-        are); the one that outgrows ``cap`` or the table budget stops the
-        closure, after the check of the nodes appended before it. Returns
-        the number of nodes."""
+        values of the appended nodes that no earlier admission checked must
+        be projections (unless ``checked`` says they are); the node that
+        outgrows ``cap`` or the table budget stops the closure, after the
+        check of the nodes appended before it. Returns the number of nodes
+        and the node each candidate matched, or None (_FiberMemo.admitted)."""
         start = len(memo.node_ids)
-        new = memo.admitted(ids)[: max(limit - start + 1, 1)]
+        new, matched = memo.admitted(ids)
+        new = new[: max(limit - start + 1, 1)]
         k = start + len(new)
-        within = new[: len(new) - (k > limit)]
-        if not checked and len(within) and not is_projection(memo.values[ids[within]], tol):
+        fresh = memo.unchecked(ids[new[: len(new) - (k > limit)]])
+        if not checked and len(fresh) and not is_projection(fresh, tol):
             raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
         if k > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
         if k > limit:
             raise ClosureExplosion(f"closure reached {k} nodes, whose tables "
                                    f"outgrow the table budget of {_TABLE_BUDGET} bytes")
-        return k
+        return k, matched
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
     # against them and each other, and all of them are projections
-    k = admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
+    k, matched = admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
+    # the node each pair's meet matched, a round at a time, while every
+    # admission goes through the classes (once one does not, none does)
+    meets = None if matched is None else []
 
     # Meets and joins with the bounds add nothing new, so node i pairs with
     # nodes 2..i-1, and pair (i, j) comes at index (i - 2)(i - 3)/2 + j - 2 of
@@ -607,9 +697,15 @@ def meet_closure(
         u = np.arange(k - 2)
         first = u * (u - 1) // 2  # index of pair (u + 2, 2)
         i = np.searchsorted(first, t, "right") - 1
-        k = admit(memo.meet_join(i + 2, t - first[i] + 2))
+        k, matched = admit(memo.meet_join(i + 2, t - first[i] + 2))
+        if matched is None:
+            meets = None
+        else:
+            meets.append(matched[::2].astype(np.int32))
         done += len(t)
-    return FiniteLattice(memo.values[memo.node_ids], tol)
+    if meets is not None:
+        meets = np.concatenate([np.empty(0, dtype=np.int32), *meets])
+    return FiniteLattice(memo.values[memo.node_ids], tol, meets)
 
 
 def enumerate_quasipoints(lattice: FiniteLattice) -> list[Filter]:
@@ -666,26 +762,22 @@ def isolated_points(lattice: FiniteLattice) -> frozenset:
 # -- exhaustive Def-style validation ------------------------------------------
 
 
-def is_filter_base(lattice: FiniteLattice, members) -> bool:
-    """No zero, and every pair of members dominates some member through its meet."""
+def is_quasipoint(lattice: FiniteLattice, members) -> bool:
+    """Filter base that no non-member extends. A filter base has no zero, and
+    every pair of its members dominates some member through its meet. The
+    non-members are checked all at once: pairs of members are covered already
+    and meet(x, x) = x, so a non-member x extends it exactly when x is not
+    zero and the meet of x with each member lies at or above some member or
+    x itself."""
     idx = np.fromiter(Filter(lattice, members).members, dtype=np.intp)
     if idx.size == 0 or lattice.zero_index in idx:
         return False
     above = lattice.leq[idx].any(axis=0)  # the nodes at or above some member
-    return bool(above[lattice.meet_table[np.ix_(idx, idx)]].all())
-
-
-def is_quasipoint(lattice: FiniteLattice, members) -> bool:
-    """Filter base that no non-member extends, checked for all of them at once:
-    pairs of members are covered already and meet(x, x) = x, so a non-member x
-    extends it exactly when x is not zero and the meet of x with each member
-    lies at or above some member or x itself."""
-    idx = np.fromiter(Filter(lattice, members).members, dtype=np.intp)
-    if not is_filter_base(lattice, idx):
+    meets = lattice.meet_table[:, idx]  # of every node with each member
+    if not above[meets[idx]].all():
         return False
     rest = np.ones(len(lattice), dtype=bool)  # the nonzero non-members
     rest[idx] = rest[lattice.zero_index] = False
     xs = np.flatnonzero(rest)
-    meets = lattice.meet_table[np.ix_(xs, idx)]
-    covered = lattice.leq[idx].any(axis=0)[meets] | lattice.leq[xs[:, None], meets]
+    covered = above[meets[xs]] | lattice.leq[xs[:, None], meets[xs]]
     return not covered.all(axis=1).any()

@@ -69,15 +69,33 @@ def null_projector(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return hermitize(sel @ np.conj(np.swapaxes(v, -1, -2)))
 
 
+def _complement(p: np.ndarray) -> np.ndarray:
+    return np.eye(p.shape[-1], dtype=np.complex128) - p
+
+
+def _meet_kernel(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(I - p) + (I - q): its null space is the meet of p and q, as that of
+    p + q is the complement of their join."""
+    return _complement(p) + _complement(q)
+
+
 def stacked_meet(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fiberwise meet of two stacks of projections, one batched eigh call."""
-    eye = np.eye(p.shape[-1], dtype=np.complex128)
-    return null_projector((eye - p) + (eye - q), tol)
+    return null_projector(_meet_kernel(p, q), tol)
 
 
 def stacked_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    eye = np.eye(p.shape[-1], dtype=np.complex128)
-    return eye - null_projector(p + q, tol)
+    return _complement(null_projector(p + q, tol))
+
+
+def stacked_meet_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The meets of two (s, n, n) stacks of projections followed by their
+    joins, as one (2s, n, n) stack from one batched eigh call. eigh and every
+    later step act per matrix, so the bits are those of stacked_meet and
+    stacked_join."""
+    null = null_projector(np.concatenate([_meet_kernel(p, q), p + q]), tol)
+    null[len(p):] = _complement(null[len(p):])
+    return null
 
 
 def _left_singular(a: np.ndarray, tol: Tolerance):

@@ -39,7 +39,9 @@ class Report:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report.json_payload(), sort_keys=True, separators=(",", ":")) + "\n"
+    # a payload is a tree of dicts, lists and scalars, so json's cycle check
+    # (an id dict per container) cannot fire
+    return json.dumps(report.json_payload(), sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def render_text(report: Report) -> str:

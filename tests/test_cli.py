@@ -325,9 +325,13 @@ def test_quasipoints_command(tmp_path, capsys):
         assert point["atom"] in point["members"]
 
 
-def test_quasipoints_without_projections_exit_3(tmp_path, capsys):
-    path = write_config(tmp_path, {**BASE_CONFIG, "elements": {"A": BASE_CONFIG["elements"]["A"]}})
-    code, out, err = run_cli(["quasipoints", "--config", path], capsys)
+@pytest.mark.parametrize("ops", [[], ["--ops", ""], ["--ops", ","]], ids=["no_ops", "empty_ops", "comma_ops"])
+def test_quasipoints_without_projections_exit_3(tmp_path, capsys, ops):
+    # with no --ops the projection elements generate (A is none); an empty
+    # --ops list names no generator at all, as "," does
+    elements = BASE_CONFIG["elements"] if ops else {"A": BASE_CONFIG["elements"]["A"]}
+    path = write_config(tmp_path, {**BASE_CONFIG, "elements": elements})
+    code, out, err = run_cli(["quasipoints", "--config", path, *ops], capsys)
     assert code == 3 and out == ""
     assert "no projection generators available for the lattice" in err
 

@@ -415,6 +415,131 @@ def test_tables_reject_non_transitive_order():
         lt._extrema_table(leq)
 
 
+def recorded_meets(table):
+    """The entries of a meet table that meet_closure records: T[i, j] for
+    2 <= j < i, in closure order."""
+    return np.array([table[i, j] for i in range(2, len(table)) for j in range(2, i)], dtype=np.int32)
+
+
+def table_from_meets(k, meets):
+    """Oracle: the meet table of k nodes built from recorded meets, with node
+    0 meeting every node in 0, node 1 meeting j in j and i meeting itself in i."""
+    pairs = [(i, j) for i in range(2, k) for j in range(2, i)]
+    rest = dict(zip(pairs, meets))
+
+    def entry(i, j):
+        if 0 in (i, j):
+            return 0
+        if 1 in (i, j) or i == j:
+            return j if i == 1 else i
+        return rest[max(i, j), min(i, j)]
+
+    return np.array([[entry(i, j) for j in range(k)] for i in range(k)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-9, 1e-4])
+@pytest.mark.parametrize("name", ["line_per_fiber_6", "boolean_7", "noncommuting_n3", "boolean"])
+def test_closure_hands_the_searched_meet_table(rng, monkeypatch, name, eps):
+    # a closure admitted through the classes records the node each pair's
+    # meet matched, and the lattice keeps that table without a search: it is
+    # the table the search finds, and the one FiniteLattice builds from the
+    # nodes alone. Random lines and their meets are no exact projections, so
+    # at eps 0 their closures stop at the generators
+    tol = Tolerance(eps)
+    gens = {**closure_families(rng), **pruning_families(rng)}[name]
+    if not all(g.is_projection(tol) for g in gens):
+        assert eps == 0 and name != "boolean_7"
+        with pytest.raises(NotProjection, match="generator"):
+            lt.meet_closure(gens, cap=256, tol=tol)
+        return
+    real = lt._extrema_table
+    monkeypatch.setattr(lt, "_extrema_table", lambda leq: pytest.fail("the closure's meets were searched"))
+    lat = lt.meet_closure(gens, cap=256, tol=tol)
+    monkeypatch.setattr(lt, "_extrema_table", real)
+    assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
+    assert np.array_equal(lat.meet_table, lt.FiniteLattice(lat.nodes, tol).meet_table)
+    assert lat.meet_table.dtype == np.intp
+
+
+def test_corrupted_recorded_meet_falls_back_to_the_search(rng, monkeypatch):
+    lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
+    meets = recorded_meets(lat.meet_table)
+    assert np.array_equal(lt._recorded_table(lat.leq, meets), lat.meet_table)
+    real, searched = lt._extrema_table, []
+    monkeypatch.setattr(lt, "_extrema_table", lambda leq: searched.append(leq) or real(leq))
+    for at in (0, len(meets) // 2, len(meets) - 1):
+        bad = meets.copy()
+        bad[at] = (bad[at] + 1) % len(lat)
+        assert lt._recorded_table(lat.leq, bad) is None
+        assert np.array_equal(lt.FiniteLattice(lat.nodes, meets=bad).meet_table, lat.meet_table)
+    assert len(searched) == 3
+
+
+def check_recorded_verdict(leq, meets, verdicts):
+    """_recorded_table accepts the table built from ``meets`` exactly when
+    _extrema_table returns that table, and then returns it."""
+    try:
+        found = lt._extrema_table(leq)
+    except StoneworkError:
+        found = None
+    want = found is not None and np.array_equal(found, table_from_meets(len(leq), meets))
+    got = lt._recorded_table(leq, np.asarray(meets, dtype=np.int32))
+    assert (got is not None) == want
+    if want:
+        assert np.array_equal(got, found)
+    verdicts.add((want, bool(leq.diagonal().all())))
+
+
+def test_recorded_table_check_is_the_search_verdict():
+    verdicts = set()
+    # node 0 is not below itself, and its down-set is the only empty one:
+    # the search returns the table
+    check_recorded_verdict(np.array([[False, True], [False, True]]), [], verdicts)
+    assert verdicts == {(True, False)}
+    # nodes 2 and 3 are not below themselves and share the down-set {0} with
+    # node 0, so the search raises; each meet of 2 and 3 passes every other test
+    downs = [{0}, {0, 1, 2, 3}, {0}, {0}]
+    leq = np.array([[r in d for d in downs] for r in range(4)])
+    for meet in (0, 2, 3):
+        check_recorded_verdict(leq, [meet], verdicts)
+    # 2 <= 3 <= 4 but not 2 <= 4, and 4 is not below itself: every two
+    # down-sets meet in a down-set and none is shared, so only the
+    # transitivity test rejects the meets
+    leq = np.array([[1, 1, 1, 1, 1], [0, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 1, 0, 1, 1], [0, 1, 0, 0, 0]], bool)
+    check_recorded_verdict(leq, [2, 0, 4], verdicts)
+    # posets on 1..7 points below a top, above a bottom (nodes 0 and 1), each
+    # point the set of the points below it, ordered by inclusion: with their
+    # searched meets, one of them changed, some nodes not below themselves,
+    # one node repeated, and random relations with random meets
+    gen = np.random.default_rng(11)
+    for _ in range(300):
+        k = int(gen.integers(1, 8))
+        rel = np.triu(gen.random((k, k)) < gen.uniform(0.1, 0.6), 1) | np.eye(k, dtype=bool)
+        for mid in range(k):
+            rel |= rel[:, mid, None] & rel[mid]
+        sets = np.concatenate([np.zeros((1, k), bool), np.ones((1, k), bool), rel.T])
+        leq = (sets[:, None] <= sets[None]).all(axis=2)
+        size = len(leq)
+        try:
+            meets = recorded_meets(lt._extrema_table(leq))
+        except StoneworkError:
+            meets = gen.integers(0, size, size=(size - 2) * (size - 3) // 2)
+        check_recorded_verdict(leq, meets, verdicts)
+        if len(meets):
+            changed = meets.copy()
+            changed[gen.integers(len(meets))] = gen.integers(size)
+            check_recorded_verdict(leq, changed, verdicts)
+        loose = leq.copy()
+        loose[np.diag_indices(size)] = gen.random(size) < 0.7
+        check_recorded_verdict(loose, meets, verdicts)
+        again = np.append(np.arange(size), gen.integers(2, size))
+        twice = table_from_meets(size, meets)[np.ix_(again, again)]
+        check_recorded_verdict(leq[np.ix_(again, again)], recorded_meets(twice), verdicts)
+        noise = gen.random((size, size)) < gen.uniform(0.2, 0.9)
+        check_recorded_verdict(noise, gen.integers(0, size, size=len(meets)), verdicts)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_node_lookup():
     space = ct.StoneSpace(2)
     p = line_op(space, [1, 0])
@@ -720,17 +845,23 @@ def line_at(angle):
 
 def check_closure_fallback(monkeypatch, gens, tol=DEFAULT_TOL):
     """meet_closure against the per-pair scan, byte for byte, and the number
-    of admissions that went through _admitted, out of all of them."""
+    of admissions that went through _admitted, out of all of them. The
+    closure hands the lattice its recorded meets only when none did."""
     real, calls, rounds = lt._admitted, [], []
     monkeypatch.setattr(lt, "_admitted", lambda c, x, eps: calls.append(c) or real(c, x, eps))
     real_round = lt._FiberMemo.meet_join
     monkeypatch.setattr(
         lt._FiberMemo, "meet_join", lambda self, i, j: rounds.append(i) or real_round(self, i, j)
     )
+    real_table, handed = lt._recorded_table, []
+    monkeypatch.setattr(lt, "_recorded_table", lambda leq, meets: handed.append(meets) or real_table(leq, meets))
     lat = lt.meet_closure(gens, cap=256, tol=tol)
     ref = reference_closure(gens, tol)
     assert lat.nodes.tobytes() == ref.tobytes()
     assert np.array_equal(lat.leq, reference_leq(ref, tol.eps))
+    assert len(handed) == (not calls)
+    if handed:
+        assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     return len(calls), 1 + len(rounds)
 
 
@@ -819,8 +950,9 @@ def test_meet_closure_falls_back_mid_closure(rng, monkeypatch, name, calls):
 def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
     # one line per fiber on six fibers: 8 first nodes, 15 joins in the first
     # round and the rest after. Whatever round the cap falls in, the nodes up
-    # to it are the per-pair scan's and are checked, in order and once each;
-    # the node past it is not checked
+    # to it are the per-pair scan's, and each of their fiber values that the
+    # first 8 nodes do not hold is checked, once; the values of the node past
+    # the cap are not checked
     gens = pruning_families(rng)["line_per_fiber_6"]
     ref = reference_closure(gens)
     real, checked = lt.is_projection, []
@@ -828,7 +960,11 @@ def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
     with pytest.raises(ClosureExplosion, match=f"cap of {cap} elements"):
         lt.meet_closure(gens, cap=cap)
     assert np.array_equal(checked[0], np.stack([g.values for g in gens]))  # the generators
-    assert np.array_equal(np.concatenate(checked[1:]), ref[8:cap])
+    values = [v.tobytes() for stack in checked[1:] for v in stack]
+    first, within = ({f.tobytes() for node in nodes for f in node} for nodes in (ref[:8], ref[8:cap]))
+    assert len(values) == len(set(values)) and set(values) == within - first
+    # at caps 9 and 40 the node past the cap holds a value no node before it does
+    assert bool({f.tobytes() for f in ref[cap]} - within - first) == (cap in (9, 40))
     assert len(lt.meet_closure(gens, cap=65)) == 65
 
 
@@ -847,13 +983,13 @@ def test_meet_closure_rounds_split_mid_node(rng, monkeypatch, pairs):
         return real_round(self, i, j)
 
     monkeypatch.setattr(lt._FiberMemo, "meet_join", recording)
-    real_meet, solved = lt.stacked_meet, []
+    real_solve, solved = lt.stacked_meet_join, []
 
     def counting(p, q, tol):
         solved.extend(tuple(sorted((a.tobytes(), b.tobytes()))) for a, b in zip(p, q))
-        return real_meet(p, q, tol)
+        return real_solve(p, q, tol)
 
-    monkeypatch.setattr(lt, "stacked_meet", counting)
+    monkeypatch.setattr(lt, "stacked_meet_join", counting)
     lat = lt.meet_closure(gens, cap=256)
     ref = reference_closure(gens)
     assert len(lat) == len(ref) == 65
@@ -877,8 +1013,8 @@ def test_meet_closure_blocks_give_identical_nodes(rng, monkeypatch, chunk):
     want = {name: lt.meet_closure(g, cap=256) for name, g in families.items()}
     for name in ("_CHUNK", "_PAIR_BLOCK", "_ROUND"):
         monkeypatch.setattr(lt, name, chunk)
-    real_meet, blocks = lt.stacked_meet, []
-    monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: blocks.append(q) or real_meet(p, q, tol))
+    real_solve, blocks = lt.stacked_meet_join, []
+    monkeypatch.setattr(lt, "stacked_meet_join", lambda p, q, tol: blocks.append(q) or real_solve(p, q, tol))
     for name, gens in families.items():
         lat = lt.meet_closure(gens, cap=256)
         # one solve per round, of at most m fresh fiber pairs per node pair
@@ -903,14 +1039,15 @@ def distinct_fiber_pairs(lattice):
 
 
 def count_solved_meets(monkeypatch):
-    """Record the number of matrices each stacked_meet call solves."""
-    real, solved = lt.stacked_meet, []
+    """Record the number of fiber pairs whose meet and join each
+    stacked_meet_join call solves."""
+    real, solved = lt.stacked_meet_join, []
 
     def counting(p, q, tol):
         solved.append(q.size // q.shape[-1] ** 2)
         return real(p, q, tol)
 
-    monkeypatch.setattr(lt, "stacked_meet", counting)
+    monkeypatch.setattr(lt, "stacked_meet_join", counting)
     return solved
 
 
@@ -1117,11 +1254,22 @@ def test_meet_closure_checks_generators():
         lt.meet_closure([line, line_op(ct.StoneSpace(3), [1, 0])])
 
 
+def halved(solve, half):
+    """stacked_meet_join with its meets or its joins halved, which are then
+    not idempotent."""
+
+    def solving(p, q, tol):
+        out = solve(p, q, tol)
+        out[slice(None, len(p)) if half == "meet" else slice(len(p), None)] *= 0.5
+        return out
+
+    return solving
+
+
 def test_meet_closure_rejects_non_projection_node(monkeypatch):
     # a join that is not idempotent must stop the closure when it is appended
     space = ct.StoneSpace(1)
-    real_join = lt.stacked_join
-    monkeypatch.setattr(lt, "stacked_join", lambda p, q, tol: 0.5 * real_join(p, q, tol))
+    monkeypatch.setattr(lt, "stacked_meet_join", halved(lt.stacked_meet_join, "join"))
     with pytest.raises(NotProjection, match="closure node"):
         lt.meet_closure([diag_projection(space, [0], []), line_op(space, [1, 1])])
 
@@ -1136,8 +1284,7 @@ def test_meet_closure_checks_nodes_in_order_up_to_the_cap(monkeypatch, limit, no
     # with room for 4, node 4 outgrows them first and is never checked.
     # (A halved join cannot show this: the first round ends with it.)
     space = ct.StoneSpace(1)
-    real_meet = lt.stacked_meet
-    monkeypatch.setattr(lt, "stacked_meet", lambda p, q, tol: 0.5 * real_meet(p, q, tol))
+    monkeypatch.setattr(lt, "stacked_meet_join", halved(lt.stacked_meet_join, "meet"))
     cap = nodes if limit == "cap" else 4096
     if limit == "budget":
         monkeypatch.setattr(lt, "_TABLE_BUDGET", (np.dtype(np.intp).itemsize + 1) * nodes ** 2)
@@ -1271,7 +1418,7 @@ def test_maximality_rejects_every_extension():
         for x in range(len(lat)):
             if x in b.members:
                 continue
-            assert not lt.is_filter_base(lat, set(b.members) | {x})
+            assert not reference_is_filter_base(lat, set(b.members) | {x})
 
 
 def test_filter_min_member():
@@ -1344,8 +1491,7 @@ def test_filter_layer_matches_loop_oracles(rng):
     for lat in filter_layer_lattices(rng):
         assert lt.isolated_points(lat) == reference_isolated_points(lat)
         for members in member_sets(lat, gen):
-            base = lt.is_filter_base(lat, members)
-            assert base == reference_is_filter_base(lat, members)
+            base = reference_is_filter_base(lat, members)
             qp = lt.is_quasipoint(lat, members)
             assert qp == reference_is_quasipoint(lat, members)
             f = lt.Filter(lat, members)
@@ -1365,8 +1511,6 @@ def test_filter_layer_matches_loop_oracles(rng):
 def test_member_indices_are_range_checked(bad):
     lat = boolean_lattice(3)
     assert len(lat) == 8
-    with pytest.raises(NotMember):
-        lt.is_filter_base(lat, [bad])
     with pytest.raises(NotMember):
         lt.is_quasipoint(lat, [lat.one_index, bad])
     with pytest.raises(NotMember):

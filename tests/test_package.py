@@ -13,7 +13,7 @@ SRC = pathlib.Path(stonework.__file__).parent
 #: shrink: a name here that gains a caller fails the tests below too.
 UNCALLED = {
     # test_lattice.reference_closure checks the joins of meet_closure, which
-    # go through numerics.stacked_join, against it
+    # go through numerics.stacked_meet_join, against it
     "matrix_algebra.fibered_join",
     # the unit of the algebra: tests in five files build operators from it
     "matrix_algebra.identity",
