@@ -68,10 +68,9 @@ class FiniteLattice:
     array, node i at ``nodes[i]``. ``meets``, which only meet_closure hands
     over, holds the node that the meet of each pair (i, j), 2 <= j < i,
     matched in the closure, in closure order (pair (i, j) at (i - 2)(i - 3)/2
-    + j - 2), with node 0 the zero and node 1 the identity. The meet table
-    built from it is kept when _recorded_table's check passes, which it does
-    exactly when _extrema_table would find that same table; without
-    ``meets``, or when the check fails, _extrema_table searches the table.
+    + j - 2), with node 0 the zero and node 1 the identity. _meet_table
+    builds the meet table from it, or searches the table without it, and
+    checks it either way.
     """
 
     def __init__(
@@ -95,8 +94,7 @@ class FiniteLattice:
         self.leq = _order(nodes, tol.eps)
         # built after _order returns, so the table and _order's temporaries
         # are never held together
-        table = None if meets is None else _recorded_table(self.leq, meets)
-        self.meet_table = _extrema_table(self.leq) if table is None else table
+        self.meet_table = _meet_table(self.leq, meets)
         # atoms: nonzero nodes with nothing but zero and themselves below them
         below = self.leq & ~np.eye(len(nodes), dtype=bool)
         below[self.zero_index] = False
@@ -114,13 +112,6 @@ class FiniteLattice:
     def elements(self) -> list[FiberedOperator]:
         """The nodes as operators, node i at ``elements[i]``; the benchmark's tracer reads these."""
         return [FiberedOperator(self.space, v) for v in self.nodes]
-
-    def index_of(self, op: FiberedOperator) -> int:
-        if op.values.shape == self.nodes.shape[1:]:
-            i = _near(op.values[None], self.nodes, self.tol.eps)[0]
-            if i >= 0:
-                return int(i)
-        raise NotMember("operator is not a node of this lattice")
 
     def atoms(self) -> list[int]:
         """Nonzero nodes with no node other than zero strictly below them."""
@@ -234,91 +225,72 @@ def _below(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     return np.abs(np.einsum("abp,bcp->acp", p, q) - p).max(axis=(0, 1)) <= eps
 
 
-def _extrema_table(leq: np.ndarray) -> np.ndarray:
-    """The meet table of the order ``leq``, and the lattice check; the
-    search FiniteLattice runs when no recorded table passes _recorded_table.
+def _meet_table(leq: np.ndarray, meets: np.ndarray | None = None) -> np.ndarray:
+    """The meet table T of the order ``leq``, and the lattice check.
 
-    The common lower bounds of i and j are exactly the nodes below their meet,
-    so entry (i, j) is the node whose down-set (column of ``leq``) equals the
-    intersection of the down-sets of i and j. The down-sets are packed into
-    bit rows and sorted once; each block of rows is intersected with every row
-    and looked up with one binary search. An intersection that is no node's
-    down-set, or two nodes with one down-set, mean the family is not a lattice.
-    When every pair has a meet and there is a top, every pair has a join too
-    (the meet of its common upper bounds), so the transpose needs no pass of
-    its own. ``leq`` is transitive exactly when i <= j puts the down-set of i
-    inside that of j, that is, when i is the meet of i and j; an i <= j with
-    another meet means the order tables are inconsistent too. This finds
-    every i <= j <= l with i !<= l, as ``(leq @ leq > 0) & ~leq`` would.
+    The common lower bounds of i and j are exactly the nodes below their
+    meet, so T[i, j] is the node whose down-set (column of ``leq``) is the
+    intersection of the down-sets of i and j. The candidate table comes from
+    ``meets`` when a closure recorded them (see FiniteLattice), else from the
+    search: the down-sets, packed into bits and zero padded to whole 64-bit
+    words, are sorted once (_sorted_rows), and each block's intersections are
+    looked up with one binary search. Either candidate passes one check, in
+    blocks of at most _CHUNK bytes:
+    - ``leq`` is reflexive;
+    - the down-set of T[i, j] is the intersection of those of i and j,
+      compared as words;
+    - leq[i, j] gives T[i, j] = i, which finds every i <= j <= l with
+      i !<= l, as ``(leq @ leq > 0) & ~leq`` would. Two nodes with one
+      down-set lie below each other, and T gives both pairs one entry, so
+      they fail it too.
+    A recorded table that fails gives way to the search, and a searched one
+    that fails means the family is not a lattice. When every pair has a meet
+    and there is a top, every pair has a join too (the meet of its common
+    upper bounds), so the transpose needs no pass of its own.
     """
-    k = len(leq)
-    down = _down_sets(leq)
-    void = f"V{down.shape[1]}"  # a packed row as one sortable key
-    order = np.argsort(down.view(void).ravel(), kind="stable")
-    keys = down[order].view(void).ravel()
-    shared = (keys[1:] == keys[:-1]).any()
-    table = np.empty((k, k), dtype=np.intp)
-    step = max(1, _CHUNK // down.size)
-    for s in range(0, k, step):
-        inter = (down[s : s + step, None] & down[None]).view(void)[..., 0]
-        pos = np.minimum(np.searchsorted(keys, inter), k - 1)
-        meet = order[pos]
-        broken = leq[s : s + step] & (meet != np.arange(s, s + len(meet))[:, None])
-        if shared or not (keys[pos] == inter).all() or broken.any():
-            raise StoneworkError(
-                "order tables are inconsistent; the element family is not closed"
-            )
-        table[s : s + step] = meet
-    return table
-
-
-def _down_sets(leq: np.ndarray) -> np.ndarray:
-    """Row c: the nodes below c (column c of ``leq``) packed into bits, zero
-    padded to whole 64-bit words."""
     k = len(leq)
     down = np.zeros((k, -(-k // 64) * 8), dtype=np.uint8)
     down[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(leq.T), axis=1)
-    return down
-
-
-def _recorded_table(leq: np.ndarray, meets: np.ndarray) -> np.ndarray | None:
-    """The meet table a closure recorded (see FiniteLattice), when it is the
-    table _extrema_table returns for ``leq``; None when it is not.
-
-    Zero meets every node in zero, the identity meets j in j and i meets
-    itself in i; ``meets`` gives the rest, so the table T is symmetric. The
-    check, in the search's blocks, asks what the search asks of the table it
-    finds:
-    - the down-set of T[i, j] is the intersection of those of i and j;
-    - leq[i, j] gives T[i, j] = i (the search's transitivity test);
-    - no two nodes share a down-set (the search's ``shared``). Two nodes
-      below themselves with one down-set lie below each other, and a
-      symmetric T fails the test above for them; the down-sets of the nodes
-      not below themselves are compared with every down-set.
-    When all three hold, the search finds T[i, j] for each pair, as the
-    only node with its down-set, and raises for none; when the search
-    returns T, all three hold.
-    """
-    k = len(leq)
+    down = down.view(np.uint64)
     table = np.empty((k, k), dtype=np.intp)
-    table[:, 1] = table[1] = np.arange(k)
-    table[:, 0] = table[0] = 0
-    sub = table[2:, 2:]
-    low = np.tri(k - 2, k=-1, dtype=bool)
-    sub[low] = sub.T[low] = meets
-    np.fill_diagonal(sub, np.arange(2, k))
-    del low
-    down = _down_sets(leq).view(np.uint64)
-    if any((down == down[i]).all(axis=1).sum() > 1 for i in np.flatnonzero(~leq.diagonal())):
-        return None
-    step = max(1, _CHUNK // down.nbytes)  # the search's blocks, of _CHUNK bytes
-    for s in range(0, k, step):
+    searched, order = meets is None, None
+    if not searched:
+        # zero meets every node in zero, the identity meets j in j and i
+        # meets itself in i; the closure recorded the rest
+        table[:, 1] = table[1] = np.arange(k)
+        table[:, 0] = table[0] = 0
+        sub = table[2:, 2:]
+        low = np.tri(k - 2, k=-1, dtype=bool)
+        sub[low] = sub.T[low] = meets
+        np.fill_diagonal(sub, np.arange(2, k))
+        del low
+    reflexive = leq.diagonal().all()
+    step = max(1, _CHUNK // down.nbytes)
+    s = 0
+    while s < k:
+        inter = down[s : s + step, None] & down[None]
+        if searched:
+            if order is None:
+                order, keys = _sorted_rows(down)
+            pos = np.searchsorted(keys, inter.view(keys.dtype)[..., 0])
+            table[s : s + step] = order[np.minimum(pos, k - 1)]
         meet = table[s : s + step]
-        if (leq[s : s + step] & (meet != np.arange(s, s + len(meet))[:, None])).any():
-            return None
-        if not np.array_equal(down[meet], down[s : s + step, None] & down[None]):
-            return None
+        if (reflexive and np.array_equal(down[meet], inter)
+                and not (leq[s : s + step] & (meet != np.arange(s, s + len(meet))[:, None])).any()):
+            s += step
+        elif searched:
+            raise StoneworkError("order tables are inconsistent; the element family is not closed")
+        else:
+            searched, s = True, 0
     return table
+
+
+def _sorted_rows(rows: np.ndarray):
+    """The order that sorts the rows of a 2-D array by their bytes, and the
+    sorted rows as one void key each: the one sort of _meet_table's search."""
+    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 @functools.lru_cache(maxsize=16)
@@ -640,7 +612,7 @@ def meet_closure(
     holds it. While every admission goes through the classes, the closure
     keeps the node that each pair's meet matched, as int32 in pair order,
     and hands them to the lattice, which checks them in place of searching
-    its meet table (FiniteLattice, _recorded_table).
+    its meet table (FiniteLattice, _meet_table).
     """
     if not generators:
         raise ValueError("need at least one generator")

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import fiber_steps
+from conftest import fiber_steps, index_of
 from stonework import hilbert_module as hm
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
@@ -509,7 +509,7 @@ def test_extend_filter_and_reduction_scans(tol):
     fibers[1] = fibers[2] = np.diag([1.0, 0.0])
     p = ma.FiberedOperator(space, fibers)
     lat = lt.meet_closure([p])
-    b = sp.extend_filter_to_quasipoint(lat, lt.Filter(lat, lat.up_set(lat.index_of(p))), tol)
+    b = sp.extend_filter_to_quasipoint(lat, lt.Filter(lat, lat.up_set(index_of(lat, p))), tol)
     assert b.omega.omega == 1
     assert np.array_equal(b.line, [1.0, 0.0])
     other = fibers.copy()

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import index_of
 from stonework import center as ct
 
 from stonework import lattice as lt
@@ -329,20 +330,28 @@ def test_meet_closure_matches_per_pair_scan(rng, monkeypatch, name, size):
 )
 def test_extrema_tables_match_reference(rng, monkeypatch, name):
     # the closure-oracle families, then the Boolean lattices with 2..64 nodes;
-    # each lattice runs one extrema pass, over the order
+    # a lattice built from its nodes alone runs one search, over the order
     if isinstance(name, int):
         lat = boolean_lattice(name)
     else:
         lat = lt.meet_closure(closure_families(rng)[name], cap=256)
-    passes = []
-    real = lt._extrema_table
-    monkeypatch.setattr(lt, "_extrema_table", lambda leq: passes.append(leq) or real(leq))
+    searches = count_searches(monkeypatch)
     lat = lt.FiniteLattice(lat.nodes)
-    assert len(passes) == 1 and passes[0] is lat.leq
+    # the rows it sorts are the down-sets, the columns of the order
+    assert len(searches) == 1
+    assert np.array_equal(np.unpackbits(searches[0].view(np.uint8), axis=1)[:, : len(lat)], lat.leq.T)
     assert np.array_equal(lat.leq, reference_leq(lat.nodes, lat.tol.eps))
     assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     assert lat.atoms() == reference_atoms(lat)
     assert (lat.zero_index, lat.one_index) == (0, 1)
+
+
+def count_searches(monkeypatch):
+    """The list that each search of _meet_table, from here on, appends the
+    down-sets it sorts to (its one sort, _sorted_rows)."""
+    real, searches = lt._sorted_rows, []
+    monkeypatch.setattr(lt, "_sorted_rows", lambda rows: searches.append(rows) or real(rows))
+    return searches
 
 
 def check_lattice_verdict(nodes):
@@ -402,6 +411,20 @@ def test_tables_reject_repeated_node():
         lt.FiniteLattice(node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), p, p))
 
 
+def test_tables_reject_an_order_that_is_not_reflexive():
+    # a node that is not idempotent within eps is not below itself. With
+    # zero and one, 0.5 I shares zero's down-set {0}; below diag(1, 1, 0.5)
+    # lie zero, e1 and e2, a down-set no other node has, and every two
+    # down-sets meet in a down-set, so only the reflexivity test rejects it
+    space = ct.StoneSpace(1)
+    half = ma.FiberedOperator(space, 0.5 * np.eye(2, dtype=complex)[None])
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt.FiniteLattice(node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), half))
+    diags = [(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0.5)]
+    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+        lt.FiniteLattice(node_stack(*(diag_node(space, *d) for d in diags)))
+
+
 def test_tables_reject_non_transitive_order():
     # nodes 0 (bottom), 1 (top), a, b, c, m with a <= b <= c, b <= m <= b and
     # m <= c, but not a <= c: every pair of down-sets meets in a down-set and
@@ -412,7 +435,7 @@ def test_tables_reject_non_transitive_order():
     assert len({frozenset(d) for d in downs}) == len(downs)
     leq = np.array([[i in d for d in downs] for i in range(6)])
     with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt._extrema_table(leq)
+        lt._meet_table(leq)
 
 
 def recorded_meets(table):
@@ -452,10 +475,9 @@ def test_closure_hands_the_searched_meet_table(rng, monkeypatch, name, eps):
         with pytest.raises(NotProjection, match="generator"):
             lt.meet_closure(gens, cap=256, tol=tol)
         return
-    real = lt._extrema_table
-    monkeypatch.setattr(lt, "_extrema_table", lambda leq: pytest.fail("the closure's meets were searched"))
+    searches = count_searches(monkeypatch)
     lat = lt.meet_closure(gens, cap=256, tol=tol)
-    monkeypatch.setattr(lt, "_extrema_table", real)
+    assert not searches, "the closure's meets were searched"
     assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     assert np.array_equal(lat.meet_table, lt.FiniteLattice(lat.nodes, tol).meet_table)
     assert lat.meet_table.dtype == np.intp
@@ -464,49 +486,63 @@ def test_closure_hands_the_searched_meet_table(rng, monkeypatch, name, eps):
 def test_corrupted_recorded_meet_falls_back_to_the_search(rng, monkeypatch):
     lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
     meets = recorded_meets(lat.meet_table)
-    assert np.array_equal(lt._recorded_table(lat.leq, meets), lat.meet_table)
-    real, searched = lt._extrema_table, []
-    monkeypatch.setattr(lt, "_extrema_table", lambda leq: searched.append(leq) or real(leq))
+    searches = count_searches(monkeypatch)
+    assert np.array_equal(lt._meet_table(lat.leq, meets), lat.meet_table)
+    assert not searches
     for at in (0, len(meets) // 2, len(meets) - 1):
         bad = meets.copy()
         bad[at] = (bad[at] + 1) % len(lat)
-        assert lt._recorded_table(lat.leq, bad) is None
+        assert np.array_equal(lt._meet_table(lat.leq, bad), lat.meet_table)
         assert np.array_equal(lt.FiniteLattice(lat.nodes, meets=bad).meet_table, lat.meet_table)
-    assert len(searched) == 3
+    assert len(searches) == 6
 
 
-def check_recorded_verdict(leq, meets, verdicts):
-    """_recorded_table accepts the table built from ``meets`` exactly when
-    _extrema_table returns that table, and then returns it."""
+def table_or_raise(leq, meets=None):
+    """_meet_table's table, or None when it raises that the order tables
+    are inconsistent."""
     try:
-        found = lt._extrema_table(leq)
-    except StoneworkError:
-        found = None
+        return lt._meet_table(leq, meets)
+    except StoneworkError as err:
+        assert "order tables are inconsistent" in str(err)
+        return None
+
+
+def check_recorded_verdict(searches, leq, meets, verdicts):
+    """_meet_table keeps the table built from ``meets``, without a search,
+    exactly when the search returns that table; else it searches once and
+    returns what the search returns, or raises as the search does. A
+    searched table is the oracle's."""
+    found = table_or_raise(leq)
+    if found is not None:
+        assert np.array_equal(found, reference_extrema_table(leq))
     want = found is not None and np.array_equal(found, table_from_meets(len(leq), meets))
-    got = lt._recorded_table(leq, np.asarray(meets, dtype=np.int32))
-    assert (got is not None) == want
-    if want:
+    searches.clear()
+    got = table_or_raise(leq, np.asarray(meets, dtype=np.int32))
+    assert len(searches) == (not want)
+    assert (got is None) == (found is None)
+    if found is not None:
         assert np.array_equal(got, found)
     verdicts.add((want, bool(leq.diagonal().all())))
 
 
-def test_recorded_table_check_is_the_search_verdict():
+def test_recorded_table_check_is_the_search_verdict(monkeypatch):
     verdicts = set()
+    searches = count_searches(monkeypatch)
     # node 0 is not below itself, and its down-set is the only empty one:
-    # the search returns the table
-    check_recorded_verdict(np.array([[False, True], [False, True]]), [], verdicts)
-    assert verdicts == {(True, False)}
+    # the order is not reflexive, so both tables raise
+    check_recorded_verdict(searches, np.array([[False, True], [False, True]]), [], verdicts)
+    assert verdicts == {(False, False)}
     # nodes 2 and 3 are not below themselves and share the down-set {0} with
-    # node 0, so the search raises; each meet of 2 and 3 passes every other test
+    # node 0: both tables raise, whatever the meet of 2 and 3
     downs = [{0}, {0, 1, 2, 3}, {0}, {0}]
     leq = np.array([[r in d for d in downs] for r in range(4)])
     for meet in (0, 2, 3):
-        check_recorded_verdict(leq, [meet], verdicts)
+        check_recorded_verdict(searches, leq, [meet], verdicts)
     # 2 <= 3 <= 4 but not 2 <= 4, and 4 is not below itself: every two
-    # down-sets meet in a down-set and none is shared, so only the
-    # transitivity test rejects the meets
+    # down-sets meet in a down-set and none is shared, but the order is
+    # neither transitive nor reflexive, so both tables raise
     leq = np.array([[1, 1, 1, 1, 1], [0, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 1, 0, 1, 1], [0, 1, 0, 0, 0]], bool)
-    check_recorded_verdict(leq, [2, 0, 4], verdicts)
+    check_recorded_verdict(searches, leq, [2, 0, 4], verdicts)
     # posets on 1..7 points below a top, above a bottom (nodes 0 and 1), each
     # point the set of the points below it, ordered by inclusion: with their
     # searched meets, one of them changed, some nodes not below themselves,
@@ -520,42 +556,43 @@ def test_recorded_table_check_is_the_search_verdict():
         sets = np.concatenate([np.zeros((1, k), bool), np.ones((1, k), bool), rel.T])
         leq = (sets[:, None] <= sets[None]).all(axis=2)
         size = len(leq)
-        try:
-            meets = recorded_meets(lt._extrema_table(leq))
-        except StoneworkError:
+        found = table_or_raise(leq)
+        if found is None:
             meets = gen.integers(0, size, size=(size - 2) * (size - 3) // 2)
-        check_recorded_verdict(leq, meets, verdicts)
+        else:
+            meets = recorded_meets(found)
+        check_recorded_verdict(searches, leq, meets, verdicts)
         if len(meets):
             changed = meets.copy()
             changed[gen.integers(len(meets))] = gen.integers(size)
-            check_recorded_verdict(leq, changed, verdicts)
+            check_recorded_verdict(searches, leq, changed, verdicts)
         loose = leq.copy()
         loose[np.diag_indices(size)] = gen.random(size) < 0.7
-        check_recorded_verdict(loose, meets, verdicts)
+        check_recorded_verdict(searches, loose, meets, verdicts)
         again = np.append(np.arange(size), gen.integers(2, size))
         twice = table_from_meets(size, meets)[np.ix_(again, again)]
-        check_recorded_verdict(leq[np.ix_(again, again)], recorded_meets(twice), verdicts)
+        check_recorded_verdict(searches, leq[np.ix_(again, again)], recorded_meets(twice), verdicts)
         noise = gen.random((size, size)) < gen.uniform(0.2, 0.9)
-        check_recorded_verdict(noise, gen.integers(0, size, size=len(meets)), verdicts)
-    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+        check_recorded_verdict(searches, noise, gen.integers(0, size, size=len(meets)), verdicts)
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_node_lookup():
     space = ct.StoneSpace(2)
     p = line_op(space, [1, 0])
     lat = lt.meet_closure([p])
-    assert (lat.zero_index, lat.one_index, lat.index_of(p)) == (0, 1, 2)
+    assert (lat.zero_index, lat.one_index, index_of(lat, p)) == (0, 1, 2)
     # one read-only (k, m, n, n) array; the caller's array stays writable
     assert lat.nodes.shape == (3, 2, 2, 2) and not lat.nodes.flags.writeable
     mine = lat.nodes.copy()
     assert lt.FiniteLattice(mine).nodes is not mine and mine.flags.writeable
     # elements wraps the same rows as operators, in node order
-    assert [lat.index_of(e) for e in lat.elements] == [0, 1, 2]
+    assert [index_of(lat, e) for e in lat.elements] == [0, 1, 2]
     assert all(e.space == space and np.array_equal(e.values, v) for e, v in zip(lat.elements, lat.nodes))
     with pytest.raises(NotMember):
-        lat.index_of(line_op(space, [0, 1]))
+        index_of(lat, line_op(space, [0, 1]))
     with pytest.raises(NotMember):
-        lat.index_of(ma.identity(ct.StoneSpace(1), 2))
+        index_of(lat, ma.identity(ct.StoneSpace(1), 2))
     for i in (-1, 3):
         with pytest.raises(NotMember, match=f"no lattice node {i}"):
             lat.up_set(i)
@@ -574,7 +611,7 @@ def test_nodes_match_within_tol_eps():
     q = diag_node(space, 1.0, 1.0, 0.0)
     lat = lt.meet_closure([p, q], cap=64, tol=Tolerance(1e-6))
     assert len(lat) == 4
-    assert (lat.index_of(p), lat.index_of(q)) == (2, 3)
+    assert (index_of(lat, p), index_of(lat, q)) == (2, 3)
     assert lat.meet_table[2, 3] == 2 and lat.leq[2, 3]  # so their join is q
 
 
@@ -682,7 +719,7 @@ def test_near_non_finite_candidate(monkeypatch, bad):
         monkeypatch.setattr(lt, "_DENSE", dense)
         assert check_near(np.stack([cand, nodes[2]]), nodes, 1e-9).tolist() == [-1, 2]
         with pytest.raises(NotMember):
-            lat.index_of(types.SimpleNamespace(values=cand))
+            index_of(lat, types.SimpleNamespace(values=cand))
     # a row whose key overflows still matches its duplicate
     huge = np.concatenate([nodes, np.full((1, *cand.shape), 1e308 + 1e308j)])
     assert check_near(huge[-1:], huge, 0.0)[0] == len(nodes)
@@ -853,14 +890,14 @@ def check_closure_fallback(monkeypatch, gens, tol=DEFAULT_TOL):
     monkeypatch.setattr(
         lt._FiberMemo, "meet_join", lambda self, i, j: rounds.append(i) or real_round(self, i, j)
     )
-    real_table, handed = lt._recorded_table, []
-    monkeypatch.setattr(lt, "_recorded_table", lambda leq, meets: handed.append(meets) or real_table(leq, meets))
+    real_table, handed = lt._meet_table, []
+    monkeypatch.setattr(lt, "_meet_table", lambda leq, meets: handed.append(meets) or real_table(leq, meets))
     lat = lt.meet_closure(gens, cap=256, tol=tol)
     ref = reference_closure(gens, tol)
     assert lat.nodes.tobytes() == ref.tobytes()
     assert np.array_equal(lat.leq, reference_leq(ref, tol.eps))
-    assert len(handed) == (not calls)
-    if handed:
+    assert len(handed) == 1 and (handed[0] is not None) == (not calls)
+    if handed[0] is not None:
         assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     return len(calls), 1 + len(rounds)
 
@@ -1382,7 +1419,7 @@ def test_extend_trunk_unique_through_non_atom():
     lat = lt.meet_closure([p])
     assert len(lat) == 3
     b = lt.extend_trunk(lat, lt.Filter(lat, {lat.one_index}))
-    assert b.members == lat.up_set(lat.index_of(p))
+    assert b.members == lat.up_set(index_of(lat, p))
 
 
 def test_stone_base_sets():

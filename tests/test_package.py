@@ -17,8 +17,6 @@ UNCALLED = {
     "matrix_algebra.fibered_join",
     # the unit of the algebra: tests in five files build operators from it
     "matrix_algebra.identity",
-    # the node index of an operator: tests in three files look nodes up
-    "lattice.FiniteLattice.index_of",
 }
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import index_of
 from stonework import center as ct
 from stonework import hilbert_module as hm
 from stonework import lattice as lt
@@ -374,7 +375,7 @@ def test_extend_filter_examples(tol):
         ),
     )
     lat2 = lt.meet_closure([gen])
-    f = lt.Filter(lat2, lat2.up_set(lat2.index_of(gen)))
+    f = lt.Filter(lat2, lat2.up_set(index_of(lat2, gen)))
     b2 = sp.extend_filter_to_quasipoint(lat2, f, tol)
     assert b2 == sp.quasipoint(space, 0, [1, 0])
 
