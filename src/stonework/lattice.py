@@ -25,11 +25,10 @@ from .errors import (
     DimensionMismatch,
     EmptyFilter,
     NotMember,
-    NotProjection,
     StoneworkError,
 )
-from .matrix_algebra import FiberedOperator
-from .numerics import DEFAULT_TOL, Tolerance, is_projection, stacked_meet_join
+from .matrix_algebra import FiberedOperator, require_projection
+from .numerics import DEFAULT_TOL, Tolerance, stacked_meet_join
 
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
@@ -65,12 +64,14 @@ class FiniteLattice:
     """Explicit finite projection lattice with precomputed order and tables.
 
     ``nodes`` holds the values of its k nodes as one read-only (k, m, n, n)
-    array, node i at ``nodes[i]``. ``meets``, which only meet_closure hands
-    over, holds the node that the meet of each pair (i, j), 2 <= j < i,
-    matched in the closure, in closure order (pair (i, j) at (i - 2)(i - 3)/2
-    + j - 2), with node 0 the zero and node 1 the identity. _meet_table
-    builds the meet table from it, or searches the table without it, and
-    checks it either way.
+    array, node i at ``nodes[i]``; a node with a fiber that is not a
+    projection within tol.eps raises NotProjection. ``meets``, which
+    meet_closure hands over, holds the node that the meet of each pair (i,
+    j), 2 <= j < i, matched in the closure, in closure order (pair (i, j) at
+    (i - 2)(i - 3)/2 + j - 2), with node 0 the zero and node 1 the identity.
+    _meet_table builds the meet table from it, or searches the table without
+    it or when it does not name one node for each pair, and checks it either
+    way.
     """
 
     def __init__(
@@ -84,6 +85,7 @@ class FiniteLattice:
         _require_fibers(nodes.shape[-1])
         if len(nodes) > _node_limit():
             raise StoneworkError(f"{len(nodes)} nodes outgrow the table budget of {_TABLE_BUDGET} bytes")
+        require_projection(nodes, tol, "lattice node")
         nodes.setflags(write=False)
         self.nodes, self.tol = nodes, tol
         self.space = StoneSpace(nodes.shape[1])
@@ -231,11 +233,12 @@ def _meet_table(leq: np.ndarray, meets: np.ndarray | None = None) -> np.ndarray:
     The common lower bounds of i and j are exactly the nodes below their
     meet, so T[i, j] is the node whose down-set (column of ``leq``) is the
     intersection of the down-sets of i and j. The candidate table comes from
-    ``meets`` when a closure recorded them (see FiniteLattice), else from the
-    search: the down-sets, packed into bits and zero padded to whole 64-bit
-    words, are sorted once (_sorted_rows), and each block's intersections are
-    looked up with one binary search. Either candidate passes one check, in
-    blocks of at most _CHUNK bytes:
+    ``meets`` when a closure recorded them (see FiniteLattice) and they name
+    one node of 0..k-1 for each pair, else from the search: the down-sets,
+    packed into bits and zero padded to whole 64-bit words, are sorted once
+    (_sorted_rows), and each block's intersections are looked up with one
+    binary search. Either candidate passes one check, in blocks of at most
+    _CHUNK bytes:
     - ``leq`` is reflexive;
     - the down-set of T[i, j] is the intersection of those of i and j,
       compared as words;
@@ -253,7 +256,9 @@ def _meet_table(leq: np.ndarray, meets: np.ndarray | None = None) -> np.ndarray:
     down[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(leq.T), axis=1)
     down = down.view(np.uint64)
     table = np.empty((k, k), dtype=np.intp)
-    searched, order = meets is None, None
+    pairs = (k - 2) * (k - 3) // 2
+    searched = meets is None or np.shape(meets) != (pairs,) or not ((meets >= 0) & (meets < k)).all()
+    order = None
     if not searched:
         # zero meets every node in zero, the identity meets j in j and i
         # meets itself in i; the closure recorded the rest
@@ -478,13 +483,14 @@ class _FiberMemo:
     fiber pair on its own. Each distinct fiber value, of a generator, zero,
     one or a solved meet or join, gets as id its row of ``values`` through
     one dict from its bytes, and its eps class (_eps_classes) when it first
-    appears. A candidate is the row of its m fiber ids, and ``node_ids``
-    holds those of the nodes. The unordered pair of ids keys the ids of its
-    meet and join. ``stacked_meet_join`` solves one matrix at a time and
-    gives the same bits with its arguments swapped, so a remembered fiber is
-    bit for bit what a fresh solve gives. The pair keys are kept as one
-    sorted array: a round of node pairs builds its keys in one expression
-    and looks them up with one binary search.
+    appears; meet_closure, not the memo, checks that each fiber of the
+    nodes it appends is a projection. A candidate is the row of its m fiber
+    ids, and ``node_ids`` holds those of the nodes. The unordered pair of
+    ids keys the ids of its meet and join. ``stacked_meet_join`` solves one
+    matrix at a time and gives the same bits with its arguments swapped, so
+    a remembered fiber is bit for bit what a fresh solve gives. The pair
+    keys are kept as one sorted array: a round of node pairs builds its keys
+    in one expression and looks them up with one binary search.
 
     Node distance is a max over fibers, so while the classes fit, a
     candidate lies within eps of a node exactly when each of its fibers has
@@ -504,7 +510,6 @@ class _FiberMemo:
         self.cls = np.empty(0, dtype=np.intp)  # eps class of each id, or None
         self.node_ids = np.empty((0, m), dtype=np.intp)  # the closure's nodes
         self._rows = {}  # the bytes of each node's row of classes -> node index
-        self._checked = np.empty(0, dtype=bool)  # of each id, whether unchecked() gave it
         # pair keys lo << 32 | hi, sorted, and the ids of the meet and the join
         # of each. ids number distinct fiber values, below 2**31 for any table
         # that fits in memory, so the sentinel key at the end exceeds them all
@@ -522,7 +527,6 @@ class _FiberMemo:
         if len(self._ids) > start:
             at = {i: p for p, i in enumerate(ids) if i >= start}  # a position of each new id
             self.values = np.concatenate([self.values, flat[list(at.values())]])
-            self._checked = np.concatenate([self._checked, np.zeros(len(at), dtype=bool)])
             if self.cls is not None:
                 self.cls = _eps_classes(self.values, self.cls, self.tol.eps)
         return np.array(ids, dtype=np.intp).reshape(fibers.shape[:-2])
@@ -573,15 +577,6 @@ class _FiberMemo:
         self.node_ids = np.concatenate([self.node_ids, ids[new]])
         return new, matched
 
-    def unchecked(self, ids: np.ndarray) -> np.ndarray:
-        """The distinct values of ``ids`` that no earlier call gave, in id
-        order."""
-        fresh = np.zeros_like(self._checked)
-        fresh[ids] = True
-        fresh &= ~self._checked
-        self._checked |= fresh
-        return self.values[fresh]
-
 
 #: Ends the sorted pair keys of a _FiberMemo, above every key.
 _SENTINEL = np.iinfo(np.intp).max
@@ -607,12 +602,13 @@ def meet_closure(
     a round's meets and joins as rows of fiber ids and admits them at once
     through their eps classes, or, once no classes fit, through _admitted on
     their values. The memo's rows of fiber ids are the only record of the
-    nodes; the lattice gathers their values once, at the end. Each fiber
-    value is checked for being a projection once, with the first node that
-    holds it. While every admission goes through the classes, the closure
-    keeps the node that each pair's meet matched, as int32 in pair order,
-    and hands them to the lattice, which checks them in place of searching
-    its meet table (FiniteLattice, _meet_table).
+    nodes; the lattice gathers their values once, at the end. Each
+    admission checks every fiber of the nodes it appends for being a
+    projection, up to the node past the cap or the table budget, which it
+    does not check. While every admission goes through the classes, the
+    closure keeps the node that each pair's meet matched, as int32 in pair
+    order, and hands them to the lattice, which checks them in place of
+    searching its meet table (FiniteLattice, _meet_table).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -622,17 +618,15 @@ def meet_closure(
         raise StoneworkError("generators have mixed shapes")
     _require_fibers(n)
     gens = np.stack([g.values for g in generators])
-    if not is_projection(gens, tol):
-        raise NotProjection(f"generator is not a fiberwise projection at eps={tol.eps}")
+    require_projection(gens, tol, "generator")
 
     limit = min(cap, _node_limit())
     memo = _FiberMemo(space.points, n, tol)
 
-    def admit(ids: np.ndarray, checked: bool = False):
+    def admit(ids: np.ndarray):
         """Append, in order, the candidates (rows of fiber ids) that no node
-        and no candidate appended before them is within tol.eps of. The
-        values of the appended nodes that no earlier admission checked must
-        be projections (unless ``checked`` says they are); the node that
+        and no candidate appended before them is within tol.eps of. Every
+        fiber of the appended nodes must be a projection; the node that
         outgrows ``cap`` or the table budget stops the closure, after the
         check of the nodes appended before it. Returns the number of nodes
         and the node each candidate matched, or None (_FiberMemo.admitted)."""
@@ -640,9 +634,7 @@ def meet_closure(
         new, matched = memo.admitted(ids)
         new = new[: max(limit - start + 1, 1)]
         k = start + len(new)
-        fresh = memo.unchecked(ids[new[: len(new) - (k > limit)]])
-        if not checked and len(fresh) and not is_projection(fresh, tol):
-            raise NotProjection(f"closure node is not a fiberwise projection at eps={tol.eps}")
+        require_projection(memo.values[ids[new[: len(new) - (k > limit)]]], tol, "closure node")
         if k > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
         if k > limit:
@@ -651,8 +643,8 @@ def meet_closure(
         return k, matched
 
     # zero and one differ (n >= 1 and eps < 1e-3); the generators are matched
-    # against them and each other, and all of them are projections
-    k, matched = admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])), checked=True)
+    # against them and each other
+    k, matched = admit(memo.number(np.concatenate([_bounds(gens.shape[1:]), gens])))
     # the node each pair's meet matched, a round at a time, while every
     # admission goes through the classes (once one does not, none does)
     meets = None if matched is None else []

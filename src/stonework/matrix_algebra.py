@@ -91,24 +91,25 @@ def adjoint(t: FiberedOperator) -> FiberedOperator:
     return FiberedOperator(t.space, np.conj(np.swapaxes(t.values, 1, 2)))
 
 
-def require_projection(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL, what: str = "operator"):
-    if not p.is_projection(tol):
+def require_projection(values: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "operator"):
+    """Raise NotProjection unless each fiber of the stack is a projection within tol.eps."""
+    if not is_projection(values, tol):
         raise NotProjection(f"{what} is not a fiberwise projection at eps={tol.eps}")
 
 
 def fibered_meet(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> FiberedOperator:
     """Fiberwise projection onto the intersection of the two ranges."""
     p._check(q)
-    require_projection(p, tol, "left argument")
-    require_projection(q, tol, "right argument")
+    require_projection(p.values, tol, "left argument")
+    require_projection(q.values, tol, "right argument")
     return FiberedOperator(p.space, stacked_meet(p.values, q.values, tol))
 
 
 def fibered_join(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> FiberedOperator:
     """Fiberwise projection onto the sum of the two ranges."""
     p._check(q)
-    require_projection(p, tol, "left argument")
-    require_projection(q, tol, "right argument")
+    require_projection(p.values, tol, "left argument")
+    require_projection(q.values, tol, "right argument")
     return FiberedOperator(p.space, stacked_join(p.values, q.values, tol))
 
 
@@ -122,7 +123,7 @@ def central_carrier(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> CenterE
 
     Exact {0,1} values by construction.
     """
-    require_projection(p, tol)
+    require_projection(p.values, tol)
     return CenterElement(p.space, nonzero_fibers(p, tol).astype(np.complex128))
 
 
@@ -134,7 +135,7 @@ def fiber_ranks(p: FiberedOperator) -> list[int]:
 
 def is_abelian_projection(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
     """A projection is abelian exactly when every fiber has rank at most one."""
-    require_projection(p, tol)
+    require_projection(p.values, tol)
     return all(r <= 1 for r in fiber_ranks(p))
 
 
@@ -183,7 +184,7 @@ def transport(theta: FiberedOperator, p: FiberedOperator, tol: Tolerance = DEFAU
     initial = adjoint(theta) @ theta
     if not initial.is_projection(tol):
         raise NotPartialIsometry("theta* theta is not a projection")
-    require_projection(p, tol)
+    require_projection(p.values, tol)
     if not leq_projection(p, initial, tol):
         raise NotSubordinate("projection is not below the initial projection of theta")
     return FiberedOperator(theta.space, hermitize((theta @ p @ adjoint(theta)).values))

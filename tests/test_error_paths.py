@@ -8,7 +8,7 @@ from stonework import hilbert_module as hm
 from stonework import lattice as lt
 from stonework import matrix_algebra as ma
 from stonework import spectrum as sp
-from stonework.errors import DimensionMismatch, StoneworkError
+from stonework.errors import DimensionMismatch, NotProjection, StoneworkError
 
 S2, S3 = ct.StoneSpace(2), ct.StoneSpace(3)
 NAN = float("nan")
@@ -123,6 +123,11 @@ CASES = {
     "lattice-no-nodes": (
         lambda: lt.FiniteLattice(nodes(0)),
         StoneworkError, "lattice is missing its zero or unit element",
+    ),
+    # zero, one and an idempotent that is not Hermitian: its order is a lattice
+    "lattice-node-not-projection": (
+        lambda: lt.FiniteLattice(np.array([0 * np.eye(2), np.eye(2), [[1, 1], [0, 0]]])[:, None]),
+        NotProjection, r"lattice node is not a fiberwise projection at eps=1e-09",
     ),
 }
 

@@ -415,14 +415,21 @@ def test_tables_reject_an_order_that_is_not_reflexive():
     # a node that is not idempotent within eps is not below itself. With
     # zero and one, 0.5 I shares zero's down-set {0}; below diag(1, 1, 0.5)
     # lie zero, e1 and e2, a down-set no other node has, and every two
-    # down-sets meet in a down-set, so only the reflexivity test rejects it
+    # down-sets meet in a down-set, so only the reflexivity test rejects
+    # their orders. FiniteLattice rejects such nodes before any table; the
+    # test still guards _meet_table, since _below's einsum and
+    # is_projection's matmul may round differently at the eps boundary
     space = ct.StoneSpace(1)
     half = ma.FiberedOperator(space, 0.5 * np.eye(2, dtype=complex)[None])
-    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt.FiniteLattice(node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), half))
     diags = [(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0.5)]
-    with pytest.raises(StoneworkError, match="order tables are inconsistent"):
-        lt.FiniteLattice(node_stack(*(diag_node(space, *d) for d in diags)))
+    for stack in (node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), half),
+                  node_stack(*(diag_node(space, *d) for d in diags))):
+        leq = lt._order(stack, DEFAULT_TOL.eps)
+        assert not leq.diagonal().all()
+        with pytest.raises(StoneworkError, match="order tables are inconsistent"):
+            lt._meet_table(leq)
+        with pytest.raises(NotProjection, match="lattice node"):
+            lt.FiniteLattice(stack)
 
 
 def test_tables_reject_non_transitive_order():
@@ -485,16 +492,26 @@ def test_closure_hands_the_searched_meet_table(rng, monkeypatch, name, eps):
 
 def test_corrupted_recorded_meet_falls_back_to_the_search(rng, monkeypatch):
     lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
-    meets = recorded_meets(lat.meet_table)
+    k, meets = len(lat), recorded_meets(lat.meet_table)
     searches = count_searches(monkeypatch)
     assert np.array_equal(lt._meet_table(lat.leq, meets), lat.meet_table)
     assert not searches
-    for at in (0, len(meets) // 2, len(meets) - 1):
+
+    def changed(at, node):
         bad = meets.copy()
-        bad[at] = (bad[at] + 1) % len(lat)
+        bad[at] = node
+        return bad
+
+    pairs = [(i, j) for i in range(2, k) for j in range(2, i)]
+    apart = next(p for p, (i, j) in enumerate(pairs) if not (lat.leq[i, j] or lat.leq[j, i]))
+    bads = [changed(at, (meets[at] + 1) % k) for at in (0, len(meets) // 2, len(meets) - 1)]
+    # the wrong length, a node past the last, and the meet of two incomparable
+    # nodes named from the end, a negative index to the same down-set
+    bads += [meets[:-1], np.append(meets, meets[:1]), changed(len(meets) // 2, k), changed(apart, meets[apart] - k)]
+    for bad in bads:
         assert np.array_equal(lt._meet_table(lat.leq, bad), lat.meet_table)
         assert np.array_equal(lt.FiniteLattice(lat.nodes, meets=bad).meet_table, lat.meet_table)
-    assert len(searches) == 6
+    assert len(searches) == 2 * len(bads)
 
 
 def table_or_raise(leq, meets=None):
@@ -987,21 +1004,17 @@ def test_meet_closure_falls_back_mid_closure(rng, monkeypatch, name, calls):
 def test_meet_closure_cap_crossed_mid_round(rng, monkeypatch, cap):
     # one line per fiber on six fibers: 8 first nodes, 15 joins in the first
     # round and the rest after. Whatever round the cap falls in, the nodes up
-    # to it are the per-pair scan's, and each of their fiber values that the
-    # first 8 nodes do not hold is checked, once; the values of the node past
-    # the cap are not checked
+    # to it are the per-pair scan's, and every fiber of each of them is
+    # checked, in node order; the node past the cap is not checked
     gens = pruning_families(rng)["line_per_fiber_6"]
     ref = reference_closure(gens)
-    real, checked = lt.is_projection, []
-    monkeypatch.setattr(lt, "is_projection", lambda p, tol: checked.append(p.copy()) or real(p, tol))
+    real, checked = lt.require_projection, []
+    monkeypatch.setattr(lt, "require_projection",
+                        lambda values, tol, what: checked.append(values.copy()) or real(values, tol, what))
     with pytest.raises(ClosureExplosion, match=f"cap of {cap} elements"):
         lt.meet_closure(gens, cap=cap)
     assert np.array_equal(checked[0], np.stack([g.values for g in gens]))  # the generators
-    values = [v.tobytes() for stack in checked[1:] for v in stack]
-    first, within = ({f.tobytes() for node in nodes for f in node} for nodes in (ref[:8], ref[8:cap]))
-    assert len(values) == len(set(values)) and set(values) == within - first
-    # at caps 9 and 40 the node past the cap holds a value no node before it does
-    assert bool({f.tobytes() for f in ref[cap]} - within - first) == (cap in (9, 40))
+    assert np.array_equal(np.concatenate(checked[1:]), ref[:cap])
     assert len(lt.meet_closure(gens, cap=65)) == 65
 
 
