@@ -257,7 +257,8 @@ def _meet_table(leq: np.ndarray, meets: np.ndarray | None = None) -> np.ndarray:
     down = down.view(np.uint64)
     table = np.empty((k, k), dtype=np.intp)
     pairs = (k - 2) * (k - 3) // 2
-    searched = meets is None or np.shape(meets) != (pairs,) or not ((meets >= 0) & (meets < k)).all()
+    meets = np.asarray(meets)  # None gives shape (), which names no pair
+    searched = meets.shape != (pairs,) or not ((meets >= 0) & (meets < k)).all()
     order = None
     if not searched:
         # zero meets every node in zero, the identity meets j in j and i
@@ -603,12 +604,12 @@ def meet_closure(
     through their eps classes, or, once no classes fit, through _admitted on
     their values. The memo's rows of fiber ids are the only record of the
     nodes; the lattice gathers their values once, at the end. Each
-    admission checks every fiber of the nodes it appends for being a
-    projection, up to the node past the cap or the table budget, which it
-    does not check. While every admission goes through the classes, the
-    closure keeps the node that each pair's meet matched, as int32 in pair
-    order, and hands them to the lattice, which checks them in place of
-    searching its meet table (FiniteLattice, _meet_table).
+    admission checks each distinct fiber value of the nodes it appends for
+    being a projection, up to the node past the cap or the table budget,
+    which it does not check. While every admission goes through the
+    classes, the closure keeps the node that each pair's meet matched, as
+    int32 in pair order, and hands them to the lattice, which checks them in
+    place of searching its meet table (FiniteLattice, _meet_table).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -634,7 +635,9 @@ def meet_closure(
         new, matched = memo.admitted(ids)
         new = new[: max(limit - start + 1, 1)]
         k = start + len(new)
-        require_projection(memo.values[ids[new[: len(new) - (k > limit)]]], tol, "closure node")
+        distinct = np.zeros(len(memo.values), dtype=bool)
+        distinct[ids[new[: len(new) - (k > limit)]]] = True
+        require_projection(memo.values[distinct], tol, "closure node")
         if k > cap:
             raise ClosureExplosion(f"closure exceeded cap of {cap} elements")
         if k > limit:

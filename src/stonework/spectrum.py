@@ -29,6 +29,7 @@ from .lattice import FiniteLattice, Filter
 from .matrix_algebra import (
     FiberedOperator,
     central_operator,
+    identity,
     is_abelian_projection,
     nonzero_fibers,
     phase_fix,
@@ -175,9 +176,7 @@ def orbit_witness(
         raise DimensionMismatch("quasipoints have different shapes")
     if zeta(b) != zeta(b2):
         return None
-    fibers = np.broadcast_to(
-        np.eye(b.n, dtype=np.complex128), (b.space.points, b.n, b.n)
-    ).copy()
+    fibers = identity(b.space, b.n).values.copy()
     if not b.same_line(b2):
         fibers[b.omega.omega] = b2.frame @ np.conj(b.frame.T)
     return FiberedOperator(b.space, fibers)

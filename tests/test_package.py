@@ -15,8 +15,6 @@ UNCALLED = {
     # test_lattice.reference_closure checks the joins of meet_closure, which
     # go through numerics.stacked_meet_join, against it
     "matrix_algebra.fibered_join",
-    # the unit of the algebra: tests in five files build operators from it
-    "matrix_algebra.identity",
 }
 
 
