@@ -33,7 +33,7 @@ from .numerics import DEFAULT_TOL, Tolerance, stacked_meet_join
 #: Node-matching distance at the default tolerance; nodes match within tol.eps.
 DEDUP_EPS = DEFAULT_TOL.eps
 #: Array entries per temporary in the blocked loops of this module, but for
-#: the exact test on the pairs in the key windows (_PAIR_BLOCK).
+#: the exact test on the pairs in _hits's key windows (_PAIR_BLOCK).
 _CHUNK = 1 << 20
 #: Candidate entries (2 m n^2 per node pair) per round of meet_closure. A
 #: round's temporaries hold ints, m per candidate; only rounds admitted
@@ -45,15 +45,13 @@ _CHUNK = 1 << 20
 #: `quasipoints` on the Boolean m = 8, where 2^16 added 0.1 MB.
 _ROUND = _CHUNK >> 4
 #: Up to this many compared entries (candidates x rows x entries per row)
-#: _near and _eps_classes compare every pair, which costs less than building
-#: the key windows.
+#: _hits compares every pair, which costs less than building the key windows.
 _DENSE = 1 << 13
-#: Compared entries per block of the exact test on the pairs in the key
-#: windows (_window_pairs), which _near and _eps_classes run. Blocks of 2^12
-#: (64 KiB temporaries), 2^14 and 2^16 entries gave the same closure times,
-#: within 6%, and the same `quasipoints` peak RSS, within 0.3 MB, on the
-#: 65-node closure and on P, Q over 400 fibers of size 4, whose 3,803 fiber
-#: values are classed through the key windows.
+#: Compared entries per block of _hits's exact test on the pairs in the key
+#: windows. Blocks of 2^12 (64 KiB temporaries), 2^14 and 2^16 entries gave
+#: the same closure times, within 6%, and the same `quasipoints` peak RSS,
+#: within 0.3 MB, on the 65-node closure and on P, Q over 400 fibers of size
+#: 4, whose 3,803 fiber values are classed through the key windows.
 _PAIR_BLOCK = 1 << 12
 #: Bytes the order and meet tables of a closure may take: one intp table and
 #: one of bools, 9 k^2 bytes for k nodes on 64 bits (151 MB at k = 4096).
@@ -85,7 +83,6 @@ class FiniteLattice:
         _require_fibers(nodes.shape[-1])
         if len(nodes) > _node_limit():
             raise StoneworkError(f"{len(nodes)} nodes outgrow the table budget of {_TABLE_BUDGET} bytes")
-        require_projection(nodes, tol, "lattice node")
         nodes.setflags(write=False)
         self.nodes, self.tol = nodes, tol
         self.space = StoneSpace(nodes.shape[1])
@@ -93,7 +90,8 @@ class FiniteLattice:
         if min(zero, one) < 0:
             raise StoneworkError("lattice is missing its zero or unit element")
         self.zero_index, self.one_index = int(zero), int(one)
-        self.leq = _order(nodes, tol.eps)
+        self.leq, values = _order(nodes, tol.eps)
+        require_projection(values, tol, "lattice node")
         # built after _order returns, so the table and _order's temporaries
         # are never held together
         self.meet_table = _meet_table(self.leq, meets)
@@ -177,8 +175,9 @@ def _require_fibers(n: int):
         raise StoneworkError("fibers of size n = 0 hold no projection lattice; need n >= 1")
 
 
-def _order(stack: np.ndarray, eps: float) -> np.ndarray:
-    """leq[i, j] = (max|e_i e_j - e_i| <= eps) for a (k, m, n, n) node stack.
+def _order(stack: np.ndarray, eps: float):
+    """leq[i, j] = (max|e_i e_j - e_i| <= eps) for a (k, m, n, n) node stack,
+    and the distinct (fiber, value) pairs' values as one (ranks, n, n) stack.
 
     The order of a direct sum of matrix algebras is the product of its fiber
     orders, and a fiber takes few distinct values. One sort of the node
@@ -203,7 +202,8 @@ def _order(stack: np.ndarray, eps: float) -> np.ndarray:
     per = np.bincount(fiber, minlength=m)
     first, count = (per.cumsum() - per)[fiber], per[fiber]  # of each rank's fiber
     ends = count.cumsum()  # row r spans ends[r] - count[r] .. ends[r]
-    vals = np.ascontiguousarray(stack[node, fiber].transpose(1, 2, 0))  # (n, n, ranks)
+    distinct = stack[node, fiber]
+    vals = np.ascontiguousarray(distinct.transpose(1, 2, 0))  # (n, n, ranks)
     below = np.empty(int(ends[-1]), dtype=bool)
     step = max(1, _CHUNK // (n * n))
     for s in range(0, len(below), step):
@@ -217,7 +217,7 @@ def _order(stack: np.ndarray, eps: float) -> np.ndarray:
     step = max(1, _CHUNK // (k * m))
     for s in range(0, k, step):
         leq[s : s + step] = below[row[:, s : s + step, None] + col[:, None]].all(axis=0)
-    return leq
+    return leq, distinct
 
 
 def _below(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
@@ -312,92 +312,77 @@ def _key_weights(length: int):
     return w, wsum, wsum * length * u / (1 - length * u), length * float(np.nextafter(0.0, 1.0))
 
 
-def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
-    """For each of one or more candidates, the index of the first node within
-    eps of it in max-abs distance, or -1 when there is none.
+def _hits(cands: np.ndarray, rows: np.ndarray, eps: float):
+    """The index pairs (ci, xi) with max|cands[ci] - rows[xi]| <= eps, for two
+    stacks of flat complex rows, as (2, p) blocks by ascending ci.
 
-    A sort-and-sweep broad phase picks the pairs to compare. Each row, viewed
-    as its L real and imaginary parts r, gets the key w.r for fixed positive
-    weights w. A node within eps of a candidate differs from it by at most
-    eps (1 + 4u) in each part (the computed modulus rounds down by at most
-    3u), so their computed keys differ by at most
+    Up to _DENSE compared entries, and when the radius below or a key is not
+    finite, every pair is tested, in blocks of at most _CHUNK entries.
+    Otherwise a sort-and-sweep broad phase picks the pairs to test. Each row,
+    viewed as its L real and imaginary parts r, gets the key w.r for fixed
+    positive weights w. A row within eps of a candidate differs from it by at
+    most eps (1 + 4u) in each part (the computed modulus rounds down by at
+    most 3u), so their computed keys differ by at most
 
         rho = eps (1 + 4u) sum(w) + gamma_L sum(w) B + L eta,
 
     where B, the sum of |largest| and |smallest| part of the candidates and
-    of the nodes, bounds max|r_c| + max|r_x|. A candidate's window is its
-    key +- R with R = 2 (eps sum(w) + gamma_L sum(w) B + L eta) >= 1.9 rho.
+    of the rows, bounds max|r_c| + max|r_x|. A candidate's window is its key
+    +- R with R = 2 (eps sum(w) + gamma_L sum(w) B + L eta) >= 1.9 rho.
     Rounding key +- R errs by at most u (|key| + R) <= u sum(w) B (1 +
     gamma_L) + u R, under the spare 0.9 rho since gamma_L >= 2u. Identical
     rows need not get identical keys, so the pad stays at eps = 0. Only the
     pairs inside windows get the exact max-abs test, in blocks of at most
-    _PAIR_BLOCK entries, and the lowest passing node index wins. Up to _DENSE
-    compared entries, and when the radius is not finite, every candidate is
-    tested against every node instead.
+    _PAIR_BLOCK entries.
     """
-    c, k, size = len(cands), len(nodes), cands[0].size
-    out = np.full(c, -1, dtype=np.intp)
-    if k == 0:
-        return out
-    flat_c, flat_x = cands.reshape(c, size), nodes.reshape(k, size)
-    if c * k * size > _DENSE and (found := _near_keyed(flat_c, flat_x, eps)) is not None:
-        return found
-    step = max(1, _CHUNK // (k * max(1, size)))
-    for s in range(0, c, step):
-        dist = np.abs(flat_c[s : s + step, None] - flat_x[None]).max(axis=2, initial=0.0)
-        hit = dist <= eps
-        out[s : s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return out
-
-
-def _near_keyed(flat_c: np.ndarray, flat_x: np.ndarray, eps: float) -> np.ndarray | None:
-    """_near through the key window of each candidate; None when the radius
-    is not finite."""
-    if (windows := _key_windows(flat_c, flat_x, eps)) is None:
-        return None
-    c, k = len(flat_c), len(flat_x)
-    best = np.full(c, k, dtype=np.intp)
-    for ci, xi, hit in _window_pairs(flat_c, flat_x, windows, eps):
-        np.minimum.at(best, ci, np.where(hit, xi, k))
-    return np.where(best < k, best, -1)
-
-
-def _key_windows(flat_c: np.ndarray, flat_x: np.ndarray, eps: float):
-    """The key window of each candidate row among the rows of ``flat_x`` (see
-    _near): the sorted order of the row keys, and the start and the end of
-    each window in it. None when the radius is not finite."""
-    w, wsum, gamma_wsum, tiny = _key_weights(2 * flat_c.shape[1])
-    rc, rx = flat_c.view(np.float64), flat_x.view(np.float64)
-    bound = sum(abs(float(v)) for v in (rc.max(), rc.min(), rx.max(), rx.min()))
-    radius = 2 * (eps * wsum + gamma_wsum * bound + tiny)
-    if not math.isfinite(radius + 2 * wsum * bound):  # a key may overflow
-        return None
+    c, k, size = len(cands), len(rows), cands.shape[1]
+    windowed = c * k * size > _DENSE
+    if windowed:
+        w, wsum, gamma_wsum, tiny = _key_weights(2 * size)
+        rc, rx = cands.view(np.float64), rows.view(np.float64)
+        bound = sum(abs(float(v)) for v in (rc.max(), rc.min(), rx.max(), rx.min()))
+        radius = 2 * (eps * wsum + gamma_wsum * bound + tiny)
+        windowed = math.isfinite(radius + 2 * wsum * bound)  # else a key may overflow
+    if not windowed:
+        step = max(1, _CHUNK // max(1, k * size))
+        for s in range(0, c, step):
+            ci, xi = np.nonzero(np.abs(cands[s : s + step, None] - rows).max(axis=2, initial=0.0) <= eps)
+            yield np.stack([ci + s, xi])
+        return
     key_x = rx @ w
     order = np.argsort(key_x, kind="stable")
     keys, key_c = key_x[order], rc @ w
     lo = np.searchsorted(keys, key_c - radius, "left")
-    return order, lo, np.searchsorted(keys, key_c + radius, "right")
-
-
-def _window_pairs(flat_c: np.ndarray, flat_x: np.ndarray, windows, eps: float):
-    """The pairs (candidate ci, row xi) inside the key windows, with the exact
-    test ``hit`` of each, in blocks of at most _PAIR_BLOCK compared entries."""
-    order, lo, hi = windows
+    hi = np.searchsorted(keys, key_c + radius, "right")
     ends = (hi - lo).cumsum()
-    total = int(ends[-1])
     shift = hi - ends  # pair p of candidate i sits at sorted position p + shift[i]
-    step = max(1, _PAIR_BLOCK // flat_c.shape[1])
-    for s in range(0, total, step):
-        pair = np.arange(s, min(s + step, total))
+    step = max(1, _PAIR_BLOCK // size)
+    for s in range(0, int(ends[-1]), step):
+        pair = np.arange(s, min(s + step, int(ends[-1])))
         ci = np.searchsorted(ends, pair, "right")
         xi = order[pair + shift[ci]]
-        yield ci, xi, np.abs(flat_c[ci] - flat_x[xi]).max(axis=1, initial=0.0) <= eps
+        hit = np.abs(cands[ci] - rows[xi]).max(axis=1, initial=0.0) <= eps
+        yield np.stack([ci[hit], xi[hit]])
+
+
+def _all_hits(cands: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
+    """Every pair of _hits as one (2, p) array, by ascending ci."""
+    return np.concatenate([np.empty((2, 0), dtype=np.intp), *_hits(cands, rows, eps)], axis=1)
+
+
+def _near(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
+    """For each of one or more candidates, the index of the first node within
+    eps of it in max-abs distance (_hits), or -1 when there is none."""
+    c, k, size = len(cands), len(nodes), math.prod(cands.shape[1:])
+    best = np.full(c, k, dtype=np.intp)
+    for ci, xi in _hits(cands.reshape(c, size), nodes.reshape(k, size), eps):
+        np.minimum.at(best, ci, xi)
+    return np.where(best < k, best, -1)
 
 
 def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarray | None:
     """The eps class of each of the stacked ``values``, given ``known``, the
-    classes of its first len(known) values; None when no classes fit, or when
-    the keys of the windows below would overflow.
+    classes of its first len(known) values; None when no classes fit.
 
     The classes fit when two values lie within eps of each other (max-abs)
     exactly when they share a class: each class is a clique, and no value
@@ -405,32 +390,20 @@ def _eps_classes(values: np.ndarray, known: np.ndarray, eps: float) -> np.ndarra
     is within eps of nothing, not even itself, and an eps chain a ~ b ~ c
     with a !~ c, leave no classes that fit. Each new value takes the class
     of the lowest value within eps of it, or a new class when that is
-    itself, and the test of each new value against every value then checks
-    the classes: all at once up to _DENSE compared entries, else through
-    _near's key windows, whose hits, kept from one walk, must be as many as
-    the new value's class holds and all of them in its class.
+    itself, and the hits of each new value among all values (_hits) then
+    check the classes: they must be as many as the new value's class holds
+    and all of them in its class.
     """
     s, v = len(known), len(values)
     flat = values.reshape(v, -1)
-    new = flat[s:]
-    if dense := len(new) * v * flat.shape[1] <= _DENSE:
-        near = np.abs(new[:, None] - flat[None]).max(axis=2) <= eps
-        low = near.argmax(axis=1)
-    elif (windows := _key_windows(new, flat, eps)) is None:  # not finite
-        return None
-    else:
-        # every finite value lies in its own window, so there is a hit
-        hits = [(ci[hit], xi[hit]) for ci, xi, hit in _window_pairs(new, flat, windows, eps)]
-        ci, xi = (np.concatenate(part) for part in zip(*hits))
-        low = np.arange(s, v)
-        np.minimum.at(low, ci, xi)
+    ci, xi = _all_hits(flat[s:], flat, eps)
+    low = np.arange(s, v)
+    np.minimum.at(low, ci, xi)
     # a class is named by its lowest value, and a new value that is its own
     # lowest match names a new one; the checks below reject the names that
     # any other lowest match leaves wrong
     cls = np.concatenate([known, low])
     cls[s:] = cls[low]
-    if dense:
-        return cls if (near == (cls[s:, None] == cls)).all() else None
     if (cls[xi] != cls[s + ci]).any() or (np.bincount(cls)[cls[s:]] != np.bincount(ci, minlength=v - s)).any():
         return None
     return cls
@@ -442,14 +415,12 @@ def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     appended before it lies within eps of (max-abs) when its turn comes.
 
     One _near pass against ``nodes`` leaves the survivors. Of these, a later
-    byte-identical copy is dropped; a row with a non-finite entry matches
-    nothing, not even its own copy, and stays. One _near pass of the
-    survivors against each other then settles most of them: a survivor whose
-    first match is itself (or nothing) is appended, and one whose first
-    match is an appended survivor is dropped. The rest sit in chains a ~ b ~
-    c with a !~ c. Each of them that an appended survivor before it matches
-    is dropped, and the others take the same pass again among themselves;
-    the first of them is always appended, so the passes end.
+    byte-identical copy is dropped, so that copies do not make the hits
+    among the survivors quadratic; a row with a non-finite entry matches
+    nothing, not even its own copy, and stays. A scan in order over the
+    survivors' hits among themselves then appends each survivor that no
+    appended survivor before it hits, which settles the eps chains a ~ b ~ c
+    with a !~ c.
     """
     todo = np.flatnonzero(_near(cands, nodes, eps) < 0)
     if len(todo) < 2:
@@ -460,18 +431,12 @@ def _admitted(cands: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
     if copy.any():
         copy &= np.isfinite(rows).all(axis=1)
         todo, rows = todo[~copy], rows[~copy]
+    ci, xi = _all_hits(rows, rows, eps)
+    earlier = xi < ci
+    ci, xi = ci[earlier], xi[earlier]
     appended = np.zeros(len(todo), dtype=bool)
-    rest = np.arange(len(todo))  # survivors not yet settled
-    while len(rest):
-        part = rows[rest]
-        first = _near(part, part, eps)  # positions in rest
-        new = (first < 0) | (first == np.arange(len(rest)))
-        chained = ~new & ~new[first]
-        appended[rest[new]] = True
-        rest, added = rest[chained], rest[new]
-        if len(rest):
-            hit = _near(rows[rest], rows[added], eps)
-            rest = rest[(hit < 0) | (added[hit] > rest)]
+    for p, before in enumerate(np.split(xi, np.searchsorted(ci, np.arange(1, len(todo))))):
+        appended[p] = not appended[before].any()
     return todo[appended]
 
 
@@ -483,8 +448,8 @@ class _FiberMemo:
     of its fiber lattices: a fibered meet or join is the meet or join of each
     fiber pair on its own. Each distinct fiber value, of a generator, zero,
     one or a solved meet or join, gets as id its row of ``values`` through
-    one dict from its bytes, and its eps class (_eps_classes) when it first
-    appears; meet_closure, not the memo, checks that each fiber of the
+    one dict from its bytes, and its eps class (_eps_classes, from its hits
+    among the values, _hits) when it first appears; meet_closure, not the memo, checks that each fiber of the
     nodes it appends is a projection. A candidate is the row of its m fiber
     ids, and ``node_ids`` holds those of the nodes. The unordered pair of
     ids keys the ids of its meet and join. ``stacked_meet_join`` solves one

@@ -1,5 +1,5 @@
 """tools/against_base.py, which runs CLI commands with stonework from a base
-commit's src and from this tree's and compares them. Its 55 commands are not
+commit's src and from this tree's and compares them. Its 56 commands are not
 run here: the fakes below are packages whose CLI writes fixed bytes."""
 
 import importlib.util
@@ -68,5 +68,5 @@ def test_every_config_is_written_and_read(tmp_path):
     ab.write_configs(str(tmp_path))
     runs = ab.commands(str(tmp_path))
     read = {args[args.index("--config") + 1] for args in runs if "--config" in args}
-    assert len(runs) == 55
-    assert read == {str(path) for path in tmp_path.iterdir()} and len(read) == 18
+    assert len(runs) == 56
+    assert read == {str(path) for path in tmp_path.iterdir()} and len(read) == 19

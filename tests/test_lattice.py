@@ -416,20 +416,23 @@ def test_tables_reject_an_order_that_is_not_reflexive():
     # zero and one, 0.5 I shares zero's down-set {0}; below diag(1, 1, 0.5)
     # lie zero, e1 and e2, a down-set no other node has, and every two
     # down-sets meet in a down-set, so only the reflexivity test rejects
-    # their orders. FiniteLattice rejects such nodes before any table; the
-    # test still guards _meet_table, since _below's einsum and
+    # their orders. FiniteLattice rejects such nodes before its meet
+    # table; the test still guards _meet_table, since _below's einsum and
     # is_projection's matmul may round differently at the eps boundary
     space = ct.StoneSpace(1)
     half = ma.FiberedOperator(space, 0.5 * np.eye(2, dtype=complex)[None])
     diags = [(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0.5)]
     for stack in (node_stack(ma.zero_operator(space, 2), ma.identity(space, 2), half),
                   node_stack(*(diag_node(space, *d) for d in diags))):
-        leq = lt._order(stack, DEFAULT_TOL.eps)
+        leq, _ = lt._order(stack, DEFAULT_TOL.eps)
         assert not leq.diagonal().all()
         with pytest.raises(StoneworkError, match="order tables are inconsistent"):
             lt._meet_table(leq)
         with pytest.raises(NotProjection, match="lattice node"):
             lt.FiniteLattice(stack)
+        # the bounds are looked for first
+        with pytest.raises(StoneworkError, match="missing its zero or unit"):
+            lt.FiniteLattice(stack[1:])
 
 
 def test_tables_reject_non_transitive_order():
@@ -637,7 +640,7 @@ def test_nodes_match_within_tol_eps():
 
 @pytest.fixture
 def keyed(monkeypatch):
-    """_near through its key window at every input size."""
+    """_hits through its key windows at every input size."""
     monkeypatch.setattr(lt, "_DENSE", 0)
 
 
@@ -745,6 +748,77 @@ def test_near_non_finite_candidate(monkeypatch, bad):
     assert check_near(huge[-1:], huge, 0.0)[0] == len(nodes)
 
 
+def check_hits(cands, rows, eps):
+    """_hits against every pair within eps (max-abs), each pair once, its
+    blocks by ascending ci. Returns the number of blocks."""
+    blocks = [b.tolist() for b in lt._hits(cands, rows, eps)]
+    got = [pair for ci, xi in blocks for pair in zip(ci, xi)]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dist = np.abs(cands[:, None] - rows[None]).max(axis=2, initial=0.0)
+    assert sorted(got) == sorted(map(tuple, np.argwhere(dist <= eps).tolist()))
+    assert [ci for ci, _ in got] == sorted(ci for ci, _ in got)
+    return len(blocks)
+
+
+def hit_cases():
+    """Candidates and rows of clustered near-duplicates, with exact copies
+    among them, at sizes 1, 4 and 12."""
+    gen = np.random.default_rng(29)
+    for size in (1, 4, 12):
+        centers = complex_rows(gen, 6, size)
+        rows = np.repeat(centers, 3, axis=0) + 1e-10 * complex_rows(gen, 18, size)
+        rows[5] = rows[0]
+        cands = np.concatenate([rows[gen.permutation(18)[:9]], complex_rows(gen, 4, size)])
+        yield cands + 3e-10 * (gen.random(cands.shape) < 0.5), rows
+
+
+def test_hits_on_every_pair(monkeypatch):
+    # small inputs: every pair in one block, or in a block per candidate
+    # when _CHUNK holds less than one candidate's pairs
+    for cands, rows in hit_cases():
+        for eps in (0.0, 1e-9, 1.0):
+            assert check_hits(cands, rows, eps) == 1
+        monkeypatch.setattr(lt, "_CHUNK", 1)
+        assert check_hits(cands, rows, 1e-9) == len(cands)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("block", [1, 5, lt._PAIR_BLOCK])
+def test_hits_through_key_windows(keyed, monkeypatch, block):
+    monkeypatch.setattr(lt, "_PAIR_BLOCK", block)
+    real, built = lt._key_weights, []
+    monkeypatch.setattr(lt, "_key_weights", lambda length: built.append(length) or real(length))
+    for cands, rows in hit_cases():
+        for eps in (0.0, 1e-9, 1.0):
+            check_hits(cands, rows, eps)
+    assert len(built) == 9  # every case went through the windows
+
+
+def test_hits_fall_back_to_every_pair_when_a_key_overflows(keyed, monkeypatch):
+    # a 1e308 row would overflow its key: every pair is tested, and the row
+    # still hits its own copy; a NaN or infinite row hits nothing
+    gen = np.random.default_rng(31)
+    rows = complex_rows(gen, 6, 4)
+    rows[2] = 1e308
+    monkeypatch.setattr(lt, "_CHUNK", 4 * len(rows))
+    with np.errstate(over="ignore"):
+        assert check_hits(rows[[2, 0, 2, 4]], rows, 1e-9) == 4
+    for bad in (np.nan, np.inf):
+        rows[2] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            check_hits(rows[[2, 0, 2, 4]], rows, 1e-9)
+
+
+@pytest.mark.parametrize("dense", [0, lt._DENSE])
+def test_hits_of_empty_stacks(monkeypatch, dense):
+    monkeypatch.setattr(lt, "_DENSE", dense)
+    rows = complex_rows(np.random.default_rng(37), 5, 4)
+    for cands, others in ((rows[:0], rows), (rows, rows[:0]), (rows[:0], rows[:0])):
+        check_hits(cands, others, 1e-9)
+    assert lt._near(rows[:0], rows, 1e-9).shape == (0,)
+    assert lt._near(rows, rows[:0], 1e-9).tolist() == [-1] * 5
+
+
 def reference_admitted(cands, nodes, eps):
     """Oracle: the candidates a scan appends one at a time, each compared
     (``reference_near``) with the nodes and the candidates appended before it."""
@@ -759,12 +833,6 @@ def check_admitted(cands, nodes, eps):
     got = lt._admitted(cands, nodes, eps)
     assert got.tolist() == reference_admitted(cands, nodes, eps)
     return got.tolist()
-
-
-def count_near_calls(monkeypatch):
-    real, calls = lt._near, []
-    monkeypatch.setattr(lt, "_near", lambda c, x, eps: calls.append(1) or real(c, x, eps))
-    return calls
 
 
 @pytest.mark.parametrize("dense", [0, lt._DENSE])
@@ -791,10 +859,9 @@ def test_admitted_keeps_the_first_of_exact_duplicates(monkeypatch, dense):
 
 
 def test_admitted_settles_eps_chains():
-    # on a line, with eps 1: b ~ a drops b; c is far from a and b; u ~ b
-    # has b (dropped) as its first match and c (appended) before it, so the
-    # second step drops it; v and w ~ b match no appended survivor, so they
-    # take a second pass, where v is appended and w ~ v drops
+    # on a line, with eps 1: b ~ a drops b; c is far from a and b; u lies
+    # within eps of b (dropped) and of c (appended), so it drops; v lies
+    # within eps of b and u, both dropped, so it is appended, and w ~ v drops
     eps = 1.0
     line = np.array([0.0, 0.9, 2.5, 1.6, 1.4, 1.45]) + 0j
     cands = line.reshape(-1, 1, 1, 1)
@@ -803,24 +870,25 @@ def test_admitted_settles_eps_chains():
     assert check_admitted(cands, cands[[0, 2, 4]], eps) == []
 
 
-def test_admitted_matches_scan_on_fuzz(monkeypatch):
+def test_admitted_matches_scan_on_fuzz():
     # clustered points on a line and in C^2, eps 1, against a few nodes:
-    # chains of every length, and every pass of the resolution
+    # chains of every length, among them a survivor that is appended though
+    # it lies within eps of an earlier survivor, which an appended one before
+    # that dropped
     gen = np.random.default_rng(17)
-    calls = count_near_calls(monkeypatch)
-    passes = set()
+    chained = False
     for case in range(300):
         size = 1 + case % 2
         count = int(gen.integers(2, 40))
         points = np.round(gen.uniform(0, count / 3, size=(count, size)) * 4) / 4
         cands = (points + 0j).reshape(count, 1, 1, size)
         nodes = cands[gen.integers(0, count, size=int(gen.integers(0, 3)))] + 0.5
-        calls.clear()
-        check_admitted(cands, nodes, 1.0)
-        passes.add(len(calls))
-    # one pass against the nodes, then 1, 2 or 3 passes among the survivors,
-    # each after the first following a check against the appended ones
-    assert {1, 2, 4, 6} <= passes
+        kept = check_admitted(cands, nodes, 1.0)
+        survivors = np.flatnonzero(reference_near(cands, nodes, 1.0) < 0)
+        dropped = np.setdiff1d(survivors, kept)
+        near = np.abs(cands[kept][:, None] - cands[dropped]).max(axis=(2, 3, 4)) <= 1.0
+        chained |= bool((near & (np.array(kept)[:, None] > dropped)).any())
+    assert chained
 
 
 def test_admitted_keeps_non_finite_rows_and_their_copies():
@@ -882,13 +950,13 @@ def test_eps_classes_fit_exactly_the_equivalences(monkeypatch, dense):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_eps_classes_reject_values_they_cannot_key(monkeypatch, dense, bad):
     # a NaN or infinite entry is within eps of nothing, not even itself; a
-    # huge finite one fits all at once but overflows the keys of the windows,
-    # so only the all-pairs test gives it a class
+    # huge finite one would overflow the keys of the windows, so _hits tests
+    # every pair on both paths and gives it a class of its own
     monkeypatch.setattr(lt, "_DENSE", dense)
     values = np.array([0, 1, bad, 1], dtype=complex).reshape(-1, 1, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         classes = lt._eps_classes(values, np.array([0, 1]), 1e-9)
-    if bad == 1e308 and dense:
+    if bad == 1e308:
         assert classes.tolist() == [0, 1, 2, 1]
     else:
         assert classes is None
@@ -950,6 +1018,25 @@ def test_meet_closure_falls_back_on_twin_generators(monkeypatch):
     fallback, admissions = check_closure_fallback(monkeypatch, gens)
     assert fallback == admissions > 1
     assert len(lt.meet_closure(gens)) == len(lt.meet_closure([gens[0], *gens[2:]]))
+
+
+def test_meet_closure_settles_chains_over_many_rounds(monkeypatch):
+    # the eps chain of the generators on fibers 0-1, as above, and a random
+    # line on each of fibers 2-5, in rounds of 3 node pairs: every round is
+    # admitted through _admitted, and the nodes are the per-pair scan's
+    t = 0.7e-9
+    zero, one = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
+    gen = np.random.default_rng(41)
+    u = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    values = np.zeros((7, 6, 2, 2), dtype=complex)
+    values[:3, :2] = ([line_at(0), zero], [line_at(t), one], [line_at(2 * t), line_at(1.0)])
+    values[np.arange(3, 7), np.arange(2, 6)] = np.einsum("mi,mj->mij", u, u.conj())
+    space = ct.StoneSpace(6)
+    gens = [ma.FiberedOperator(space, v) for v in values]
+    monkeypatch.setattr(lt, "_ROUND", 3 * 2 * values[0].size)
+    fallback, admissions = check_closure_fallback(monkeypatch, gens)
+    assert fallback == admissions > 20
 
 
 def test_meet_closure_classes_signed_zeros_by_value(monkeypatch):
@@ -1208,7 +1295,7 @@ def test_order_matches_einsum_on_fuzz():
     gen = np.random.default_rng(12)
     seen = set()
     for stack, eps in order_fuzz(gen, 240):
-        leq = lt._order(stack, eps)
+        leq, _ = lt._order(stack, eps)
         assert np.array_equal(leq, reference_leq(stack, eps))
         seen.add((eps, bool(leq.all()), bool(leq.any())))
     assert len(seen) >= 6  # both full and partial orders at every eps
@@ -1216,7 +1303,7 @@ def test_order_matches_einsum_on_fuzz():
     values = np.array([0.0, 1.0, 1.0 + 1e-12, 0.5 + 0.5j], dtype=complex)
     stack = values[gen.integers(0, 4, (9, 300))].reshape(9, 300, 1, 1)
     for eps in (1e-9, 0.0):
-        assert np.array_equal(lt._order(stack, eps), reference_leq(stack, eps))
+        assert np.array_equal(lt._order(stack, eps)[0], reference_leq(stack, eps))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
@@ -1236,7 +1323,7 @@ def test_order_keys_fibers_by_exact_bytes(monkeypatch, eps):
         )
     ])
     pairs = count_order_pairs(monkeypatch)
-    leq = lt._order(stack, eps)
+    leq, _ = lt._order(stack, eps)
     assert np.array_equal(leq, reference_leq(stack, eps))
     assert sum(pairs) == distinct_within_fiber_pairs(stack) == 4 ** 2 + 5 ** 2 + 6 ** 2
     assert leq[2, 3] == leq[3, 2] == (eps > 0)  # p and twin on fibers 0 and 2
@@ -1255,7 +1342,7 @@ def test_order_blocks_give_identical_order(rng, monkeypatch, chunk):
     pairs, blocked = count_order_pairs(monkeypatch), 0
     for stack, eps in stacks:
         pairs.clear()
-        assert np.array_equal(lt._order(stack, eps), reference_leq(stack, eps))
+        assert np.array_equal(lt._order(stack, eps)[0], reference_leq(stack, eps))
         k, m, n = stack.shape[:3]
         assert max(pairs) <= max(1, chunk // n ** 2)
         blocked += len(pairs) > 1 and k * m > chunk  # both loops ran in blocks
@@ -1266,12 +1353,17 @@ def test_order_tests_each_distinct_fiber_pair_once(rng, monkeypatch):
     lat = lt.meet_closure(pruning_families(rng)["line_per_fiber_6"], cap=256)
     k, m = len(lat), lat.nodes.shape[1]
     pairs = count_order_pairs(monkeypatch)
+    real, checked = lt.require_projection, []
+    monkeypatch.setattr(lt, "require_projection",
+                        lambda values, tol, what: checked.append(len(values)) or real(values, tol, what))
     rebuilt = lt.FiniteLattice(lat.nodes)
     assert np.array_equal(rebuilt.leq, reference_leq(lat.nodes, DEFAULT_TOL.eps))
     # 4 to 6 distinct values on each fiber: 152 pairs, against the 65 * 65 * 6
     # fiber products of the einsum over all node pairs
     assert sum(pairs) == distinct_within_fiber_pairs(lat.nodes) < 200
     assert sum(pairs) * 100 < k * k * m
+    # and the projection check takes each distinct value of a fiber once
+    assert checked == [sum(len({f.tobytes() for f in lat.nodes[:, i]}) for i in range(m))]
 
 
 def test_meet_closure_fails_fast_past_table_budget(monkeypatch):

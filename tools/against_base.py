@@ -103,6 +103,12 @@ def write_configs(tmp: str):
     g[:3, :2] = fibers
     g[np.arange(3, 9), np.arange(2, 8)] = np.einsum("mi,mj->mij", u, u.conj())
     write("chain8", json.dumps({"n": 2, "m": 8, "elements": {f"G{k}": pairs(g[k]) for k in range(9)}}))
+    # twins: m = 1 and the lines at angles 0, 0.9e-9, 1.8e-9 and 1.0. The
+    # second lies within eps of the first and the third, which lie apart, so
+    # no classes fit, and the chain is settled among the whole candidate rows
+    u = np.array([[np.cos(s), np.sin(s)] for s in (0, 0.9e-9, 1.8e-9, 1.0)], dtype=complex)
+    twins = np.einsum("ki,kj->kij", u, u)[:, None]
+    write("twins", json.dumps({"n": 2, "m": 1, "elements": {f"G{k}": pairs(twins[k]) for k in range(4)}}))
     # int, true/false, -0.0 and 2**53 + 1 entries (germ prints the vector's
     # entries as read), and configs with a string entry, a ragged row, a NaN
     # literal, a 400-digit integer and the wrong fiber count: together they pin
@@ -148,7 +154,8 @@ def commands(tmp: str) -> list[list[str]]:
              f"orbit --config {cfg} --from omega=0,line=a --to omega=0,line=a",
              f"quasipoints --config {cfg} --ops P,Q"]
     runs += [f"quasipoints --config {path(name)}" for name in
-             ("lines", "lines7", "boolean8", "lines9", "lines10", "boolean10", "chain", "chain8", "boolean11")]
+             ("lines", "lines7", "boolean8", "lines9", "lines10", "boolean10", "chain", "chain8", "twins",
+              "boolean11")]
     runs += [f"quasipoints --config {path('boolean8')} --eps 0", f"quasipoints --config {path('lines7')} --cap 20",
              f"quasipoints --config {path('lines9')} --cap 300",
              f"abelian-check --config {cfg} --op P", f"abelian-check --config {cfg} --op A",
