@@ -46,7 +46,6 @@ from .matrix_algebra import (
     central_carrier,
     central_operator,
     diagonal_sum_projection,
-    fibered_join,
     fibered_meet,
     identity,
     is_abelian_projection,
@@ -111,7 +110,6 @@ __all__ = [
     "central_carrier",
     "central_operator",
     "diagonal_sum_projection",
-    "fibered_join",
     "fibered_meet",
     "identity",
     "is_abelian_projection",

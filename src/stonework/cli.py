@@ -230,7 +230,7 @@ def _cmd_verify_all(cfg, args, tol, seed):
         }
         for s in suites
     ]
-    return results, props
+    return results, props, {f"suite.{s.name}": s.ms for s in suites}
 
 
 _HANDLERS = {
@@ -285,8 +285,10 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
 def run_command(cfg: AlgebraConfig, command: str, args, tol: Tolerance, seed: int) -> Report:
     """Dispatch one command against a loaded config and collect the report."""
     start = time.perf_counter()
-    results, props = _HANDLERS[command](cfg, args, tol, seed)
-    elapsed = (time.perf_counter() - start) * 1e3
+    # a handler may add timings of its parts (verify-all: one per suite)
+    results, props, *parts = _HANDLERS[command](cfg, args, tol, seed)
+    timings = {command: (time.perf_counter() - start) * 1e3}
+    timings.update(*parts)
     return Report(
         command=command,
         eps=tol.eps,
@@ -294,7 +296,7 @@ def run_command(cfg: AlgebraConfig, command: str, args, tol: Tolerance, seed: in
         inputs={"n": cfg.n, "m": cfg.m},
         results=results,
         properties=props,
-        timings_ms={command: elapsed},
+        timings_ms=timings,
     )
 
 

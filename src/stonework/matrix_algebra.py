@@ -25,7 +25,6 @@ from .numerics import (
     hermitize,
     is_projection,
     max_abs,
-    stacked_join,
     stacked_meet,
 )
 
@@ -103,14 +102,6 @@ def fibered_meet(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAUL
     require_projection(p.values, tol, "left argument")
     require_projection(q.values, tol, "right argument")
     return FiberedOperator(p.space, stacked_meet(p.values, q.values, tol))
-
-
-def fibered_join(p: FiberedOperator, q: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> FiberedOperator:
-    """Fiberwise projection onto the sum of the two ranges."""
-    p._check(q)
-    require_projection(p.values, tol, "left argument")
-    require_projection(q.values, tol, "right argument")
-    return FiberedOperator(p.space, stacked_join(p.values, q.values, tol))
 
 
 def nonzero_fibers(p: FiberedOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -84,15 +84,11 @@ def stacked_meet(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     return null_projector(_meet_kernel(p, q), tol)
 
 
-def stacked_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    return _complement(null_projector(p + q, tol))
-
-
 def stacked_meet_join(p: np.ndarray, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The meets of two (s, n, n) stacks of projections followed by their
-    joins, as one (2s, n, n) stack from one batched eigh call. eigh and every
-    later step act per matrix, so the bits are those of stacked_meet and
-    stacked_join."""
+    joins, as one (2s, n, n) stack from one batched eigh call. A join is the
+    complement of the null space of p + q. eigh and every later step act per
+    matrix, so the meets have the bits of stacked_meet."""
     null = null_projector(np.concatenate([_meet_kernel(p, q), p + q]), tol)
     null[len(p):] = _complement(null[len(p):])
     return null

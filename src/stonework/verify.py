@@ -4,12 +4,20 @@ Every suite draws its inputs from a forked splitmix64 stream, so a fixed seed
 fixes every sample and every reported residual. Suites return a SuiteResult
 with the worst residual seen and the tolerance it was compared against;
 run_all executes the whole battery.
+
+The suites share no state, so run_all runs them on up to min(17, usable
+CPUs) forked worker processes, and the results are the same bytes at any CPU
+count. With one usable CPU it runs them inline. Memory is counted per
+worker: the peak RSS of the calling process does not include what the
+suites allocate in the workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import os
+import time
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +40,8 @@ class SuiteResult:
     tolerance: float
     max_residual: float
     detail: str = ""
+    #: wall-clock milliseconds the suite ran; not compared and not reported in JSON
+    ms: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         self.passed = bool(self.passed)
@@ -40,7 +50,9 @@ class SuiteResult:
         self.samples = int(self.samples)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["ms"]
+        return out
 
 
 # -- samplers -----------------------------------------------------------------
@@ -632,16 +644,40 @@ ALL_SUITES = [
 ]
 
 
+def _run_suite(i: int, seed: int, tol: Tolerance) -> SuiteResult:
+    """Suite i of ALL_SUITES on the stream the seed forks with label i + 1,
+    timed. An input that fails a library precondition at this eps (a
+    StoneworkError) fails the suite with the exception named in its detail."""
+    suite = ALL_SUITES[i]
+    start = time.perf_counter()
+    try:
+        result = suite(SplitMix64(seed).fork(i + 1), tol)
+    except StoneworkError as exc:
+        name = suite.__name__.removeprefix("suite_")
+        result = SuiteResult(name, False, 0, 0.0, 1.0, f"{type(exc).__name__}: {exc}")
+    result.ms = (time.perf_counter() - start) * 1e3
+    return result
+
+
 def run_all(seed: int, tol: Tolerance = DEFAULT_TOL) -> list[SuiteResult]:
-    """Run every suite on streams forked from the seed; deterministic output.
-    A suite whose sampled input fails a library precondition at this eps
-    (a StoneworkError) fails with the exception named in its detail."""
-    master = SplitMix64(seed)
-    results = []
-    for i, suite in enumerate(ALL_SUITES):
-        try:
-            results.append(suite(master.fork(i + 1), tol))
-        except StoneworkError as exc:
-            name = suite.__name__.removeprefix("suite_")
-            results.append(SuiteResult(name, False, 0, 0.0, 1.0, f"{type(exc).__name__}: {exc}"))
-    return results
+    """Every suite on its own stream forked from the seed, in ALL_SUITES
+    order; deterministic output.
+
+    The suites run on a fork pool of min(len(ALL_SUITES), usable CPUs)
+    workers, handed out one at a time and last first: the heaviest suites
+    stand at the end of ALL_SUITES, and starting them first shortens the
+    tail. Forked workers inherit the imported modules, so they start at no
+    import cost. Any other exception than a StoneworkError reaches the caller
+    with its own type, and every worker is reaped before run_all returns or
+    raises.
+    """
+    count = len(ALL_SUITES)
+    workers = min(count, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [_run_suite(i, seed, tol) for i in range(count)]
+    import multiprocessing  # imported here: no other command pays for it
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        results = pool.starmap(_run_suite, [(i, seed, tol) for i in reversed(range(count))], chunksize=1)
+    pool.join()  # leaving the block terminated the workers; this waits for them
+    return results[::-1]

@@ -625,6 +625,107 @@ def test_run_all_lets_other_exceptions_through(monkeypatch):
         verify.run_all(0)
 
 
+def usable_cpus(monkeypatch, count):
+    """verify sees ``count`` usable CPUs."""
+    from stonework import verify
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("seed, eps", [(0, 1e-9), (1, 1e-9), (2**64 - 1, 1e-9), (0, 0.0), (1, 1e-16)])
+def test_run_all_gives_the_same_results_on_a_pool_and_on_one_cpu(monkeypatch, seed, eps):
+    """The one-CPU path runs every suite in this process, which is also how
+    the tests reach the suites' lines."""
+    from stonework import verify
+    from stonework.numerics import Tolerance
+
+    usable_cpus(monkeypatch, 3)
+    pooled = verify.run_all(seed, Tolerance(eps))
+    usable_cpus(monkeypatch, 1)
+    inline = verify.run_all(seed, Tolerance(eps))
+    assert [r.as_dict() for r in pooled] == [r.as_dict() for r in inline]
+    assert pooled == inline and len(inline) == 17
+    assert all(r.ms > 0 for r in pooled + inline)
+    # at eps 0 and 1e-16 some suites fail, each naming its exception
+    assert all(r.passed for r in inline) == (eps == 1e-9)
+    assert all(r.detail for r in inline if not r.passed)
+
+
+@pytest.mark.parametrize("bug", [False, True], ids=["success", "KeyError"])
+def test_run_all_reaps_every_worker(monkeypatch, bug):
+    import multiprocessing
+    import os
+    import threading
+
+    from stonework import verify
+
+    def suite_bug(rng, tol):
+        raise KeyError("bug")
+
+    suites = [verify.suite_pythagoras_failure] * 3 + [suite_bug] * bug
+    monkeypatch.setattr(verify, "ALL_SUITES", suites)
+    usable_cpus(monkeypatch, 3)
+    threads = threading.active_count()
+    if bug:
+        with pytest.raises(KeyError):
+            verify.run_all(0)
+    else:
+        assert [r.name for r in verify.run_all(0)] == ["pythagoras_failure"] * 3
+    # waitpid first: active_children would reap a worker left as a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 5, 17, 64], ids=["usable", "2", "5", "17", "64"])
+def test_run_all_starts_at_most_one_worker_per_suite_and_cpu(monkeypatch, cpus):
+    """A pool class that starts no process records the worker count and the
+    suites it is handed, one at a time, the last of ALL_SUITES first."""
+    import multiprocessing.pool
+    import os
+
+    from stonework import verify
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes, *args, **kwargs):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def join(self):
+            pass
+
+        def starmap(self, fn, jobs, chunksize):
+            started.append(([i for i, _, _ in jobs], chunksize))
+            return [None] * len(jobs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    if cpus is not None:
+        usable_cpus(monkeypatch, cpus)
+    workers = min(17, len(os.sched_getaffinity(0)))
+    if workers == 1:
+        pytest.skip("one usable CPU: run_all runs the suites inline")
+    verify.run_all(0)
+    assert started == [workers, (list(range(16, -1, -1)), 1)]
+
+
+def test_verify_all_text_report_times_every_suite(capsys):
+    from stonework.verify import ALL_SUITES
+
+    code, out, _ = run_cli(["verify-all", "--seed", "0", "--format", "text"], capsys)
+    timings = [line.split() for line in out.splitlines() if line.startswith("timing:")]
+    names = ["verify-all"] + [f"suite.{f.__name__.removeprefix('suite_')}" for f in ALL_SUITES]
+    assert code == 0 and [t[1] for t in timings] == names
+    assert all(float(t[2]) > 0 and t[3] == "ms" for t in timings)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_seed_outside_64_bits_exit_3(tmp_path, capsys, seed, source):

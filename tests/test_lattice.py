@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import index_of
+from conftest import fibered_join, index_of
 from stonework import center as ct
 
 from stonework import lattice as lt
@@ -70,7 +70,7 @@ def reference_closure(generators, tol=DEFAULT_TOL):
             if i in bounds or j in bounds:
                 continue
             add(ma.fibered_meet(elems[i], elems[j], tol))
-            add(ma.fibered_join(elems[i], elems[j], tol))
+            add(fibered_join(elems[i], elems[j], tol))
         i += 1
     return values
 

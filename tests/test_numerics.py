@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import stacked_join
 from stonework import center as ct
 from stonework import matrix_algebra as ma
 from stonework.errors import NotProjection
@@ -10,7 +11,6 @@ from stonework.numerics import (
     Tolerance,
     is_projection,
     max_abs,
-    stacked_join,
     stacked_meet,
 )
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import index_of
+from conftest import fibered_join, index_of
 from stonework import center as ct
 from stonework import hilbert_module as hm
 from stonework import lattice as lt
@@ -481,7 +481,7 @@ def test_membership_is_a_filter(rng, tol):
         in_p = sp.qp_contains(b, p, tol)
         in_q = sp.qp_contains(b, q, tol)
         met = ma.fibered_meet(p, q, tol)
-        joined = ma.fibered_join(p, q, tol)
+        joined = fibered_join(p, q, tol)
         if in_p and in_q:
             assert sp.qp_contains(b, met, tol)
         if in_p:

@@ -4,10 +4,11 @@
 
 Runs each command below as ``python -m stonework.cli`` with ``stonework``
 imported from BASE_SRC (the ``src`` of a checkout of the base commit) and from
-HEAD_SRC. Stdout, stderr and exit code must match, and the head's peak RSS
-may exceed the base's by at most 10%: the CLI pauses the garbage collector,
-so a command that builds cyclic garbage shows there first. Unlike the
-benchmark's digests this holds under any numpy version. Exits 1 on any
+HEAD_SRC; a command marked one_cpu runs with its process's CPU affinity
+narrowed to one CPU. Stdout, stderr and exit code must match, and the head's
+peak RSS may exceed the base's by at most 10%: the CLI pauses the garbage
+collector, so a command that builds cyclic garbage shows there first. Unlike
+the benchmark's digests this holds under any numpy version. Exits 1 on any
 difference.
 """
 
@@ -21,6 +22,8 @@ import tempfile
 
 #: sha256 of stdout and of stderr, exit code and peak RSS (KiB) of one CLI run
 Run = collections.namedtuple("Run", "stdout stderr code rss")
+#: CLI arguments, and whether the command may use one CPU only
+Command = collections.namedtuple("Command", "args one_cpu", defaults=(False,))
 
 
 def write_configs(tmp: str):
@@ -124,8 +127,8 @@ def write_configs(tmp: str):
         write(f"bad-{name}", f'{{"n": 2, "m": 1, "elements": {{"A": {payload}}}}}\n')
 
 
-def commands(tmp: str) -> list[list[str]]:
-    """The commands, as CLI arguments, on the configs in the directory ``tmp``."""
+def commands(tmp: str) -> list[Command]:
+    """The commands on the configs in the directory ``tmp``."""
     path = lambda name: os.path.join(tmp, f"{name}.json")
     cfg, last = path("bytes"), 399
     # Every command runs at least once. verify-all also runs at --eps 1e-13
@@ -140,7 +143,9 @@ def commands(tmp: str) -> list[list[str]]:
     # returns the identity and never reads a quasipoint's frame. boolean8's
     # fibers are exact 0s and 1s, so at --eps 0 the last bit of each product
     # decides the order (the line configs exit 3 there). abelian-check --op A
-    # exits 1 (A is not a projection)
+    # exits 1 (A is not a projection). verify-all runs its suites on a pool of
+    # the CPUs it may use, or inline on one CPU; the last command pins the
+    # inline path to the base bytes
     runs = [f"verify-all --seed {seed}" for seed in (0, 1, 2, 3, 7, 42, 100, 12345, 18446744073709551615)]
     runs += [f"verify-all --seed {seed} --eps {eps}" for seed, eps in
              ((0, "1e-6"), (5, "1e-13"), (6, "0.0009"), (1, "1e-16"), (0, "4e-16"))]
@@ -170,11 +175,15 @@ def commands(tmp: str) -> list[list[str]]:
                  f"observable --config {axis} --op A --point omega=0,line=a"]
     runs += [f"central-carrier --config {path('bad-' + bad)} --op A"
              for bad in ("string", "ragged", "nan", "huge-int", "fibers")]
-    return [run.split() for run in runs]
+    return [Command(run.split()) for run in runs] + [Command(["verify-all", "--seed", "0"], one_cpu=True)]
 
 
-def run(src: str, args: list[str]) -> Run:
-    """The CLI on ``args`` with PYTHONPATH=src."""
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(src: str, command: Command) -> Run:
+    """The CLI on the command's arguments with PYTHONPATH=src."""
 
     def digest(f):
         f.seek(0)
@@ -184,8 +193,9 @@ def run(src: str, args: list[str]) -> Run:
         return h.digest()
 
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen([sys.executable, "-m", "stonework.cli", *args], stdout=out, stderr=err,
-                                env={**os.environ, "PYTHONPATH": src})
+        proc = subprocess.Popen([sys.executable, "-m", "stonework.cli", *command.args], stdout=out, stderr=err,
+                                env={**os.environ, "PYTHONPATH": src},
+                                preexec_fn=_one_cpu if command.one_cpu else None)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         return Run(digest(out), digest(err), proc.returncode, usage.ru_maxrss)
@@ -201,7 +211,7 @@ def differences(base: Run, head: Run) -> list[str]:
     return found
 
 
-def against(base_src: str, head_src: str, runs: list[list[str]]) -> int:
+def against(base_src: str, head_src: str, runs: list[Command]) -> int:
     """Runs each command on both sides and prints what differs; 1 if anything
     does or stonework is not imported from either src, else 0."""
     guard = "import os, stonework, sys; sys.exit(not stonework.__file__.startswith(os.path.join(sys.argv[1], '')))"
@@ -210,9 +220,9 @@ def against(base_src: str, head_src: str, runs: list[list[str]]) -> int:
             print(f"stonework is not imported from {src}")
             return 1
     status = 0
-    for args in runs:
-        base, head = run(base_src, args), run(head_src, args)
-        label = " ".join(["stonework", *args])
+    for command in runs:
+        base, head = run(base_src, command), run(head_src, command)
+        label = " ".join(["stonework", *command.args]) + " (one CPU)" * command.one_cpu
         print(f"{label}: peak RSS {head.rss} KiB, the base commit {base.rss} KiB")
         for difference in differences(base, head):
             print(f"{label}: {difference}")
