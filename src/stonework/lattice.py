@@ -53,8 +53,8 @@ _DENSE = 1 << 13
 #: within 0.3 MB, on the 65-node closure and on P, Q over 400 fibers of size
 #: 4, whose 3,803 fiber values are classed through the key windows.
 _PAIR_BLOCK = 1 << 12
-#: Bytes the order and meet tables of a closure may take: one intp table and
-#: one of bools, 9 k^2 bytes for k nodes on 64 bits (151 MB at k = 4096).
+#: Bytes the order and meet tables of a closure may take, counted as 9 k^2
+#: bytes for k nodes (151 MB at k = 4096; see _node_limit).
 _TABLE_BUDGET = 1 << 29
 
 
@@ -166,7 +166,10 @@ def _bounds(shape) -> np.ndarray:
 
 
 def _node_limit() -> int:
-    """The most nodes whose order and meet tables fit in _TABLE_BUDGET bytes."""
+    """The most nodes whose order and meet tables fit in _TABLE_BUDGET bytes,
+    7,723. Each pair counts 9 bytes, a bool and an intp, though the meet
+    table is int32 and the two take 5: counting as when the table was intp
+    keeps the node counts that exit 3 as they were."""
     return math.isqrt(_TABLE_BUDGET // (np.dtype(np.intp).itemsize + 1))
 
 
@@ -255,7 +258,7 @@ def _meet_table(leq: np.ndarray, meets: np.ndarray | None = None) -> np.ndarray:
     down = np.zeros((k, -(-k // 64) * 8), dtype=np.uint8)
     down[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(leq.T), axis=1)
     down = down.view(np.uint64)
-    table = np.empty((k, k), dtype=np.intp)
+    table = np.empty((k, k), dtype=np.int32)  # as the closure records meets
     pairs = (k - 2) * (k - 3) // 2
     meets = np.asarray(meets)  # None gives shape (), which names no pair
     searched = meets.shape != (pairs,) or not ((meets >= 0) & (meets < k)).all()

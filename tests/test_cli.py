@@ -151,6 +151,32 @@ def test_zeta_command(tmp_path, capsys):
     assert json.loads(out)["results"]["omega"] == 1
 
 
+@pytest.mark.parametrize("omega", [0, 3, 299])
+def test_zeta_checks_every_point_on_at_most_two_points(tmp_path, capsys, monkeypatch, omega):
+    """zeta compares membership for the characteristic projection of each of
+    the m points, each on the points {omega, k} of the base alone, so the
+    fiber entries it builds grow linearly in m (over the whole base they
+    were m (1 + n^2) per point)."""
+    from stonework import center as ct
+    from stonework import spectrum as sp
+
+    built = {"char_fn": [], "central_operator": []}
+    for module, name in ((ct, "char_fn"), (sp, "central_operator")):
+        def counted(*args, original=getattr(module, name), name=name):
+            value = original(*args)
+            built[name].append(value.values.size)
+            return value
+
+        monkeypatch.setattr(module, name, counted)
+    m, n = 300, 2
+    path = write_config(tmp_path, {"n": n, "m": m})
+    code, out, _ = run_cli(["zeta", "--config", path, "--point", f"omega={omega},line=e1"], capsys)
+    assert code == 0
+    assert json.loads(out)["properties"] == [{"name": "central_membership", "passed": True}]
+    assert sorted(built["char_fn"]) == [1] + [2] * (m - 1)
+    assert sorted(built["central_operator"]) == [n * n] + [2 * n * n] * (m - 1)
+
+
 def test_orbit_command_emits_unitary(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG)
     code, out, _ = run_cli(

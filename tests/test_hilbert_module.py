@@ -69,18 +69,6 @@ def test_norm_examples():
     assert hm.module_norm(hm.basis_vector(space, 3, 0) * 2.0) == 2.0
 
 
-def test_pythagoras_failure_witness():
-    # the partition element has norm one; the squared norms of its components
-    # sum to the dimension
-    for n in (2, 3, 4):
-        a = partition_element(n)
-        assert hm.module_norm(a) == 1.0
-        total = sum(
-            hm.module_norm(hm.ModuleElement(a.space, a.values[:, [k]])) ** 2 for k in range(n)
-        )
-        assert total == float(n)
-
-
 def test_support_examples(tol):
     space = ct.StoneSpace(2)
     assert hm.support(hm.ModuleElement(space, np.zeros((2, 2))), tol) == frozenset()
@@ -127,14 +115,6 @@ def test_ket_bra_examples():
     for k in range(2):
         assert np.array_equal(op.values[k], expected)
     assert hm.ket_bra(e1, e2).apply(e2).allclose(e1, 0.0)
-
-
-def test_ket_bra_composition_law(rng):
-    space = ct.StoneSpace(3)
-    a, b, u, v = (hm.ModuleElement(space, rng.complex_normals(3, 4)) for _ in range(4))
-    lhs = hm.ket_bra(b, a) @ hm.ket_bra(v, u)
-    rhs = hm.ket_bra(b, u) * hm.inner(a, v)
-    assert max_abs(lhs.values - rhs.values) <= 1e-9
 
 
 def test_abelian_projection_examples(tol):

@@ -490,7 +490,7 @@ def test_closure_hands_the_searched_meet_table(rng, monkeypatch, name, eps):
     assert not searches, "the closure's meets were searched"
     assert np.array_equal(lat.meet_table, reference_extrema_table(lat.leq))
     assert np.array_equal(lat.meet_table, lt.FiniteLattice(lat.nodes, tol).meet_table)
-    assert lat.meet_table.dtype == np.intp
+    assert lat.meet_table.dtype == np.int32
 
 
 def test_corrupted_recorded_meet_falls_back_to_the_search(rng, monkeypatch):

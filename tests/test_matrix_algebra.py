@@ -11,7 +11,6 @@ from stonework.errors import (
     NotProjection,
     NotSubordinate,
 )
-from stonework.numerics import max_abs
 
 
 def rand_op(rng, space, n):
@@ -29,24 +28,6 @@ def test_adjoint_of_ket_bra():
     e1 = hm.basis_vector(space, 2, 0)
     e2 = hm.basis_vector(space, 2, 1)
     assert ma.adjoint(hm.ket_bra(e1, e2)).allclose(hm.ket_bra(e2, e1), 0.0)
-
-
-def test_adjoint_pairing(rng):
-    space = ct.StoneSpace(3)
-    t = rand_op(rng, space, 4)
-    for _ in range(20):
-        a = hm.ModuleElement(space, rng.complex_normals(3, 4))
-        b = hm.ModuleElement(space, rng.complex_normals(3, 4))
-        lhs = hm.inner(t.apply(a), b)
-        rhs = hm.inner(a, ma.adjoint(t).apply(b))
-        assert max_abs(lhs.values - rhs.values) <= 1e-9
-
-
-def test_star_law(rng):
-    space = ct.StoneSpace(2)
-    s = rand_op(rng, space, 3)
-    t = rand_op(rng, space, 3)
-    assert ma.adjoint(s @ t).allclose(ma.adjoint(t) @ ma.adjoint(s), 1e-12)
 
 
 def test_central_carrier_examples(rng, tol):
@@ -101,23 +82,6 @@ def test_diagonal_sum_examples(tol):
         [ct.CenterElement(space, [0.5, 1.0]), ct.unit(space)]
     )
     assert not bad.is_projection(tol)
-
-
-def test_diagonal_sum_matches_scaled_generators(rng, tol):
-    # sum of coefficient-scaled canonical line projections equals the diagonal
-    space = ct.StoneSpace(3)
-    n = 3
-    coeffs = [
-        ct.char_fn(space, [k for k in space if rng.uniform() < 0.5]) for _ in range(n)
-    ]
-    diag = ma.diagonal_sum_projection(coeffs)
-    total = ma.zero_operator(space, n)
-    for k, c in enumerate(coeffs):
-        scaled = hm.basis_vector(space, n, k) * c
-        total = total + hm.ket_bra(scaled, scaled)
-    assert diag.allclose(total, 1e-12)
-    joined = np.maximum.reduce([c.values.real for c in coeffs])
-    assert np.array_equal(ma.central_carrier(diag, tol).values.real, joined)
 
 
 def test_transport_hand_example(tol):

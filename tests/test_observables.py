@@ -119,40 +119,6 @@ def test_observable_image_equals_spectrum_on_eigenlines(rng, tol):
         assert all(min(abs(v - s) for v in image) <= 1e-7 for s in spectrum)
 
 
-def test_observable_image_in_spectrum_random_lines(rng, tol):
-    for _ in range(200):
-        m = rng.integer(1, 4)
-        n = rng.integer(2, 5)
-        space = ct.StoneSpace(m)
-        a = ma.FiberedOperator(space, rng.hermitian(space.points, n))
-        v = rng.complex_normals(n)
-        b = sp.quasipoint(space, rng.integer(0, m - 1), v / np.linalg.norm(v))
-        value = ob.observable_value(a, b, tol)
-        spectrum = np.linalg.eigvalsh(a.values[b.omega.omega])
-        assert float(np.min(np.abs(spectrum - value))) <= 1e-8
-
-
-def test_shift_by_central_constant(rng, tol):
-    space = ct.StoneSpace(2)
-    a = ma.FiberedOperator(space, rng.hermitian(space.points, 3))
-    b = sp.quasipoint(space, 0, [1, 0, 0])
-    c = 2.5
-    shifted = a + ma.central_operator(ct.unit(space) * c, 3)
-    assert abs(ob.observable_value(shifted, b, tol) - ob.observable_value(a, b, tol) - c) <= 1e-9
-
-
-def test_unitary_equivariance(rng, tol):
-    space = ct.StoneSpace(2)
-    for _ in range(30):
-        a = ma.FiberedOperator(space, rng.hermitian(space.points, 3))
-        u = ma.FiberedOperator(space, rng.unitary(space.points, 3))
-        v = rng.complex_normals(3)
-        b = sp.quasipoint(space, rng.integer(0, 1), v / np.linalg.norm(v))
-        conj = u @ a @ ma.adjoint(u)
-        lhs = ob.observable_value(conj, sp.unitary_act(u, b, tol), tol)
-        assert abs(lhs - ob.observable_value(a, b, tol)) <= 1e-9
-
-
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-4])
 @pytest.mark.parametrize("above", [False, True], ids=["gap-below", "gap-above"])
 def test_cluster_rtol_boundary(eps, above):

@@ -291,23 +291,6 @@ def test_germ_inverse(tol):
     assert ct.gelfand_eval(big * inv, ct.CenterQuasipoint(space, 1)) == 1.0
 
 
-def test_germ_linearity_exact(rng, tol):
-    space = ct.StoneSpace(3)
-    beta = ct.CenterQuasipoint(space, 2)
-    for _ in range(50):
-        a = hm.ModuleElement(space, rng.complex_normals(3, 3))
-        b = hm.ModuleElement(space, rng.complex_normals(3, 3))
-        alpha = ct.CenterElement(space, rng.complex_normals(3))
-        assert np.array_equal(
-            sp.germ_eval(a + b, beta),
-            sp.germ_eval(a, beta) + sp.germ_eval(b, beta),
-        )
-        assert np.array_equal(
-            sp.germ_eval(a * alpha, beta),
-            ct.cmul(sp.germ_eval(a, beta), ct.gelfand_eval(alpha, beta)),
-        )
-
-
 def test_germ_submodule_examples(tol):
     space = ct.StoneSpace(2)
     beta = ct.CenterQuasipoint(space, 0)
@@ -385,28 +368,6 @@ def test_extend_filter_examples(tol):
     with_zero = lt.Filter(lat, {lat.zero_index, lat.one_index})
     with pytest.raises(EmptyFilter, match="^the filter contains the zero projection$"):
         sp.extend_filter_to_quasipoint(lat, with_zero, tol)
-
-
-def test_extend_filter_random_lattice(rng, tol):
-    space = ct.StoneSpace(2)
-    n = 2
-    for _ in range(20):
-        rows1 = np.stack([unit(rng, n) for _ in space])
-        rows2 = np.stack([unit(rng, n) for _ in space])
-        if any(abs(np.vdot(rows1[k], rows2[k])) > 0.95 for k in space):
-            continue
-        gens = [
-            ma.FiberedOperator(space, np.einsum("mi,mj->mij", r, np.conj(r)))
-            for r in (rows1, rows2)
-        ]
-        lat = lt.meet_closure(gens, cap=64, tol=tol)
-        for f in lt.enumerate_quasipoints(lat):
-            b = sp.extend_filter_to_quasipoint(lat, f, tol)
-            for idx in f.members:
-                assert sp.qp_contains(b, ma.FiberedOperator(space, lat.nodes[idx]), tol)
-            member = sp.line_projection(b)
-            assert ma.is_abelian_projection(member, tol)
-            assert sp.qp_contains(b, member, tol)
 
 
 def test_common_central_reduction_examples(rng, tol):

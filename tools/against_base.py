@@ -125,6 +125,9 @@ def write_configs(tmp: str):
            "fibers": "[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]"}
     for name, payload in bad.items():
         write(f"bad-{name}", f'{{"n": 2, "m": 1, "elements": {{"A": {payload}}}}}\n')
+    # many fibers and nothing else: zeta checks the projection of each of
+    # the 4,000 points, ten times the points of bytes
+    write("fibers", '{"n": 1, "m": 4000}\n')
 
 
 def commands(tmp: str) -> list[Command]:
@@ -154,6 +157,7 @@ def commands(tmp: str) -> list[Command]:
              f"observable --config {cfg} --op A --point omega=0,line=e1 --point omega=0,line=a"
              f" --point omega={last},line=e4 --point omega={last},line=a",
              f"zeta --config {cfg} --point omega={last},line=a",
+             f"zeta --config {path('fibers')} --point omega=3,line=e1",
              f"orbit --config {cfg} --from omega=0,line=a --to omega=0,line=e2",
              f"orbit --config {cfg} --from omega=0,line=a --to omega={last},line=a",
              f"orbit --config {cfg} --from omega=0,line=a --to omega=0,line=a",
