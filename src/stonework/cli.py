@@ -55,7 +55,7 @@ def _parse_point(cfg: AlgebraConfig, spec: str) -> sp.Quasipoint:
     if not (0 <= omega < cfg.m):
         raise ValidationError(f"omega {omega} outside the space of {cfg.m} points")
     token = fields["line"]
-    if token.startswith("e") and token[1:].isdigit():
+    if token.startswith("e") and token[1:].isdecimal():
         k = int(token[1:]) - 1
         if not (0 <= k < cfg.n):
             raise ValidationError(f"basis line {token} outside dimension {cfg.n}")

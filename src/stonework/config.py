@@ -8,6 +8,7 @@ dimension.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,10 +42,11 @@ _OPERATOR_BUDGET = 1 << 29
 def _decode(data, shape: tuple, where: str) -> np.ndarray:
     """Nested [re, im] pairs of the given shape -> complex array, in two steps.
 
-    First _fast_parts converts the whole payload with a few numpy calls. Any
-    payload it does not take (ragged nesting, strings, null, numbers that are
-    not finite as float64) goes to _walk, which names the bad entry. Both give
-    the same values wherever the first step succeeds, so it only saves time."""
+    First _fast_parts checks and flattens the payload in C-level passes, one
+    per nesting level, and converts it with one numpy call. Any payload it
+    does not take (ragged nesting, strings, null, numbers that are not finite
+    as float64) goes to _walk, which names the bad entry. Both give the same
+    values wherever the first step succeeds, so it only saves time."""
     parts = _fast_parts(data, shape)
     if parts is None:
         parts = _walk(data, shape, where)
@@ -56,22 +58,24 @@ def _decode(data, shape: tuple, where: str) -> np.ndarray:
 
 
 def _fast_parts(data, shape: tuple):
-    """Float64 parts of shape ``shape + (2,)``, or None. One object array
-    finds the nesting without converting the leaves: the default dtype would
-    make a fixed-width string array as wide as the longest string, times the
-    number of entries. Every leaf must be an int, float or bool, and each is
-    converted with float(), as _walk converts it."""
-    try:
-        leaves = np.array(data, dtype=object)
-    except ValueError:  # nesting numpy cannot lay out
+    """Float64 parts of shape ``shape + (2,)``, or None. The nesting is
+    checked and flattened one level at a time, each by a few C-level passes:
+    every node of a level must be exactly a list or tuple of that level's
+    size (not a subclass, not bytes, a string or a dict, which iterate too).
+    Every leaf must then be exactly an int, float or bool, and the leaves are
+    converted in one call, each with float(), as _walk converts it."""
+    level = [data]
+    for size in shape + (2,):
+        if not set(map(type, level)) <= {list, tuple} or set(map(len, level)) != {size}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float, bool}:
         return None
-    if leaves.shape != shape + (2,) or not set(map(type, leaves.flat)) <= {int, float, bool}:
-        return None
     try:
-        parts = leaves.astype(np.float64)
+        parts = np.array(level, dtype=np.float64)
     except OverflowError:  # an integer past the float range
         return None
-    return parts if np.isfinite(parts).all() else None
+    return parts.reshape(shape + (2,)) if np.isfinite(parts).all() else None
 
 
 def _walk(data, shape: tuple, where: str) -> np.ndarray:

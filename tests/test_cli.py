@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -843,6 +844,15 @@ def test_bad_point_spec_exit_3(tmp_path, capsys, spec, message):
     code, out, err = run_cli(["zeta", "--config", path, "--point", spec], capsys)
     assert code == 3 and out == ""
     assert message in err
+
+
+def test_superscript_basis_line_is_a_vector_name(tmp_path):
+    # "²".isdigit() holds but int("²") raises: e² names a vector, not a basis line
+    path = write_config(tmp_path, BASE_CONFIG)
+    cmd = [sys.executable, "-m", "stonework.cli", "zeta", "--config", path, "--point", "omega=0,line=e²"]
+    run = subprocess.run(cmd, capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONUTF8": "1"})
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr == "stonework: no vector named 'e²' in the config\n"
 
 
 def test_point_from_tiny_vector(tmp_path, capsys):

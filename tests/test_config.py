@@ -1,4 +1,4 @@
-"""Config payload decoding: the numpy fast path against the level-by-level walk.
+"""Config payload decoding: the level-pass fast path against the level-by-level walk.
 
 The walk (``config._walk``) is the oracle. Wherever the fast path takes a
 payload, the walk must take it too and give the same float64 parts bit for
@@ -167,8 +167,9 @@ def test_fast_path_declines_what_the_walk_rejects(leaf):
 
 
 def test_fast_path_declines_nesting_numpy_cannot_lay_out():
-    # arrays of two shapes side by side: numpy raises on the object array,
-    # the fast path declines, and the walk names the first entry
+    # arrays of two shapes side by side, which no object array can hold: the
+    # fast path declines them at the level check, since an array is not a
+    # list or tuple, and the walk names the first entry
     payload = [np.zeros((2, 2)), np.zeros((2, 3))]
     with pytest.raises(ValueError):
         np.array(payload, dtype=object)
@@ -178,6 +179,51 @@ def test_fast_path_declines_nesting_numpy_cannot_lay_out():
     assert str(err.value) == (
         "elements[A][0]: expected a list of 2, got array([[0., 0.],\n       [0., 0.]])"
     )
+
+
+class Row(list):
+    """A list subclass: the walk takes it, the fast path leaves it to the walk."""
+
+
+def pairs_config(payload):
+    return {"n": 2, "m": 1, "elements": {"A": payload}}
+
+
+@pytest.mark.parametrize(
+    "pair", [b"ab", "ab", {1, 2}, bytearray(b"ab"), range(2), np.array([1.0, 0.0])],
+    ids=["bytes", "str", "set", "bytearray", "range", "ndarray"],
+)
+def test_fast_path_declines_an_iterable_of_two_at_the_pair_level(pair, monkeypatch):
+    # a flatten blind to the node types would read b"ab" as the pair [97, 98];
+    # numpy's object-array discovery read the last three as pairs
+    payload = [[[[1, 0], pair], [[0, 0], [1, 0]]]]
+    assert _fast_parts(payload, (1, 2, 2)) is None
+    assert_parity(pairs_config(payload), monkeypatch)
+    assert outcome(pairs_config(payload))[0] == "rejected"
+
+
+def test_fast_path_declines_a_dict_at_the_row_level(monkeypatch):
+    # its keys are pairs, so a flatten blind to the node types would take it
+    payload = [[{(1, 0): "a", (0, 0): "b"}, [[0, 0], [1, 0]]]]
+    assert _fast_parts(payload, (1, 2, 2)) is None
+    assert_parity(pairs_config(payload), monkeypatch)
+    assert outcome(pairs_config(payload))[0] == "rejected"
+
+
+def test_tuple_nesting_decodes_as_the_walk_does(monkeypatch):
+    payload = ((((1, -0.0), (0, 2.5)), ((True, 0), (1, 0))),)
+    parts = _fast_parts(payload, (1, 2, 2))
+    assert parts is not None
+    assert parts.tobytes() == _walk(payload, (1, 2, 2), "A").tobytes()
+    assert_parity(pairs_config(payload), monkeypatch)
+    assert outcome(pairs_config(payload))[0] == "accepted"
+
+
+def test_list_subclass_is_left_to_the_walk(monkeypatch):
+    payload = [[Row([[1, 0], [0, 0]]), [[0, 0], [1, 0]]]]
+    assert _fast_parts(payload, (1, 2, 2)) is None
+    assert_parity(pairs_config(payload), monkeypatch)
+    assert outcome(pairs_config(payload))[0] == "accepted"
 
 
 def test_fast_path_builds_no_string_array():

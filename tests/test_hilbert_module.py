@@ -10,12 +10,6 @@ from stonework.errors import DimensionMismatch, NotNormalized
 from stonework.numerics import max_abs
 
 
-def partition_element(n):
-    """One characteristic function per point, stacked as components."""
-    space = ct.StoneSpace(n)
-    return hm.from_components([ct.char_fn(space, [k]) for k in range(n)])
-
-
 def test_inner_canonical_basis():
     space = ct.StoneSpace(2)
     for j in range(3):
@@ -23,18 +17,6 @@ def test_inner_canonical_basis():
             g = hm.inner(hm.basis_vector(space, 3, j), hm.basis_vector(space, 3, k))
             expected = 1.0 if j == k else 0.0
             assert np.array_equal(g.values, np.full(2, expected, dtype=complex))
-
-
-def test_inner_partition_orthogonality():
-    a = partition_element(4)
-    for j in range(4):
-        for k in range(4):
-            if j != k:
-                g = hm.inner(
-                    hm.ModuleElement(a.space, a.values[:, [j]]),
-                    hm.ModuleElement(a.space, a.values[:, [k]]),
-                )
-                assert g.sup_norm() == 0.0
 
 
 def test_inner_fiberwise_sum():

@@ -1507,14 +1507,6 @@ def test_trunk_examples():
         lt.trunk(b, lat.zero_index)
 
 
-def test_extend_trunk_round_trip():
-    for atoms in (2, 3, 4):
-        lat = boolean_lattice(atoms)
-        for b in lt.enumerate_quasipoints(lat):
-            for e in b.members:
-                assert lt.extend_trunk(lat, lt.trunk(b, e)) == b
-
-
 def test_extend_trunk_ambiguous():
     lat = boolean_lattice(2)
     with pytest.raises(Ambiguous):

@@ -1,7 +1,5 @@
 """Spectral families and observable functions of self-adjoint fibered operators."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -60,15 +58,6 @@ def test_spectral_family_reconstruction(rng, tol):
 def test_spectral_family_rejects_non_self_adjoint():
     with pytest.raises(NotSelfAdjoint):
         ob.spectral_family(op_from_fibers([[0, 1], [0, 0]]))
-
-
-def test_observable_values_two_level():
-    a = op_from_fibers(np.diag([1.0, 2.0]))
-    space = ct.StoneSpace(1)
-    inv = 1 / math.sqrt(2)
-    assert ob.observable_value(a, sp.quasipoint(space, 0, [1, 0])) == 1.0
-    assert ob.observable_value(a, sp.quasipoint(space, 0, [0, 1])) == 2.0
-    assert ob.observable_value(a, sp.quasipoint(space, 0, [inv, inv])) == 2.0
 
 
 def test_observable_value_rejects_mismatched_quasipoint():
