@@ -42,10 +42,10 @@ def _parse_point(cfg: AlgebraConfig, spec: str) -> sp.Quasipoint:
     """Parse 'omega=K,line=e1' or 'omega=K,line=<vector name>'."""
     fields = {}
     for chunk in spec.split(","):
-        if "=" not in chunk:
+        key, eq, value = (part.strip() for part in chunk.partition("="))
+        if not eq or key in fields:  # no '=', or a field given twice
             raise ValidationError(f"bad quasipoint spec {spec!r}")
-        key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+        fields[key] = value
     if set(fields) != {"omega", "line"}:
         raise ValidationError(f"quasipoint spec needs omega= and line=, got {spec!r}")
     try:

@@ -40,16 +40,8 @@ _OPERATOR_BUDGET = 1 << 29
 
 
 def _decode(data, shape: tuple, where: str) -> np.ndarray:
-    """Nested [re, im] pairs of the given shape -> complex array, in two steps.
-
-    First _fast_parts checks and flattens the payload in C-level passes, one
-    per nesting level, and converts it with one numpy call. Any payload it
-    does not take (ragged nesting, strings, null, numbers that are not finite
-    as float64) goes to _walk, which names the bad entry. Both give the same
-    values wherever the first step succeeds, so it only saves time."""
-    parts = _fast_parts(data, shape)
-    if parts is None:
-        parts = _walk(data, shape, where)
+    """Nested [re, im] pairs of the given shape -> complex array."""
+    parts = _parts(data, shape, where)
     out = np.empty(shape, dtype=np.complex128)
     # set apart: re + 1j * im would turn a -0.0 imaginary part into 0.0
     out.real = parts[..., 0]
@@ -57,46 +49,34 @@ def _decode(data, shape: tuple, where: str) -> np.ndarray:
     return out
 
 
-def _fast_parts(data, shape: tuple):
-    """Float64 parts of shape ``shape + (2,)``, or None. The nesting is
-    checked and flattened one level at a time, each by a few C-level passes:
-    every node of a level must be exactly a list or tuple of that level's
-    size (not a subclass, not bytes, a string or a dict, which iterate too).
-    Every leaf must then be exactly an int, float or bool, and the leaves are
-    converted in one call, each with float(), as _walk converts it."""
-    level = [data]
-    for size in shape + (2,):
-        if not set(map(type, level)) <= {list, tuple} or set(map(len, level)) != {size}:
-            return None
-        level = list(itertools.chain.from_iterable(level))
-    if not set(map(type, level)) <= {int, float, bool}:
-        return None
-    try:
-        parts = np.array(level, dtype=np.float64)
-    except OverflowError:  # an integer past the float range
-        return None
-    return parts.reshape(shape + (2,)) if np.isfinite(parts).all() else None
-
-
-def _walk(data, shape: tuple, where: str) -> np.ndarray:
+def _parts(data, shape: tuple, where: str) -> np.ndarray:
     """Nested [re, im] pairs of the given shape -> float64 parts of shape
-    ``shape + (2,)``. Nesting and types are checked level by level first, so
-    that an error names the entry; the numbers are then converted in one call
-    and must be finite. JSON true and false count as 1 and 0."""
+    ``shape + (2,)``. The nesting is checked and flattened one level at a
+    time: every node of a level must be a list or tuple of that level's size
+    (bytes, strings and dicts iterate too, but are not nodes). A few C-level
+    passes over the level's types and lengths take the usual payload; only a
+    level they do not take, malformed or holding a list subclass, is looped
+    over node by node, so that an error names the entry. The leaves must be
+    ints or floats (JSON true and false count as 1 and 0), checked the same
+    way, converted in one call and finite."""
     level = [data]
     for depth, size in enumerate(shape + (2,)):
-        for i, node in enumerate(level):
-            if not isinstance(node, (list, tuple)) or len(node) != size:
-                what = f"a list of {size}" if depth < len(shape) else "a [re, im] pair"
-                raise ValidationError(f"{_entry(where, i, shape[:depth])}: expected {what}, "
-                                      f"got {node!r:.60}")
-        level = [x for node in level for x in node]
-    bad = next((i for i, x in enumerate(level) if not isinstance(x, (int, float))), None)
+        if not set(map(type, level)) <= {list, tuple} or set(map(len, level)) != {size}:
+            for i, node in enumerate(level):
+                if not isinstance(node, (list, tuple)) or len(node) != size:
+                    what = f"a list of {size}" if depth < len(shape) else "a [re, im] pair"
+                    raise ValidationError(f"{_entry(where, i, shape[:depth])}: expected {what}, "
+                                          f"got {node!r:.60}")
+        level = list(itertools.chain.from_iterable(level))
+    bad = None
+    if not set(map(type, level)) <= {int, float, bool}:
+        bad = next((i for i, x in enumerate(level) if not isinstance(x, (int, float))), None)
     if bad is None:
         try:
             parts = np.array(level, dtype=np.float64)
         except OverflowError:  # integers from 2**1024 - 2**970 up round to inf
-            parts = np.array([x if abs(x) < 2**1024 - 2**970 else math.inf for x in level])
+            parts = np.array([x if abs(x) < 2**1024 - 2**970 else math.inf for x in level],
+                             dtype=np.float64)
         bad = next(iter(np.flatnonzero(~np.isfinite(parts))), None)
     if bad is not None:
         pair = level[bad - bad % 2 : bad - bad % 2 + 2]

@@ -149,6 +149,8 @@ def diagonal_sum_projection(coeffs: list[CenterElement]) -> FiberedOperator:
     in the center, in which case its central carrier is the pointwise join of
     the coefficients.
     """
+    if not coeffs:
+        raise ValueError("a diagonal sum needs at least one coefficient")
     space = coeffs[0].space
     for c in coeffs[1:]:
         if c.space != space:

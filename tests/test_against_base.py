@@ -1,5 +1,5 @@
 """tools/against_base.py, which runs CLI commands with stonework from a base
-commit's src and from this tree's and compares them. Its 59 commands are not
+commit's src and from this tree's and compares them. Its 61 commands are not
 run here: the fakes below are packages whose CLI writes fixed bytes."""
 
 import hashlib
@@ -69,9 +69,9 @@ def test_every_config_is_written_and_read(tmp_path):
     ab.write_configs(str(tmp_path))
     runs = ab.commands(str(tmp_path))
     read = {args[args.index("--config") + 1] for args, _ in runs if "--config" in args}
-    assert len(runs) == 59
+    assert len(runs) == 61
     assert [args for args, one_cpu in runs if one_cpu] == [["verify-all", "--seed", "0"]]
-    assert read == {str(path) for path in tmp_path.iterdir()} and len(read) == 21
+    assert read == {str(path) for path in tmp_path.iterdir()} and len(read) == 23
 
 
 def test_a_one_cpu_command_runs_on_one_cpu(tmp_path):

@@ -836,8 +836,11 @@ def test_usage_exit_0(capsys, argv):
         ("omega=2,line=e1", "omega 2 outside the space of 2 points"),
         ("omega=0,line=e9", "basis line e9 outside dimension 2"),
         ("omega=1,line=z", "vector 'z' vanishes at fiber 1"),
+        ("omega=0,omega=2,line=e1", "bad quasipoint spec 'omega=0,omega=2,line=e1'"),
+        ("omega=2,line=e1,line=e2", "bad quasipoint spec 'omega=2,line=e1,line=e2'"),
     ],
-    ids=["no-equals", "no-line", "omega-not-int", "omega-outside", "basis-outside", "vanishing"],
+    ids=["no-equals", "no-line", "omega-not-int", "omega-outside", "basis-outside", "vanishing",
+         "omega-twice", "line-twice"],
 )
 def test_bad_point_spec_exit_3(tmp_path, capsys, spec, message):
     path = write_config(tmp_path, {**BASE_CONFIG, "vectors": {"z": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}})

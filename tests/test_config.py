@@ -1,22 +1,60 @@
-"""Config payload decoding: the level-pass fast path against the level-by-level walk.
+"""Config payload decoding: ``config._parts`` against the level-by-level walk.
 
-The walk (``config._walk``) is the oracle. Wherever the fast path takes a
-payload, the walk must take it too and give the same float64 parts bit for
-bit; wherever the fast path declines, ``_decode`` falls back to the walk, so
-``parse_config`` must reject with the walk's message or accept with the
-walk's bytes.
+``walk`` below is the oracle: the decoder that once ran beside the level
+passes, checking every node of every level and every leaf by ``isinstance``,
+one at a time. It is kept as it was but for one argument: its fallback for
+integers past the float range converts with ``dtype=np.float64``, as
+``_parts`` does. Without it, an integer past int64 among them made numpy build
+an object array, and ``isfinite`` raised ``TypeError`` on it
+(``test_fast_path_declines_what_the_walk_rejects``).
+
+``parse_config`` must reject each payload with the walk's message or accept
+it with the walk's bytes. The test names speak of the fast path: the C-level
+passes by which ``_parts`` takes a level whose nodes are all exactly lists or
+tuples of the right size, and leaves that are all exactly ints, floats or
+bools. A level they decline is looped over node by node.
 """
 
 import copy
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from stonework import config
-from stonework.config import _fast_parts, _walk, parse_config
+from stonework.config import _entry, _parts, parse_config
 from stonework.errors import ValidationError
+
+
+def walk(data, shape: tuple, where: str) -> np.ndarray:
+    """Nested [re, im] pairs of the given shape -> float64 parts of shape
+    ``shape + (2,)``. Nesting and types are checked level by level first, so
+    that an error names the entry; the numbers are then converted in one call
+    and must be finite. JSON true and false count as 1 and 0."""
+    level = [data]
+    for depth, size in enumerate(shape + (2,)):
+        for i, node in enumerate(level):
+            if not isinstance(node, (list, tuple)) or len(node) != size:
+                what = f"a list of {size}" if depth < len(shape) else "a [re, im] pair"
+                raise ValidationError(f"{_entry(where, i, shape[:depth])}: expected {what}, "
+                                      f"got {node!r:.60}")
+        level = [x for node in level for x in node]
+    bad = next((i for i, x in enumerate(level) if not isinstance(x, (int, float))), None)
+    if bad is None:
+        try:
+            parts = np.array(level, dtype=np.float64)
+        except OverflowError:  # integers from 2**1024 - 2**970 up round to inf
+            parts = np.array([x if abs(x) < 2**1024 - 2**970 else math.inf for x in level],
+                             dtype=np.float64)
+        bad = next(iter(np.flatnonzero(~np.isfinite(parts))), None)
+    if bad is not None:
+        pair = level[bad - bad % 2 : bad - bad % 2 + 2]
+        raise ValidationError(
+            f"{_entry(where, bad // 2, shape)}: expected finite [re, im] numbers, got {pair!r}"
+        )
+    return parts.reshape(shape + (2,))
 
 
 def outcome(data):
@@ -28,24 +66,28 @@ def outcome(data):
     return "accepted", {name: x.values.tobytes() for name, x in sections.items()}
 
 
-def walk_outcome(data, monkeypatch):
+def decoded(decode, payload, shape, where):
+    try:
+        return "accepted", decode(payload, shape, where).tobytes()
+    except ValidationError as exc:
+        return "rejected", str(exc)
+
+
+def assert_decodes_as_the_walk_does(data, monkeypatch):
+    """parse_config gives the outcome it gives with the walk in place of
+    _parts; returns that outcome."""
+    got = outcome(data)
     with monkeypatch.context() as patch:
-        patch.setattr(config, "_fast_parts", lambda payload, shape: None)
-        return outcome(data)
-
-
-def assert_parity(data, monkeypatch):
-    assert outcome(data) == walk_outcome(data, monkeypatch)
+        patch.setattr(config, "_parts", walk)
+        assert got == outcome(data)
     # payload by payload too, as an earlier error can hide a later payload
     m, n = data.get("m"), data.get("n")
-    if type(m) is not int or type(n) is not int:
-        return
-    for key, shape in (("elements", (m, n, n)), ("vectors", (m, n))):
-        section = data.get(key)
-        for name, payload in section.items() if isinstance(section, dict) else ():
-            fast = _fast_parts(payload, shape)
-            if fast is not None:
-                assert fast.tobytes() == _walk(payload, shape, name).tobytes()
+    if type(m) is int and type(n) is int:
+        for key, shape in (("elements", (m, n, n)), ("vectors", (m, n))):
+            section = data.get(key)
+            for name, payload in section.items() if isinstance(section, dict) else ():
+                assert decoded(_parts, payload, shape, name) == decoded(walk, payload, shape, name)
+    return got
 
 
 #: The malformed configs that tests/test_cli.py checks for their exit codes
@@ -72,7 +114,7 @@ CLI_CONFIGS = [
 
 @pytest.mark.parametrize("data", CLI_CONFIGS)
 def test_cli_configs_decode_as_the_walk_does(data, monkeypatch):
-    assert_parity(data, monkeypatch)
+    assert_decodes_as_the_walk_does(data, monkeypatch)
 
 
 #: Leaves the walk takes, with the value it reads.
@@ -144,36 +186,36 @@ def test_generated_payloads_decode_as_the_walk_does(monkeypatch):
         elements = nesting_trap(gen, leaf_traps(gen, nested(gen, (m, n, n)), (m, n, n)), (m, n, n))
         vectors = nesting_trap(gen, leaf_traps(gen, nested(gen, (m, n)), (m, n)), (m, n))
         data = {"n": n, "m": m, "elements": {"A": elements}, "vectors": {"v": vectors}}
-        assert_parity(data, monkeypatch)
-        taken += _fast_parts(elements, (m, n, n)) is not None
-    assert 50 < taken < 350  # both paths are reached
+        assert_decodes_as_the_walk_does(data, monkeypatch)
+        taken += decoded(_parts, elements, (m, n, n), "A")[0] == "accepted"
+    assert 50 < taken < 350  # valid and malformed payloads both come up
 
 
 @pytest.mark.parametrize("leaf", GOOD_LEAVES, ids=repr)
-def test_fast_path_takes_numbers_as_the_walk_reads_them(leaf):
+def test_fast_path_takes_numbers_as_the_walk_reads_them(leaf, monkeypatch):
     payload = [[[1.5, leaf]], [[leaf, -0.0]]]
-    parts = _fast_parts(payload, (2, 1))
-    assert parts is not None
-    assert parts.tobytes() == _walk(payload, (2, 1), "v").tobytes()
+    result = assert_decodes_as_the_walk_does({"n": 1, "m": 2, "vectors": {"v": payload}}, monkeypatch)
+    assert result[0] == "accepted"
+    parts = _parts(payload, (2, 1), "v")
     assert parts[0, 0, 1] == float(leaf) and np.signbit(parts[1, 0, 1])
 
 
 @pytest.mark.parametrize("leaf", BAD_LEAVES, ids=repr)
-def test_fast_path_declines_what_the_walk_rejects(leaf):
-    payload = [[[1.5, leaf]], [[0.0, 1]]]
-    assert _fast_parts(payload, (2, 1)) is None
-    with pytest.raises(ValidationError, match=r"v\[0\]\[0\]: expected finite"):
-        _walk(payload, (2, 1), "v")
+def test_fast_path_declines_what_the_walk_rejects(leaf, monkeypatch):
+    # beside 2**64, an integer past the float range once made the conversion
+    # build an object array, which isfinite raised TypeError on
+    payload = [[[2**64, leaf]], [[0.0, 1]]]
+    result = assert_decodes_as_the_walk_does({"n": 1, "m": 2, "vectors": {"v": payload}}, monkeypatch)
+    assert result[0] == "rejected" and result[1].startswith("vectors[v][0][0]: expected finite")
 
 
 def test_fast_path_declines_nesting_numpy_cannot_lay_out():
     # arrays of two shapes side by side, which no object array can hold: the
-    # fast path declines them at the level check, since an array is not a
-    # list or tuple, and the walk names the first entry
+    # level pass declines them, since an array is not a list or tuple, and
+    # the node loop names the first entry
     payload = [np.zeros((2, 2)), np.zeros((2, 3))]
     with pytest.raises(ValueError):
         np.array(payload, dtype=object)
-    assert _fast_parts(payload, (2, 2)) is None
     with pytest.raises(ValidationError) as err:
         parse_config({"n": 2, "m": 2, "elements": {"A": payload}})
     assert str(err.value) == (
@@ -182,7 +224,7 @@ def test_fast_path_declines_nesting_numpy_cannot_lay_out():
 
 
 class Row(list):
-    """A list subclass: the walk takes it, the fast path leaves it to the walk."""
+    """A list subclass: the level pass declines it, the node loop takes it."""
 
 
 def pairs_config(payload):
@@ -197,33 +239,26 @@ def test_fast_path_declines_an_iterable_of_two_at_the_pair_level(pair, monkeypat
     # a flatten blind to the node types would read b"ab" as the pair [97, 98];
     # numpy's object-array discovery read the last three as pairs
     payload = [[[[1, 0], pair], [[0, 0], [1, 0]]]]
-    assert _fast_parts(payload, (1, 2, 2)) is None
-    assert_parity(pairs_config(payload), monkeypatch)
-    assert outcome(pairs_config(payload))[0] == "rejected"
+    result = assert_decodes_as_the_walk_does(pairs_config(payload), monkeypatch)
+    assert result == ("rejected", f"elements[A][0][0][1]: expected a [re, im] pair, got {pair!r:.60}")
 
 
 def test_fast_path_declines_a_dict_at_the_row_level(monkeypatch):
     # its keys are pairs, so a flatten blind to the node types would take it
     payload = [[{(1, 0): "a", (0, 0): "b"}, [[0, 0], [1, 0]]]]
-    assert _fast_parts(payload, (1, 2, 2)) is None
-    assert_parity(pairs_config(payload), monkeypatch)
-    assert outcome(pairs_config(payload))[0] == "rejected"
+    result = assert_decodes_as_the_walk_does(pairs_config(payload), monkeypatch)
+    assert result[0] == "rejected" and result[1].startswith("elements[A][0][0]: expected a list of 2")
 
 
 def test_tuple_nesting_decodes_as_the_walk_does(monkeypatch):
     payload = ((((1, -0.0), (0, 2.5)), ((True, 0), (1, 0))),)
-    parts = _fast_parts(payload, (1, 2, 2))
-    assert parts is not None
-    assert parts.tobytes() == _walk(payload, (1, 2, 2), "A").tobytes()
-    assert_parity(pairs_config(payload), monkeypatch)
-    assert outcome(pairs_config(payload))[0] == "accepted"
+    assert assert_decodes_as_the_walk_does(pairs_config(payload), monkeypatch)[0] == "accepted"
 
 
 def test_list_subclass_is_left_to_the_walk(monkeypatch):
     payload = [[Row([[1, 0], [0, 0]]), [[0, 0], [1, 0]]]]
-    assert _fast_parts(payload, (1, 2, 2)) is None
-    assert_parity(pairs_config(payload), monkeypatch)
-    assert outcome(pairs_config(payload))[0] == "accepted"
+    result = assert_decodes_as_the_walk_does(pairs_config(payload), monkeypatch)
+    assert result == outcome(pairs_config([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]))
 
 
 def test_fast_path_builds_no_string_array():
@@ -231,7 +266,8 @@ def test_fast_path_builds_no_string_array():
     payload = [[[1.0, 0.0]] * 5000, [["x" * 1000, 0.0]] * 5000]
     tracemalloc.start()
     try:
-        assert _fast_parts(payload, (2, 5000)) is None
+        with pytest.raises(ValidationError, match=r"v\[1\]\[0\]: expected finite \[re, im\] numbers"):
+            _parts(payload, (2, 5000), "v")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -64,6 +64,10 @@ CASES = {
         lambda: op(S2).apply(vec(S3)),
         DimensionMismatch, "operator and module element have different shapes",
     ),
+    "diagonal-sum-empty": (
+        lambda: ma.diagonal_sum_projection([]),
+        ValueError, "a diagonal sum needs at least one coefficient",
+    ),
     "diagonal-sum-spaces": (
         lambda: ma.diagonal_sum_projection([ct.unit(S2), ct.unit(S3)]),
         DimensionMismatch, "coefficients live over different spaces",

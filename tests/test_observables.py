@@ -89,6 +89,18 @@ def test_observable_central_evaluation():
     assert ob.observable_value(a, sp.quasipoint(space, 0, [0, 0, 1])) == 3.0
 
 
+def test_unitary_act_moves_the_line_with_the_operator():
+    # at the eigenline e1 of diag(1, 2, 3) the value is 1, not the top
+    # eigenvalue: a unitary_act that left the line in place would read 3
+    a = op_from_fibers(np.diag([1.0, 2.0, 3.0]))
+    u = op_from_fibers(np.roll(np.eye(3), 1, axis=0))  # e1 -> e2 -> e3 -> e1
+    b = sp.quasipoint(a.space, 0, [1, 0, 0])
+    moved = sp.unitary_act(u, b)
+    assert np.array_equal(moved.line, np.array([0, 1, 0], dtype=complex))
+    assert ob.observable_value(a, b) == 1.0
+    assert ob.observable_value(u @ a @ ma.adjoint(u), moved) == 1.0
+
+
 def test_observable_image_constant():
     a = ma.central_operator(ct.unit(ct.StoneSpace(2)) * 4.0, 2)
     family = ob.spectral_family(a)

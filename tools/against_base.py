@@ -114,9 +114,10 @@ def write_configs(tmp: str):
     write("twins", json.dumps({"n": 2, "m": 1, "elements": {f"G{k}": pairs(twins[k]) for k in range(4)}}))
     # int, true/false, -0.0 and 2**53 + 1 entries (germ prints the vector's
     # entries as read), and configs with a string entry, a ragged row, a NaN
-    # literal, a 400-digit integer, the wrong fiber count and a string where a
-    # pair belongs: together they pin what the config reader's fast path takes
-    # and declines to the base bytes
+    # literal, a 400-digit integer, the wrong fiber count, a string where a
+    # pair belongs, a number where the fibers belong and an object where a
+    # fiber belongs: together they pin what the config reader takes, and the
+    # entry each rejection names, to the base bytes
     write("numbers", '{"n": 2, "m": 2, "elements": {"A": [[[[1, 0], [true, -0.0]], [[true, 0.0], '
           '[9007199254740993, 0]]], [[[-0.0, 0], [2, 1]], [[2, -1], [false, -0.0]]]]}, "vectors": {"v": '
           '[[[1, true], [-0.0, 9007199254740993]], [[false, -0.0], [2, -7]]]}}\n')
@@ -124,7 +125,8 @@ def write_configs(tmp: str):
            "nan": "[[[[1, 0], [NaN, 0]], [[0, 0], [1, 0]]]]",
            "huge-int": f"[[[[1, 0], [1{'0' * 399}, 0]], [[0, 0], [1, 0]]]]",
            "fibers": "[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]",
-           "node": '[[[[1, 0], "ab"], [[0, 0], [1, 0]]]]'}
+           "node": '[[[[1, 0], "ab"], [[0, 0], [1, 0]]]]',
+           "scalar": "5", "object": '[{"a": 1}]'}
     for name, payload in bad.items():
         write(f"bad-{name}", f'{{"n": 2, "m": 1, "elements": {{"A": {payload}}}}}\n')
     # many fibers and nothing else: zeta checks the projection of each of
@@ -180,7 +182,7 @@ def commands(tmp: str) -> list[Command]:
                  f"normalize --config {axis} --vector a",
                  f"observable --config {axis} --op A --point omega=0,line=a"]
     runs += [f"central-carrier --config {path('bad-' + bad)} --op A"
-             for bad in ("string", "ragged", "nan", "huge-int", "fibers", "node")]
+             for bad in ("string", "ragged", "nan", "huge-int", "fibers", "node", "scalar", "object")]
     return [Command(run.split()) for run in runs] + [Command(["verify-all", "--seed", "0"], one_cpu=True)]
 
 
